@@ -2,8 +2,8 @@
 rotation-invariant one-particle systems and the free n-dimensional rigid
 body, over arbitrary-precision rational arithmetic."""
 
-from .ratfunc import MultiPoly, Rational, RationalFunction, poly_gcd, rational
-from .radical import RadicalElement, radical_derive, radical_mul
+from .ratfunc import MultiPoly, RationalFunction, poly_gcd, rational
+from .radical import RadicalElement
 from .linalg import ExactMatrix, bareiss_det, char_poly, exact_rank
 from .son import (
     MomentSpec,
@@ -26,13 +26,10 @@ __version__ = VERSION
 
 __all__ = [
     "MultiPoly",
-    "Rational",
     "RationalFunction",
     "poly_gcd",
     "rational",
     "RadicalElement",
-    "radical_mul",
-    "radical_derive",
     "ExactMatrix",
     "bareiss_det",
     "char_poly",

@@ -14,12 +14,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .radical import RadicalElement, x_vars
-from .ratfunc import MultiPoly, RationalFunction
+from .radical import RadicalElement
+from .ratfunc import MultiPoly, RationalFunction, TermMap, add_terms
 from .son import SkewMatrix, pair_index, pair_list
 
 
-class PhasePoly:
+class PhasePoly(TermMap):
     """Polynomial on T*R^n: sum of coefficient(x, r) * p-monomial terms.
 
     Coefficients are elements of the radical extension (rational functions
@@ -27,21 +27,9 @@ class PhasePoly:
     p_1..p_n.
     """
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n, terms=None):
-        self.n = n
-        self.terms = {}
-        if terms:
-            for m, c in terms.items():
-                if not c.is_zero():
-                    self.terms[m] = c
+    __slots__ = ()
 
     # -- constructors --------------------------------------------------
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n)
 
     @classmethod
     def const(cls, n, c):
@@ -63,12 +51,6 @@ class PhasePoly:
     def radius(cls, n):
         return cls.const(n, RadicalElement.radius(n))
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
     # -- arithmetic -----------------------------------------------------
 
     def _coerce(self, other):
@@ -86,60 +68,15 @@ class PhasePoly:
             return PhasePoly.const(self.n, other)
         return None
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            if m in terms:
-                s = terms[m] + c
-                if s.is_zero():
-                    del terms[m]
-                else:
-                    terms[m] = s
-            else:
-                terms[m] = c
-        out = PhasePoly(self.n)
-        out.terms = terms
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = PhasePoly(self.n)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         terms = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                c = c1 * c2
-                if m in terms:
-                    s = terms[m] + c
-                    if s.is_zero():
-                        del terms[m]
-                    else:
-                        terms[m] = s
-                elif not c.is_zero():
-                    terms[m] = c
-        out = PhasePoly(self.n)
-        out.terms = terms
-        return out
+            products = ((tuple(a + b for a, b in zip(m1, m2)), c1 * c2) for m2, c2 in other.terms.items())
+            add_terms(terms, products)
+        return self._new(terms)
 
     __rmul__ = __mul__
 
@@ -148,15 +85,6 @@ class PhasePoly:
         for _ in range(k):
             result = result * self
         return result
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
 
     # -- calculus ----------------------------------------------------------
 
@@ -170,24 +98,18 @@ class PhasePoly:
             mm = list(m)
             mm[i - 1] = e - 1
             terms[tuple(mm)] = c * e
-        out = PhasePoly(self.n)
-        out.terms = terms
-        return out
+        return self._new(terms)
 
     def dx(self, i):
         """d/dx_i (1-based), acting on the radical coefficients."""
-        out = PhasePoly(self.n)
-        out.terms = {m: d for m, c in self.terms.items() if not (d := c.diff(i)).is_zero()}
-        return out
+        return self._new({m: d for m, c in self.terms.items() if (d := c.diff(i))})
 
     def p_degree(self):
         return max((sum(m) for m in self.terms), default=-1)
 
     def top_p_part(self):
         d = self.p_degree()
-        out = PhasePoly(self.n)
-        out.terms = {m: c for m, c in self.terms.items() if sum(m) == d}
-        return out
+        return self._new({m: c for m, c in self.terms.items() if sum(m) == d})
 
     def eval(self, x_values, r_value, p_values):
         total = Fraction(0)

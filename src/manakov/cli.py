@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np

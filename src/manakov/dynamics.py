@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -138,16 +137,3 @@ def default_initial_momentum(n, rng, scale=1.0):
     m = np.array([[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)])
     return _skew_part(m) * scale
 
-
-def exact_rhs_reference(p_exact, spec: MomentSpec):
-    """The same right-hand side in exact rational arithmetic (oracle)."""
-    n = spec.n
-    lam = spec.lambdas
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = Fraction(0)
-            for k in range(n):
-                acc += p_exact[i][k] * p_exact[k][j] / ((lam[i] + lam[k]) * (lam[k] + lam[j]))
-            out[i][j] = -(lam[i] - lam[j]) * acc
-    return out

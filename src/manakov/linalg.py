@@ -1,9 +1,10 @@
 """Exact dense linear algebra over rationals, rational functions or any
 commutative Q-algebra.
 
-Rank and kernel are computed by exact Gaussian elimination when entries lie
-in a field; a fraction-free Bareiss elimination covers determinants and rank
-over polynomial domains without dividing by ring elements.  Characteristic
+Rank and kernel, inverses and solutions all come from one exact
+Gauss-Jordan elimination when entries lie in a field; a fraction-free
+Bareiss elimination covers determinants over polynomial domains without
+dividing by ring elements.  Characteristic
 polynomials use the Faddeev-LeVerrier recursion, which only ever divides by
 the integers 1..n.
 """
@@ -93,6 +94,34 @@ class ExactMatrix:
     __repr__ = __str__
 
 
+def _row_reduce(a, cols):
+    """Gauss-Jordan elimination of the row list ``a`` in place, over a field.
+
+    Reduces the first ``cols`` columns to reduced row-echelon form (further
+    columns, such as an augmented right-hand side, are carried along) and
+    returns the pivot columns; row r of the result has its leading one in
+    column pivots[r].
+    """
+    rows = len(a)
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        pivot = next((i for i in range(r, rows) if a[i][c]), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = a[r][c]
+        a[r] = [e / inv for e in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [e - f * q for e, q in zip(a[i], a[r])]
+        pivots.append(c)
+    return pivots
+
+
 def exact_rank(m: ExactMatrix):
     """Rank and an exact kernel basis; entries must lie in a field.
 
@@ -100,59 +129,26 @@ def exact_rank(m: ExactMatrix):
     (plain lists) spanning the right null space, with rank + len(kernel)
     equal to the number of columns.
     """
-    if m.rows == 0 or m.cols == 0:
-        return 0, _trivial_kernel(m)
     a = [list(row) for row in m.entries]
-    rows, cols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if a[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = a[r][c]
-        a[r] = [e / inv for e in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [e - f * q for e, q in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
-    one = _one_like(m)
-    zero = one * 0
-    kernel = []
-    for fc in free:
-        vec = [zero] * cols
-        vec[fc] = one
-        for pr, pc in enumerate(pivots):
-            vec[pc] = -a[pr][fc]
-        kernel.append(vec)
-    return r, kernel
-
-
-def _trivial_kernel(m):
+    pivots = _row_reduce(a, m.cols)
     one = _one_like(m)
     zero = one * 0
     kernel = []
     for fc in range(m.cols):
+        if fc in pivots:
+            continue
         vec = [zero] * m.cols
         vec[fc] = one
+        for pr, pc in enumerate(pivots):
+            vec[pc] = -a[pr][fc]
         kernel.append(vec)
-    return kernel
+    return len(pivots), kernel
 
 
 def _one_like(m):
     for row in m.entries:
         for e in row:
-            if e != 0:
+            if e:
                 return e / e
     return Fraction(1)
 
@@ -184,31 +180,6 @@ def bareiss_det(m: ExactMatrix):
         prev = a[k][k]
     det = a[n - 1][n - 1]
     return -det if sign < 0 else det
-
-
-def bareiss_rank(m: ExactMatrix):
-    """Fraction-free rank over an integral domain (no field division)."""
-    a = [list(row) for row in m.entries]
-    rows, cols = m.rows, m.cols
-    r = 0
-    prev = None
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                val = a[i][j] * a[r][c] - a[i][c] * a[r][j]
-                if prev is not None:
-                    val = _exact_div(val, prev)
-                a[i][j] = val
-            a[i][c] = a[r][c] * 0
-        prev = a[r][c]
-        r += 1
-        if r == rows:
-            break
-    return r
 
 
 def _exact_div(val, d):
@@ -245,93 +216,20 @@ def invert(m: ExactMatrix) -> ExactMatrix:
     one = _one_like(m)
     zero = one * 0
     a = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(m.entries)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        a[c], a[pivot] = a[pivot], a[c]
-        inv = a[c][c]
-        a[c] = [e / inv for e in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [e - f * q for e, q in zip(a[i], a[c])]
+    if len(_row_reduce(a, n)) < n:
+        raise ValueError("singular matrix")
     return ExactMatrix([row[n:] for row in a])
 
 
 def solve(m: ExactMatrix, rhs):
     """One exact solution of m @ x = rhs over a field, or None if inconsistent."""
-    rows, cols = m.rows, m.cols
+    cols = m.cols
     a = [list(row) + [rhs[i]] for i, row in enumerate(m.entries)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = a[r][c]
-        a[r] = [e / inv for e in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [e - f * q for e, q in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if a[i][cols] != 0:
-            return None
-    one = _one_like(m)
-    zero = one * 0
+    pivots = _row_reduce(a, cols)
+    if any(row[cols] for row in a[len(pivots) :]):
+        return None
+    zero = _one_like(m) * 0
     x = [zero] * cols
     for pr, pc in enumerate(pivots):
         x[pc] = a[pr][cols]
     return x
-
-
-def minor_expansion_det(m: ExactMatrix):
-    """Independent oracle: determinant by Laplace expansion on the first row."""
-    n = m.rows
-    if n != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return m.entries[0][0]
-    total = None
-    for j in range(n):
-        c = m.entries[0][j]
-        if c == 0:
-            continue
-        sub = ExactMatrix([row[:j] + row[j + 1 :] for row in m.entries[1:]])
-        term = c * minor_expansion_det(sub)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        return m.entries[0][0] * 0
-    return total
-
-
-def minor_expansion_rank(m: ExactMatrix):
-    """Independent oracle: rank as the largest k with a nonzero k x k minor."""
-    from itertools import combinations
-
-    best = 0
-    for k in range(1, min(m.rows, m.cols) + 1):
-        found = False
-        for rows in combinations(range(m.rows), k):
-            for cols in combinations(range(m.cols), k):
-                sub = ExactMatrix([[m.entries[i][j] for j in cols] for i in rows])
-                if minor_expansion_det(sub) != 0:
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            best = k
-        else:
-            break
-    return best

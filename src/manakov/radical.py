@@ -54,10 +54,6 @@ class RadicalElement:
     def radius(cls, n):
         return cls(n, RationalFunction.const(x_vars(n), 0), RationalFunction.const(x_vars(n), 1))
 
-    @classmethod
-    def from_rational_function(cls, n, f: RationalFunction):
-        return cls(n, f)
-
     def is_zero(self):
         return self.a.is_zero() and self.b.is_zero()
 
@@ -143,6 +139,8 @@ class RadicalElement:
 
     def diff(self, i):
         """d/dx_i (1-based), using dr/dx_i = x_i * r / x^2."""
+        if not 1 <= i <= self.n:
+            raise ValueError(f"axis {i} out of range 1..{self.n}")
         xi = MultiPoly.gen(x_vars(self.n), i - 1)
         x2 = x_square_poly(self.n)
         da = self.a.diff(i - 1)
@@ -161,13 +159,3 @@ class RadicalElement:
         return f"{self.a} + ({self.b})*r"
 
     __repr__ = __str__
-
-
-def radical_mul(u: RadicalElement, v: RadicalElement) -> RadicalElement:
-    return u * v
-
-
-def radical_derive(u: RadicalElement, i) -> RadicalElement:
-    if not 1 <= i <= u.n:
-        raise ValueError(f"axis {i} out of range 1..{u.n}")
-    return u.diff(i)

@@ -15,16 +15,98 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as int_gcd
 
-Rational = Fraction
-
 
 def rational(text) -> Fraction:
-    """Parse an exact rational from an int, a Fraction or a 'p/q' string."""
+    """Parse an exact rational from an int, a Fraction or a 'p/q' string;
+    malformed text and a zero denominator raise ValueError."""
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
         return Fraction(text)
-    return Fraction(str(text).strip())
+    try:
+        return Fraction(str(text).strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {str(text).strip()!r}") from None
+
+
+def add_terms(acc, pairs):
+    """Add each (key, value) of ``pairs`` into the dict ``acc`` and return it.
+
+    A key whose sum cancels is deleted, so ``acc`` never holds a zero value.
+    Zero is tested by truthiness: every coefficient domain here defines
+    ``__bool__``, and ``== 0`` would build a constant on each comparison.
+    """
+    for k, v in pairs:
+        if k in acc:
+            s = acc[k] + v
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+        elif v:
+            acc[k] = v
+    return acc
+
+
+class TermMap:
+    """Sparse element ``{key: nonzero coefficient}`` of a free module over
+    the coefficients, in dimension ``n``; the linear structure shared by
+    phase polynomials, Weyl operators and PBW elements.
+
+    A subclass supplies ``_coerce(other)`` (an element of the same class, or
+    None for an unsupported operand) and its own products and printing.
+    """
+
+    __slots__ = ("n", "terms")
+
+    def __init__(self, n, terms=None):
+        self.n = n
+        self.terms = {m: c for m, c in terms.items() if c} if terms else {}
+
+    @classmethod
+    def zero(cls, n):
+        return cls(n)
+
+    def _new(self, terms):
+        """An element of the same class holding ``terms`` (not re-filtered)."""
+        out = type(self)(self.n)
+        out.terms = terms
+        return out
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._new(add_terms(dict(self.terms), other.terms.items()))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return (self - other).is_zero()
+
+    def __hash__(self):
+        return hash((self.n, frozenset(self.terms.items())))
 
 
 def grlex_key(mono):
@@ -43,7 +125,7 @@ class MultiPoly:
 
     def __init__(self, vars, terms):
         self.vars = tuple(vars)
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+        self.terms = {m: c for m, c in terms.items() if c}
 
     # -- constructors -------------------------------------------------
 
@@ -54,7 +136,7 @@ class MultiPoly:
     @classmethod
     def const(cls, vars, c):
         c = Fraction(c) if isinstance(c, int) else c
-        if c == 0:
+        if not c:
             return cls(vars, {})
         return cls(vars, {(0,) * len(vars): c})
 
@@ -89,14 +171,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             other = MultiPoly.const(self.vars, other)
         self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, 0) + c
-            if s == 0:
-                terms.pop(m, None)
-            else:
-                terms[m] = s
-        return MultiPoly(self.vars, terms)
+        return MultiPoly(self.vars, add_terms(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -113,7 +188,7 @@ class MultiPoly:
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            if other == 0:
+            if not other:
                 return MultiPoly.zero(self.vars)
             return MultiPoly(self.vars, {m: c * other for m, c in self.terms.items()})
         self._check(other)
@@ -123,13 +198,8 @@ class MultiPoly:
         else:
             a, b = self, other
         for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
-                m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-                s = terms.get(m, 0) + c1 * c2
-                if s == 0:
-                    terms.pop(m, None)
-                else:
-                    terms[m] = s
+            products = ((tuple(e1 + e2 for e1, e2 in zip(m1, m2)), c1 * c2) for m2, c2 in b.terms.items())
+            add_terms(terms, products)
         return MultiPoly(self.vars, terms)
 
     __rmul__ = __mul__
@@ -248,13 +318,8 @@ class MultiPoly:
                 return None
             qc = c / gc
             quot[qm] = qc
-            for m2, c2 in other.terms.items():
-                mm = tuple(a + b for a, b in zip(qm, m2))
-                s = rem.get(mm, 0) - qc * c2
-                if s == 0:
-                    rem.pop(mm, None)
-                else:
-                    rem[mm] = s
+            products = ((tuple(a + b for a, b in zip(qm, m2)), -qc * c2) for m2, c2 in other.terms.items())
+            add_terms(rem, products)
         return MultiPoly(self.vars, quot)
 
     def divides(self, other):
@@ -413,23 +478,8 @@ def _monomial_gcd(f, g):
 
 def _subst_var(f: MultiPoly, i, value):
     """Substitute an integer for variable i (degree collapses onto the rest)."""
-    terms = {}
-    for m, c in f.terms.items():
-        mm = list(m)
-        e = mm[i]
-        mm[i] = 0
-        key = tuple(mm)
-        v = c * value**e if e else c
-        cur = terms.get(key)
-        if cur is None:
-            terms[key] = v
-        else:
-            s = cur + v
-            if s:
-                terms[key] = s
-            else:
-                del terms[key]
-    return MultiPoly(f.vars, terms)
+    terms = ((m[:i] + (0,) + m[i + 1 :], c * value ** m[i] if m[i] else c) for m, c in f.terms.items())
+    return MultiPoly(f.vars, add_terms({}, terms))
 
 
 def _max_norm(f: MultiPoly):

@@ -17,7 +17,7 @@ GENERIC = "generic-point-certificate"
 class CheckResult:
     """One verified claim: exact identities report pass/fail, sampled rank
     facts report generic-point-certificate (true at the sampled points,
-    not proved everywhere)."""
+    not proved everywhere).  ``elapsed`` is the wall time spent on it."""
 
     id: str
     anchor: str
@@ -32,26 +32,27 @@ class CheckResult:
 
 @dataclass
 class VerificationReport:
+    """Checks in the order they were verified.  Each check is stamped with
+    the wall time since this report's previous check, or since the report
+    was created: the time spent computing it."""
+
     version: str = VERSION
     config: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
+    last_mark: float = field(default_factory=time.perf_counter, repr=False, compare=False)
 
-    def add(self, id, anchor, ok, witness="", generic=False, elapsed=0.0):
+    def add(self, id, anchor, ok, witness="", generic=False):
+        now = time.perf_counter()
         status = (GENERIC if generic else PASS) if ok else FAIL
-        self.checks.append(
-            CheckResult(id=id, anchor=anchor, status=status, witness=str(witness), elapsed=elapsed)
-        )
-        return self.checks[-1]
-
-    def timed(self, id, anchor, fn, generic=False):
-        """Run fn() -> (ok, witness) and record the check with its duration."""
-        t0 = time.perf_counter()
-        ok, witness = fn()
-        self.add(id, anchor, ok, witness=witness, generic=generic, elapsed=time.perf_counter() - t0)
-        return ok
+        check = CheckResult(id, anchor, status, str(witness), elapsed=now - self.last_mark)
+        self.last_mark = now
+        self.checks.append(check)
+        return check
 
     def extend(self, other: "VerificationReport"):
+        # the merged checks carry their own times
         self.checks.extend(other.checks)
+        self.last_mark = time.perf_counter()
         return self
 
     @property

@@ -13,15 +13,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 from .brackets import LiePoissonPoly, lie_poisson_bracket, momentum_vars
 from .charts import GroupChart, jacobian_rank
 from .linalg import ExactMatrix, char_poly, solve
-from .ratfunc import MultiPoly, RationalFunction
+from .ratfunc import MultiPoly
 from .report import VerificationReport
-from .son import DegenerateSampleError, MomentSpec, pair_list, random_skew, sigma_triple
-
-from .son import dim_so
+from .son import (
+    DegenerateSampleError,
+    MomentSpec,
+    ad_kernel_dim,
+    dim_so,
+    pair_index,
+    pair_list,
+    random_skew,
+    sigma_triple,
+)
 
 
 @dataclass(frozen=True)
@@ -56,15 +65,11 @@ def manakov_indices(n, max_degree=None):
     return out
 
 
-def _one(spec: MomentSpec):
-    return spec.coeff_one()
-
-
 def hamiltonian(spec: MomentSpec) -> LiePoissonPoly:
     """H = 1/2 sum_{i<j} P_ij^2 / (l_i + l_j)."""
     n = spec.n
     vars = momentum_vars(n)
-    one = _one(spec)
+    one = spec.coeff_one()
     terms = {}
     for k, (i, j) in enumerate(pair_list(n)):
         mono = [0] * len(vars)
@@ -77,7 +82,7 @@ def hamiltonian(spec: MomentSpec) -> LiePoissonPoly:
 def euler_bracket_closed_form(spec: MomentSpec, i, j) -> LiePoissonPoly:
     """{H, P_ij} = (l_i - l_j) sum_k P_ik P_kj / ((l_i+l_k)(l_k+l_j))."""
     n = spec.n
-    one = _one(spec)
+    one = spec.coeff_one()
     lam = spec.lambdas
     acc = LiePoissonPoly.zero(n)
     for k in range(1, n + 1):
@@ -94,27 +99,44 @@ def euler_bracket_closed_form(spec: MomentSpec, i, j) -> LiePoissonPoly:
 def manakov_coefficient(idx: ManakovIndex, indices, spec: MomentSpec):
     """a^{i1..i_{2l}}_{k,k-2l}: complete homogeneous sum of squared moments.
 
-    Sum over exponents b_1..b_{2l} >= 0 with total k-2l of the products
-    l_{i1}^{2b_1} ... l_{i_{2l}}^{2b_{2l}}.
+    The sum over exponents b_1..b_{2l} >= 0 with total k-2l of the products
+    l_{i1}^{2b_1} ... l_{i_{2l}}^{2b_{2l}} is the degree-(k-2l) complete
+    homogeneous polynomial h in the squares, built one index at a time by
+    h_t += l_i^2 h_{t-1} for t = 1..k-2l.
     """
     if len(indices) != 2 * idx.l:
         raise ValueError("index tuple length must be 2l")
-    lam2 = [spec.lambdas[i - 1] ** 2 for i in indices]
-    one = _one(spec)
-    total = idx.j
-    acc = [one * 0]
+    one = spec.coeff_one()
+    h = [one] + [one * 0] * idx.j
+    for i in indices:
+        x = spec.lambdas[i - 1] ** 2
+        for t in range(1, idx.j + 1):
+            h[t] = h[t] + x * h[t - 1]
+    return h[idx.j]
 
-    def rec(pos, remaining, prod):
-        if pos == len(lam2) - 1:
-            acc[0] = acc[0] + prod * lam2[pos] ** remaining
-            return
-        for b in range(remaining + 1):
-            rec(pos + 1, remaining - b, prod * lam2[pos] ** b)
 
-    if total == 0:
-        return one
-    rec(0, total, one)
-    return acc[0]
+def closed_walks(n, length):
+    """Closed index walks i_1 -> i_2 -> ... -> i_length -> i_1 on 1..n with
+    no step from an index to itself, in lexicographic order.
+
+    Yields (walk, sign, letters): letters[t] is the momentum variable index
+    of step t, and P_{i1 i2} ... P_{i_length i1} equals sign times the product
+    of those variables (each descending step flips the sign).
+    """
+    pidx = pair_index(n)
+    for walk in product(range(1, n + 1), repeat=length):
+        sign = 1
+        letters = []
+        for a, b in zip(walk, walk[1:] + walk[:1]):
+            if a == b:
+                break
+            if a < b:
+                letters.append(pidx[(a, b)])
+            else:
+                letters.append(pidx[(b, a)])
+                sign = -sign
+        else:
+            yield walk, sign, letters
 
 
 def manakov_integral(idx: ManakovIndex, n, spec: MomentSpec) -> LiePoissonPoly:
@@ -122,37 +144,15 @@ def manakov_integral(idx: ManakovIndex, n, spec: MomentSpec) -> LiePoissonPoly:
     if idx.k > n:
         raise ValueError(f"index k={idx.k} exceeds dimension {n}")
     vars = momentum_vars(n)
-    from .son import pair_index
-
-    pidx = pair_index(n)
-    two_l = 2 * idx.l
-    acc_terms = {}
     scale = Fraction(1, 4 * idx.l)
-
-    def walks(prefix):
-        if len(prefix) == two_l:
-            if prefix[-1] == prefix[0]:
-                return
-            yield tuple(prefix)
-            return
-        for v in range(1, n + 1):
-            if prefix and v == prefix[-1]:
-                continue
-            prefix.append(v)
-            yield from walks(prefix)
-            prefix.pop()
-
-    for tup in walks([]):
-        sign = 1
+    # terms keep the order in which walks first reach them, cancelled ones
+    # included until MultiPoly drops them (float evaluation sums in this order)
+    acc_terms = {}
+    for walk, sign, letters in closed_walks(n, 2 * idx.l):
         mono = [0] * len(vars)
-        cycle = list(tup) + [tup[0]]
-        for a, b in zip(cycle, cycle[1:]):
-            if a < b:
-                mono[pidx[(a, b)]] += 1
-            else:
-                mono[pidx[(b, a)]] += 1
-                sign = -sign
-        coef = manakov_coefficient(idx, tup, spec) * (scale * sign)
+        for g in letters:
+            mono[g] += 1
+        coef = manakov_coefficient(idx, walk, spec) * (scale * sign)
         key = tuple(mono)
         cur = acc_terms.get(key)
         acc_terms[key] = coef if cur is None else cur + coef
@@ -166,7 +166,7 @@ def hamiltonian_as_integral_combination(spec: MomentSpec):
     means the system is inconsistent for this set of moments.
     """
     n = spec.n
-    one = _one(spec)
+    one = spec.coeff_one()
     ks = list(range(2, n + 1))
     rows = []
     rhs = []
@@ -214,8 +214,6 @@ def centrality_defect_sampled(spec: MomentSpec, rng, points=3, bound=10**6):
     Uses rank = 2N - s1, k = s + s2 - s3 and r = s1 - k at each sampled
     point; raises DegenerateSampleError if the samples disagree.
     """
-    from .son import ad_kernel_dim
-
     results = set()
     for _ in range(points):
         a = random_skew(spec.n, rng, bound)
@@ -275,8 +273,6 @@ def momentum_matrix(n, indices=None) -> ExactMatrix:
     """The skew matrix of momentum variables restricted to ``indices``."""
     indices = list(indices) if indices is not None else list(range(1, n + 1))
     vars = momentum_vars(n)
-    from .son import pair_index
-
     pidx = pair_index(n)
     zero = MultiPoly.zero(vars)
     size = len(indices)
@@ -456,8 +452,6 @@ def assemble_integrable_set(spec: MomentSpec, chart: GroupChart) -> RigidBodySet
 def _integer_scaled(f: LiePoissonPoly) -> LiePoissonPoly:
     """Rescale a rational-coefficient polynomial to integer coefficients
     (zero-preserving); symbolic coefficients pass through unchanged."""
-    from math import gcd
-
     denom = 1
     for c in f.poly.terms.values():
         if not isinstance(c, (int, Fraction)):

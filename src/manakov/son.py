@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import ExactMatrix, char_poly, exact_rank, invert
-from .ratfunc import MultiPoly, RationalFunction
+from .ratfunc import RationalFunction, add_terms
 
 
 class DegenerateSampleError(ValueError):
@@ -86,14 +86,7 @@ class SkewMatrix:
 
     def __add__(self, other):
         self._check(other)
-        upper = dict(self.upper)
-        for p, c in other.upper.items():
-            s = upper.get(p, 0) + c
-            if s == 0:
-                upper.pop(p, None)
-            else:
-                upper[p] = s
-        return SkewMatrix(self.n, upper)
+        return SkewMatrix(self.n, add_terms(dict(self.upper), other.upper.items()))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -189,16 +182,6 @@ def cayley_orthogonal(s: SkewMatrix) -> ExactMatrix:
     except ValueError:
         raise DegenerateSampleError("I + S singular in the Cayley map; resample S")
     return (eye - dense) @ inv
-
-
-def is_special_orthogonal(x: ExactMatrix) -> bool:
-    if x.rows != x.cols:
-        return False
-    if x.transpose() @ x != ExactMatrix.identity(x.rows):
-        return False
-    from .linalg import bareiss_det
-
-    return bareiss_det(x) == 1
 
 
 def right_from_left(x: ExactMatrix, pl: SkewMatrix) -> SkewMatrix:
@@ -305,17 +288,6 @@ class MomentSpec:
                 for b in range(a + 1, len(c)):
                     out.append((c[a], c[b]))
         return tuple(sorted(out))
-
-
-def validate_pair_set(pairs, n):
-    seen = set()
-    for (i, j) in pairs:
-        if not 1 <= i < j <= n:
-            raise ValueError(f"bad index pair {(i, j)} for n={n}")
-        if (i, j) in seen:
-            raise ValueError(f"duplicate pair {(i, j)}")
-        seen.add((i, j))
-    return tuple(pairs)
 
 
 def sigma_triple(a: SkewMatrix, spec: MomentSpec):

@@ -12,7 +12,6 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .central_force import (
-    SplitTree,
     all_split_trees,
     catalog,
     emit_tables,
@@ -20,7 +19,7 @@ from .central_force import (
     runge_lenz_check,
     verify_integrable_set,
 )
-from .charts import GroupChart, jacobian_rank
+from .charts import GroupChart
 from .report import VerificationReport
 from .rigid_body import (
     assemble_integrable_set,
@@ -32,7 +31,7 @@ from .rigid_body import (
     verify_involution_family,
     verify_z_lambda,
 )
-from .son import DegenerateSampleError, MomentSpec, dim_so, random_rational, retry_generic
+from .son import DegenerateSampleError, MomentSpec, dim_so, retry_generic
 from .uea import (
     verify_quantum_central_set,
     verify_quantum_flat_cases,
@@ -80,6 +79,14 @@ def _moment_spec_from_args(n, lambdas=None, partition=None, rng=None):
     raise ValueError("need explicit moments or a multiplicity partition")
 
 
+def _check_rigid_args(n, samples):
+    """Reject arguments that would make a rigid-body report pass vacuously."""
+    if n < 3:
+        raise ValueError(f"rigid-body scopes need n >= 3 (the first counting-table row), got n = {n}")
+    if samples < 1:
+        raise ValueError(f"need at least one moment sample, got {samples}")
+
+
 def _distinct_rationals(count, rng, bound=30):
     out = []
     while len(out) < count:
@@ -98,6 +105,7 @@ def suite_classical_rigid(
 
     ``mode`` defaults to symbolic moments for n <= 5 and sampled for n = 6.
     """
+    _check_rigid_args(n, samples)
     rng = random.Random(seed)
     report = VerificationReport()
     if mode is None:
@@ -205,6 +213,7 @@ def suite_quantum_rigid(
 ) -> VerificationReport:
     """Quantum rigid-body battery: commutator identities per moment sample,
     quantized central sets, and the zero-defect families."""
+    _check_rigid_args(n, samples)
     rng = random.Random(seed)
     if mode is None:
         mode = "symbolic" if n <= 5 else "sampled"
@@ -264,10 +273,11 @@ def _quantum_sample_worker(job):
 def _tag_and_extend(report, sub, tag):
     for c in sub.checks:
         c.id = f"{tag}/{c.id}"
-    report.checks.extend(sub.checks)
+    report.extend(sub)
 
 
 def suite_all(n, alpha=1, seed=0, **kwargs) -> VerificationReport:
+    _check_rigid_args(n, kwargs.get("samples", 1))
     report = VerificationReport()
     report.config.update({"scope": "all", "n": n, "seed": seed})
     for sub in (

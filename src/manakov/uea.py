@@ -16,11 +16,19 @@ n = 6 tractable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import gcd
 
 from .brackets import LiePoissonPoly, momentum_vars, structure_table
-from .ratfunc import MultiPoly
+from .ratfunc import MultiPoly, TermMap, add_terms
 from .report import VerificationReport
+from .rigid_body import (
+    ManakovIndex,
+    centrality_defect,
+    closed_walks,
+    manakov_coefficient,
+    z_lambda,
+    z_lambda_count,
+)
 from .son import MomentSpec, pair_index, pair_list
 
 _INSERT_CACHE = {}
@@ -62,16 +70,11 @@ def _insert(n, g, w):
         # degree dropped or the subword is the plain sorted merge)
         a = w[0]
         rest = w[1:]
-        result = dict(_gen_mul_terms(n, a, _insert(n, g, rest)))
+        result = _gen_mul_terms(n, a, _insert(n, g, rest))
         br = gen_bracket(n, g, a)
         if br is not None:
             h, s = br
-            for word, c in _insert(n, h, rest).items():
-                cur = result.get(word, 0) + s * c
-                if cur:
-                    result[word] = cur
-                else:
-                    result.pop(word, None)
+            add_terms(result, ((word, s * c) for word, c in _insert(n, h, rest).items()))
     if len(w) <= _MEMO_WORD_LIMIT:
         _INSERT_CACHE[key] = result
     return result
@@ -81,36 +84,14 @@ def _gen_mul_terms(n, g, terms):
     """e_g * element, elementwise on a {word: coef} map."""
     out = {}
     for w, c in terms.items():
-        for word, k in _insert(n, g, w).items():
-            cur = out.get(word)
-            val = c if k == 1 else c * k
-            if cur is None:
-                out[word] = val
-            else:
-                s = cur + val
-                if s:
-                    out[word] = s
-                else:
-                    del out[word]
+        add_terms(out, ((word, c if k == 1 else c * k) for word, k in _insert(n, g, w).items()))
     return out
 
 
-class PBWElement:
+class PBWElement(TermMap):
     """Canonical-form element: {sorted generator word: nonzero coefficient}."""
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n, terms=None):
-        self.n = n
-        self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                if c:
-                    self.terms[w] = c
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n)
+    __slots__ = ()
 
     @classmethod
     def const(cls, n, c):
@@ -126,13 +107,8 @@ class PBWElement:
             return cls.zero(n)
         return cls(n, {(pair_index(n)[(i, j)],): Fraction(sign)})
 
-    def is_zero(self):
-        return not self.terms
-
     def degree(self):
         return max((len(w) for w in self.terms), default=-1)
-
-    # -- linear structure ----------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, PBWElement):
@@ -143,44 +119,10 @@ class PBWElement:
             return PBWElement.const(self.n, Fraction(other))
         return None
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            cur = terms.get(w)
-            if cur is None:
-                terms[w] = c
-            else:
-                s = cur + c
-                if s:
-                    terms[w] = s
-                else:
-                    del terms[w]
-        out = PBWElement(self.n)
-        out.terms = terms
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = PBWElement(self.n)
-        out.terms = {w: -c for w, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
     def scale(self, c):
         if not c:
             return PBWElement.zero(self.n)
-        out = PBWElement(self.n)
-        out.terms = {w: v * c for w, v in self.terms.items()}
-        return out
+        return self._new({w: v * c for w, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -195,24 +137,13 @@ class PBWElement:
             return self.scale(other)
         return NotImplemented
 
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
     def integerized(self):
         """Rescale so all coefficients are integers (Fraction coefficients
         only); returns (element, scale) with element = scale * self."""
         denom = 1
         for c in self.terms.values():
-            denom = denom * c.denominator // _gcd(denom, c.denominator)
-        out = PBWElement(self.n)
-        out.terms = {w: int(c * denom) for w, c in self.terms.items()}
-        return out, denom
+            denom = denom * c.denominator // gcd(denom, c.denominator)
+        return self._new({w: int(c * denom) for w, c in self.terms.items()}), denom
 
     def principal_symbol(self) -> LiePoissonPoly:
         """Top-degree part read as a commutative momentum polynomial."""
@@ -229,9 +160,7 @@ class PBWElement:
         return LiePoissonPoly(self.n, MultiPoly(vars, terms))
 
     def map_coeffs(self, fn):
-        out = PBWElement(self.n)
-        out.terms = {w: v for w, c in self.terms.items() if (v := fn(c))}
-        return out
+        return self._new({w: v for w, c in self.terms.items() if (v := fn(c))})
 
     def __str__(self):
         if not self.terms:
@@ -244,12 +173,6 @@ class PBWElement:
         return " + ".join(parts)
 
     __repr__ = __str__
-
-
-def _gcd(a, b):
-    from math import gcd
-
-    return gcd(a, b)
 
 
 def pbw_mul(a: PBWElement, b: PBWElement) -> PBWElement:
@@ -269,24 +192,12 @@ def pbw_mul(a: PBWElement, b: PBWElement) -> PBWElement:
         for key, sub in node.items():
             if key is None:
                 for c in sub:
-                    for w, v in terms.items():
-                        cur = result.get(w)
-                        val = c * v
-                        if cur is None:
-                            result[w] = val
-                        else:
-                            s = cur + val
-                            if s:
-                                result[w] = s
-                            else:
-                                del result[w]
+                    add_terms(result, ((w, c * v) for w, v in terms.items()))
             else:
                 dfs(sub, _gen_mul_terms(n, key, terms))
 
     dfs(root, b.terms)
-    out = PBWElement(n)
-    out.terms = {w: c for w, c in result.items() if c}
-    return out
+    return a._new(result)
 
 
 def uea_commutator(a: PBWElement, b: PBWElement) -> PBWElement:
@@ -346,19 +257,8 @@ def sym_word(n, letters):
             mult = letters.count(g)
             rest = letters[:idx] + letters[idx + 1 :]
             sub = sym_word(n, rest)
-            part = _gen_mul_terms(n, g, sub)
             w_mult = Fraction(mult, k)
-            for w, c in part.items():
-                cur = acc.get(w)
-                val = c * w_mult
-                if cur is None:
-                    acc[w] = val
-                else:
-                    s = cur + val
-                    if s:
-                        acc[w] = s
-                    else:
-                        del acc[w]
+            add_terms(acc, ((w, c * w_mult) for w, c in _gen_mul_terms(n, g, sub).items()))
         result = acc
     _SYM_CACHE[key] = result
     return result
@@ -382,10 +282,7 @@ def sym_k(n, generators) -> PBWElement:
         letters.append(pidx[(i, j)])
     terms = sym_word(n, tuple(letters))
     out = PBWElement(n)
-    if sign == 1:
-        out.terms = dict(terms)
-    else:
-        out.terms = {w: -c for w, c in terms.items()}
+    out.terms = dict(terms) if sign == 1 else {w: -c for w, c in terms.items()}
     return out
 
 
@@ -397,82 +294,24 @@ def symmetrize_momentum_poly(f: LiePoissonPoly) -> PBWElement:
         letters = []
         for g, e in enumerate(mono):
             letters.extend([g] * e)
-        for w, c in sym_word(n, tuple(letters)).items():
-            cur = acc.get(w)
-            val = coef * c
-            if cur is None:
-                acc[w] = val
-            else:
-                s = cur + val
-                if s:
-                    acc[w] = s
-                else:
-                    del acc[w]
+        add_terms(acc, ((w, coef * c) for w, c in sym_word(n, tuple(letters)).items()))
     return PBWElement(n, acc)
 
 
 # -- the quantized integrals -----------------------------------------------------
 
 
-def hamiltonian_operator(spec: MomentSpec) -> PBWElement:
-    """H-hat = 1/2 sum (P-hat_ij)^2 / (l_i + l_j)."""
-    n = spec.n
-    one = spec.coeff_one()
-    terms = {}
-    for k, (i, j) in enumerate(pair_list(n)):
-        terms[(k, k)] = one / (2 * (spec.lambdas[i - 1] + spec.lambdas[j - 1]))
-    return PBWElement(n, terms)
-
-
 def manakov_operator(idx, n, spec: MomentSpec) -> PBWElement:
     """c-hat_{k,k-2l}: the classical integral with every momentum cycle
     replaced by the symmetrized operator product."""
-    from .rigid_body import ManakovIndex, manakov_coefficient
-
     if idx.k > n:
         raise ValueError(f"index k={idx.k} exceeds dimension {n}")
-    two_l = 2 * idx.l
-    pidx = pair_index(n)
     scale = Fraction(1, 4 * idx.l)
     acc = {}
-
-    def walks(prefix):
-        if len(prefix) == two_l:
-            if prefix[-1] == prefix[0]:
-                return
-            yield tuple(prefix)
-            return
-        for v in range(1, n + 1):
-            if prefix and v == prefix[-1]:
-                continue
-            prefix.append(v)
-            yield from walks(prefix)
-            prefix.pop()
-
-    for tup in walks([]):
-        sign = 1
-        letters = []
-        cycle = list(tup) + [tup[0]]
-        for a, b in zip(cycle, cycle[1:]):
-            if a < b:
-                letters.append(pidx[(a, b)])
-            else:
-                letters.append(pidx[(b, a)])
-                sign = -sign
-        coef = manakov_coefficient(idx, tup, spec) * (scale * sign)
-        if not coef:
-            continue
-        for w, c in sym_word(n, tuple(letters)).items():
-            cur = acc.get(w)
-            val = coef * c
-            if cur is None:
-                acc[w] = val
-            else:
-                s = cur + val
-                if s:
-                    acc[w] = s
-                else:
-                    del acc[w]
+    for walk, sign, letters in closed_walks(n, 2 * idx.l):
+        coef = manakov_coefficient(idx, walk, spec) * (scale * sign)
+        if coef:
+            add_terms(acc, ((w, coef * c) for w, c in sym_word(n, tuple(letters)).items()))
     return PBWElement(n, acc)
 
 
@@ -483,18 +322,12 @@ def modified_c62(n, spec: MomentSpec) -> PBWElement:
     Defined for n >= 4 (the correction needs k = 6 <= n only for the base
     operator; the quantum claims fixed here are stated at n = 6).
     """
-    from .rigid_body import ManakovIndex
-
     base = manakov_operator(ManakovIndex(6, 2), n, spec)
     terms = {}
     for k, (i, j) in enumerate(pair_list(n)):
         coef = (spec.lambdas[i - 1] ** 2) * (spec.lambdas[j - 1] ** 2) * Fraction(5, 12)
         terms[(k, k)] = coef
     return base + PBWElement(n, terms)
-
-
-def correction_pair_count(n):
-    return len(pair_list(n))
 
 
 # -- obstruction coefficients ----------------------------------------------------
@@ -504,8 +337,6 @@ def quadratic_coefficient(spec: MomentSpec, l, i, j):
     """a^{ij}_{l,l-2} = (l_i^{2(l-1)} - l_j^{2(l-1)})/(l_i^2 - l_j^2); the
     formal value at l = 3/2 is 1/(l_i + l_j), so the Hamiltonian operator is
     minus the l = 3/2 instance of the quadratic integrals."""
-    from .rigid_body import ManakovIndex, manakov_coefficient
-
     if l == Fraction(3, 2):
         one = spec.coeff_one()
         return one / (spec.lambdas[i - 1] + spec.lambdas[j - 1])
@@ -515,8 +346,6 @@ def quadratic_coefficient(spec: MomentSpec, l, i, j):
 def obstruction_b_raw(l, h, spec: MomentSpec, i, j, k):
     """b^{ijk}_{l,h} for [c-hat_{l,l-2}, c-hat_{h,h-4}] (h in {5, 6});
     l = 3/2 gives the Hamiltonian case."""
-    from .rigid_body import ManakovIndex, manakov_coefficient
-
     if h not in (5, 6):
         raise ValueError("obstruction coefficients are defined for h in {5, 6}")
     n = spec.n
@@ -664,8 +493,6 @@ def verify_quantum_rigid(n, spec: MomentSpec, heavy=True) -> VerificationReport:
     coefficient a plain rational; symbolic specs verify identities in the
     moment field.
     """
-    from .rigid_body import ManakovIndex
-
     report = VerificationReport()
     anchor = "rigid-quantum"
     mode = "symbolic" if spec.is_symbolic else "sampled"
@@ -780,7 +607,6 @@ def verify_quantum_central_set(spec: MomentSpec, rng, rank_points=2, chart_bound
     block) commute with the equal-moment momenta exactly; independence is
     certified through the principal symbols at sampled chart points."""
     from .charts import GroupChart, jacobian_rank
-    from .rigid_body import z_lambda, z_lambda_count
 
     n = spec.n
     report = VerificationReport()
@@ -834,9 +660,7 @@ def verify_quantum_flat_cases(n, rng, rank_points=1, chart_bound=30) -> Verifica
     """The two all-n families: one equal-moment class, and one singleton plus
     an (n-1)-class.  The operator set is the classical set with momenta
     replaced by generators; its central part must commute with everything."""
-    from .brackets import LiePoissonPoly
     from .charts import GroupChart, jacobian_rank
-    from .rigid_body import centrality_defect, z_lambda
 
     report = VerificationReport()
     anchor = "rigid-quantum/flat-cases"

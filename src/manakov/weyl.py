@@ -9,32 +9,22 @@ convention every verified identity below is stated in.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, prod
 
 from .brackets import PhasePoly
 from .radical import RadicalElement
+from .ratfunc import TermMap, add_terms
 from .report import VerificationReport
 
 
-class WeylOperator:
+class WeylOperator(TermMap):
     """Normal-ordered operator: map from phat-exponent tuples to radical
     coefficients; no stored zero coefficients, equality is structural."""
 
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n, terms=None):
-        self.n = n
-        self.terms = {}
-        if terms:
-            for m, c in terms.items():
-                if not c.is_zero():
-                    self.terms[m] = c
+    __slots__ = ()
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n)
 
     @classmethod
     def const(cls, n, c):
@@ -52,9 +42,6 @@ class WeylOperator:
         mono[i - 1] = 1
         return cls(n, {tuple(mono): RadicalElement.const(n, 1)})
 
-    def is_zero(self):
-        return not self.terms
-
     # -- linear structure ---------------------------------------------------
 
     def _coerce(self, other):
@@ -66,46 +53,10 @@ class WeylOperator:
             return WeylOperator.const(self.n, other)
         return None
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            if m in terms:
-                s = terms[m] + c
-                if s.is_zero():
-                    del terms[m]
-                else:
-                    terms[m] = s
-            else:
-                terms[m] = c
-        out = WeylOperator(self.n)
-        out.terms = terms
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = WeylOperator(self.n)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def scale(self, c):
         if isinstance(c, (int, Fraction)):
             c = RadicalElement.const(self.n, c)
-        out = WeylOperator(self.n)
-        out.terms = {m: d for m, v in self.terms.items() if not (d := v * c).is_zero()}
-        return out
+        return self._new({m: d for m, v in self.terms.items() if (d := v * c)})
 
     def __mul__(self, other):
         """Operator composition (scalars act as multiplication operators)."""
@@ -118,24 +69,13 @@ class WeylOperator:
             return self.scale(other)
         return NotImplemented
 
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
     def p_degree(self):
         return max((sum(m) for m in self.terms), default=-1)
 
     def principal_symbol(self) -> PhasePoly:
         """Top phat-degree part read as a classical phase polynomial."""
         d = self.p_degree()
-        out = PhasePoly(self.n)
-        out.terms = {m: c for m, c in self.terms.items() if sum(m) == d}
-        return out
+        return PhasePoly(self.n, {m: c for m, c in self.terms.items() if sum(m) == d})
 
     def __str__(self):
         if not self.terms:
@@ -168,45 +108,32 @@ def compose(a: WeylOperator, b: WeylOperator) -> WeylOperator:
     """Normal-ordered product: phat^alpha g = sum_{d<=alpha} C(alpha,d) g^{(d)} phat^{alpha-d}."""
     if a.n != b.n:
         raise ValueError("mixed dimensions")
-    n = a.n
-    amonos = list(a.terms)
     deltas = set()
-    for am in amonos:
+    for am in a.terms:
         deltas.update(_sub_multiindices(am))
-    out = WeylOperator(n)
-    terms = {}
-    for bm, bc in b.terms.items():
-        table = _derivative_table(bc, deltas)
-        for am in amonos:
-            ac = a.terms[am]
-            for d in _sub_multiindices(am):
-                der = table[d]
-                if der.is_zero():
-                    continue
-                coef = ac * der
-                binom = 1
-                for ai, di in zip(am, d):
-                    binom *= comb(ai, di)
-                if binom != 1:
-                    coef = coef * binom
-                mono = tuple(ai - di + bi for ai, di, bi in zip(am, d, bm))
-                if mono in terms:
-                    s = terms[mono] + coef
-                    if s.is_zero():
-                        del terms[mono]
-                    else:
-                        terms[mono] = s
-                elif not coef.is_zero():
-                    terms[mono] = coef
-    out.terms = terms
-    return out
+
+    def products():
+        for bm, bc in b.terms.items():
+            table = _derivative_table(bc, deltas)
+            for am, ac in a.terms.items():
+                for d in _sub_multiindices(am):
+                    der = table[d]
+                    if der.is_zero():
+                        continue
+                    coef = ac * der
+                    binom = prod(comb(ai, di) for ai, di in zip(am, d))
+                    if binom != 1:
+                        coef = coef * binom
+                    yield tuple(ai - di + bi for ai, di, bi in zip(am, d, bm)), coef
+
+    return a._new(add_terms({}, products()))
 
 
 def _sub_multiindices(m):
     out = [()]
     for e in m:
         out = [t + (k,) for t in out for k in range(e + 1)]
-    return [t for t in out]
+    return out
 
 
 def commutator(a: WeylOperator, b: WeylOperator) -> WeylOperator:
@@ -226,9 +153,7 @@ def standard_quantize(f: PhasePoly) -> WeylOperator:
     """
     if f.p_degree() > 1:
         raise ValueError("standard quantization needs degree <= 1 in p")
-    out = WeylOperator(f.n)
-    out.terms = dict(f.terms)
-    return out
+    return WeylOperator(f.n, f.terms)
 
 
 # -- symmetrized (Weyl) quantization ------------------------------------------
@@ -351,7 +276,7 @@ def conserved_vector_operators(n, alpha):
 
 def quantum_central_force_suite(n, alpha, rng=None, trees=None, rank_points=2) -> VerificationReport:
     """Exact operator identities for the quantum rotation-invariant system."""
-    from .central_force import momenta, p_squared
+    from .central_force import p_squared
 
     report = VerificationReport()
     anchor = "quantum-central-force"
@@ -425,9 +350,6 @@ def quantum_central_force_suite(n, alpha, rng=None, trees=None, rank_points=2) -
                         generic=True,
                     )
     return report
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=None)

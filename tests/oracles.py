@@ -1,0 +1,131 @@
+"""Independent reference implementations used only by the tests.
+
+Each one computes a quantity the package also computes, by a different and
+slower route: Laplace expansion for determinants and ranks, fraction-free
+elimination, exhaustive exponent enumeration for the Manakov coefficients,
+and dense or direct forms of the rigid-body operators.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+from manakov.linalg import ExactMatrix, bareiss_det
+from manakov.son import MomentSpec, pair_list
+from manakov.uea import PBWElement
+
+
+def minor_expansion_det(m: ExactMatrix):
+    """Determinant by Laplace expansion on the first row."""
+    n = m.rows
+    if n != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    if n == 0:
+        return Fraction(1)
+    if n == 1:
+        return m.entries[0][0]
+    total = None
+    for j in range(n):
+        c = m.entries[0][j]
+        if c == 0:
+            continue
+        sub = ExactMatrix([row[:j] + row[j + 1 :] for row in m.entries[1:]])
+        term = c * minor_expansion_det(sub)
+        if j % 2:
+            term = -term
+        total = term if total is None else total + term
+    if total is None:
+        return m.entries[0][0] * 0
+    return total
+
+
+def minor_expansion_rank(m: ExactMatrix):
+    """Rank as the largest k with a nonzero k x k minor."""
+    best = 0
+    for k in range(1, min(m.rows, m.cols) + 1):
+        if not any(
+            minor_expansion_det(ExactMatrix([[m.entries[i][j] for j in cols] for i in rows])) != 0
+            for rows in combinations(range(m.rows), k)
+            for cols in combinations(range(m.cols), k)
+        ):
+            break
+        best = k
+    return best
+
+
+def bareiss_rank(m: ExactMatrix):
+    """Fraction-free rank over an integral domain (no field division)."""
+    a = [list(row) for row in m.entries]
+    rows, cols = m.rows, m.cols
+    r = 0
+    prev = None
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        for i in range(r + 1, rows):
+            for j in range(c + 1, cols):
+                val = a[i][j] * a[r][c] - a[i][c] * a[r][j]
+                if prev is not None:
+                    val = val.divexact(prev) if hasattr(val, "divexact") else val / prev
+                a[i][j] = val
+            a[i][c] = a[r][c] * 0
+        prev = a[r][c]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def is_special_orthogonal(x: ExactMatrix) -> bool:
+    if x.rows != x.cols:
+        return False
+    if x.transpose() @ x != ExactMatrix.identity(x.rows):
+        return False
+    return bareiss_det(x) == 1
+
+
+def exact_rhs_reference(p_exact, spec: MomentSpec):
+    """The Euler right-hand side dP/dt in exact rational arithmetic."""
+    n = spec.n
+    lam = spec.lambdas
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            acc = Fraction(0)
+            for k in range(n):
+                acc += p_exact[i][k] * p_exact[k][j] / ((lam[i] + lam[k]) * (lam[k] + lam[j]))
+            out[i][j] = -(lam[i] - lam[j]) * acc
+    return out
+
+
+def hamiltonian_operator(spec: MomentSpec) -> PBWElement:
+    """H-hat = 1/2 sum (P-hat_ij)^2 / (l_i + l_j), as one PBW element."""
+    one = spec.coeff_one()
+    terms = {}
+    for k, (i, j) in enumerate(pair_list(spec.n)):
+        terms[(k, k)] = one / (2 * (spec.lambdas[i - 1] + spec.lambdas[j - 1]))
+    return PBWElement(spec.n, terms)
+
+
+def manakov_coefficient_enumerated(idx, indices, spec: MomentSpec):
+    """a^{i1..i_{2l}}_{k,k-2l} by enumerating every exponent vector
+    b_1..b_{2l} >= 0 with total k-2l and summing the products
+    l_{i1}^{2b_1} ... l_{i_{2l}}^{2b_{2l}}."""
+    if len(indices) != 2 * idx.l:
+        raise ValueError("index tuple length must be 2l")
+    lam2 = [spec.lambdas[i - 1] ** 2 for i in indices]
+    one = spec.coeff_one()
+    if idx.j == 0:
+        return one
+    acc = [one * 0]
+
+    def rec(pos, remaining, prod):
+        if pos == len(lam2) - 1:
+            acc[0] = acc[0] + prod * lam2[pos] ** remaining
+            return
+        for b in range(remaining + 1):
+            rec(pos + 1, remaining - b, prod * lam2[pos] ** b)
+
+    rec(0, idx.j, one)
+    return acc[0]

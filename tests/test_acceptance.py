@@ -52,7 +52,6 @@ from manakov.uea import (
     gen_bracket,
     hamiltonian_commutator,
     hamiltonian_obstruction_b,
-    hamiltonian_operator,
     manakov_operator,
     modified_c62,
     pbw_mul,

@@ -124,3 +124,43 @@ def test_version_flag():
     r = run_cli("--version")
     assert r.returncode == 0
     assert "0.1.0" in r.stdout
+
+
+def test_zero_samples_rejected():
+    # zero samples would drop the whole commutator battery and still pass
+    r = run_cli("verify", "quantum-rigid", "--n", "4", "--mode", "sampled", "--samples", "0")
+    assert r.returncode == 2
+    assert "sample" in r.stderr
+    assert r.stdout == ""
+
+
+def test_rigid_scopes_reject_small_n():
+    # so(1) and so(2) would pass every rigid-body check vacuously
+    for scope in ("classical-rigid", "quantum-rigid"):
+        for n in ("1", "2"):
+            r = run_cli("verify", scope, "--n", n)
+            assert r.returncode == 2
+            assert "n >= 3" in r.stderr
+            assert r.stdout == ""
+
+
+def test_zero_denominator_is_a_usage_error():
+    r = run_cli("verify", "classical-rigid", "--n", "4", "--lambda", "1/0,2,3,4")
+    assert r.returncode == 2
+    assert "zero denominator" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_timings_are_real_and_default_output_is_unchanged():
+    args = ("verify", "quantum-rigid", "--n", "4", "--seed", "1")
+    plain = run_cli(*args)
+    timed = run_cli(*args, "--timings")
+    assert plain.returncode == timed.returncode == 0
+    assert "elapsed_s" not in plain.stdout
+    report = json.loads(timed.stdout)
+    jsonschema.validate(report, SCHEMA)
+    times = [c.pop("elapsed_s") for c in report["checks"]]
+    assert all(t >= 0 for t in times)
+    assert sum(times) > 0
+    # apart from the times, the timed report is the default report
+    assert json.dumps(report, indent=2, sort_keys=True) + "\n" == plain.stdout

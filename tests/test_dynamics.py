@@ -13,13 +13,13 @@ from manakov.dynamics import (
     default_initial_momentum,
     euler_rhs,
     evaluate_invariant,
-    exact_rhs_reference,
     integrate,
     write_drift_json,
     write_trajectory_csv,
 )
 from manakov.rigid_body import ManakovIndex, hamiltonian, manakov_integral
 from manakov.son import MomentSpec, pair_list
+from oracles import exact_rhs_reference
 
 
 def spec4():

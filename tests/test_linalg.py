@@ -4,18 +4,9 @@ from itertools import product
 
 import pytest
 
-from manakov.linalg import (
-    ExactMatrix,
-    bareiss_det,
-    bareiss_rank,
-    char_poly,
-    exact_rank,
-    invert,
-    minor_expansion_det,
-    minor_expansion_rank,
-    solve,
-)
+from manakov.linalg import ExactMatrix, bareiss_det, char_poly, exact_rank, invert, solve
 from manakov.ratfunc import MultiPoly
+from oracles import bareiss_rank, minor_expansion_det, minor_expansion_rank
 
 
 def F(v):
@@ -148,4 +139,68 @@ def test_invert_and_solve():
 
 
 def test_empty_matrix_rank():
-    assert exact_rank(ExactMatrix([]))[0] == 0
+    # 0 x 0, 3 x 0 and an all-zero matrix through rank, inverse and solve
+    empty = ExactMatrix([])
+    assert exact_rank(empty) == (0, [])
+    assert invert(empty) == empty
+    assert solve(empty, []) == []
+    no_cols = ExactMatrix([[], [], []])
+    assert (no_cols.rows, no_cols.cols) == (3, 0)
+    assert exact_rank(no_cols) == (0, [])
+    assert solve(no_cols, [F(0)] * 3) == []
+    assert solve(no_cols, [F(0), F(1), F(0)]) is None
+    zero = ExactMatrix.zeros(2, 3)
+    rank, kernel = exact_rank(zero)
+    assert rank == 0
+    assert kernel == [[F(int(i == j)) for i in range(3)] for j in range(3)]
+
+
+def _random_rational_matrix(rng, rows, cols, rank):
+    """rows x cols with rank at most ``rank``: a product of random factors."""
+
+    def entry():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+    left = ExactMatrix([[entry() for _ in range(rank)] for _ in range(rows)])
+    right = ExactMatrix([[entry() for _ in range(cols)] for _ in range(rank)])
+    if rank == 0:
+        return ExactMatrix.zeros(rows, cols)
+    return left @ right
+
+
+def test_elimination_differential_random():
+    # exact_rank, invert and solve share one elimination; each is checked
+    # against an oracle that does not use it, on full-rank and deficient
+    # rational matrices
+    rng = random.Random(41)
+    for _ in range(150):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        m = _random_rational_matrix(rng, rows, cols, rng.randint(0, min(rows, cols)))
+        rank, kernel = exact_rank(m)
+        assert rank == minor_expansion_rank(m)
+        assert rank + len(kernel) == cols
+        if kernel:
+            assert minor_expansion_rank(ExactMatrix(kernel)) == len(kernel)
+        for vec in kernel:
+            assert all(sum((a * b for a, b in zip(row, vec)), F(0)) == 0 for row in m.entries)
+        x0 = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
+        rhs = [sum((a * b for a, b in zip(row, x0)), F(0)) for row in m.entries]
+        x = solve(m, rhs)
+        assert x is not None
+        assert [sum((a * b for a, b in zip(row, x)), F(0)) for row in m.entries] == rhs
+        if rank < rows:
+            # a right-hand side outside the column space
+            for e in range(rows):
+                bad = [F(int(i == e)) for i in range(rows)]
+                aug = ExactMatrix([row + [b] for row, b in zip(m.entries, bad)])
+                if minor_expansion_rank(aug) > rank:
+                    assert solve(m, bad) is None
+                    break
+        if rows == cols:
+            if minor_expansion_det(m) != 0:
+                inv = invert(m)
+                assert inv @ m == ExactMatrix.identity(rows)
+                assert m @ inv == ExactMatrix.identity(rows)
+            else:
+                with pytest.raises(ValueError):
+                    invert(m)

@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from manakov.radical import RadicalElement, radical_derive, radical_mul, x_square_poly
+from manakov.radical import RadicalElement, x_square_poly
 from manakov.ratfunc import RationalFunction
 
 
 def test_radius_square_reduces():
     r = RadicalElement.radius(3)
-    sq = radical_mul(r, r)
+    sq = r * r
     assert sq.b.is_zero()
     assert sq.a == RationalFunction(x_square_poly(3), reduce=False)
 
@@ -17,7 +17,7 @@ def test_coordinate_over_radius():
     n = 3
     x1 = RadicalElement.coordinate(n, 1)
     rinv = RadicalElement.radius(n).inverse()
-    val = radical_mul(x1 * rinv, x1 * rinv)
+    val = (x1 * rinv) * (x1 * rinv)
     # (x1/r)^2 = x1^2 / x^2
     assert val.b.is_zero()
     num = val.a.num
@@ -39,7 +39,7 @@ def test_inverse_radius_squared():
 def test_derivative_of_radius():
     n = 3
     r = RadicalElement.radius(n)
-    d = radical_derive(r, 1)
+    d = r.diff(1)
     # x1 * r / x^2
     assert d.a.is_zero()
     assert d.b.num.degree_in(0) == 1
@@ -49,7 +49,7 @@ def test_derivative_of_radius():
 def test_derivative_of_inverse_radius():
     n = 3
     rinv = RadicalElement.radius(n).inverse()
-    d = radical_derive(rinv, 1)
+    d = rinv.diff(1)
     # -x1 r / (x^2)^2
     assert d.a.is_zero()
     assert d.b.den == x_square_poly(n) ** 2
@@ -60,9 +60,9 @@ def test_derivative_of_inverse_radius():
 def test_derivative_of_unrelated_coordinate():
     n = 3
     x1 = RadicalElement.coordinate(n, 1)
-    assert radical_derive(x1, 2).is_zero()
+    assert x1.diff(2).is_zero()
     with pytest.raises(ValueError):
-        radical_derive(x1, 4)
+        x1.diff(4)
 
 
 def test_mul_distributes_and_associates():
@@ -95,8 +95,8 @@ def test_leibniz_rule():
     u = RadicalElement.coordinate(n, 1) * RadicalElement.radius(n)
     v = RadicalElement.radius(n).inverse() + RadicalElement.coordinate(n, 2)
     for i in (1, 2, 3):
-        lhs = radical_derive(u * v, i)
-        rhs = radical_derive(u, i) * v + u * radical_derive(v, i)
+        lhs = (u * v).diff(i)
+        rhs = u.diff(i) * v + u * v.diff(i)
         assert lhs == rhs
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from manakov.ratfunc import MultiPoly, RationalFunction, poly_gcd, rational
+from manakov.ratfunc import MultiPoly, RationalFunction, add_terms, poly_gcd, rational
 
 V = ("a", "b", "c")
 
@@ -140,3 +140,28 @@ def test_grlex_leading():
     mono, coef = p.leading()
     assert mono == (0, 3, 0)
     assert coef == 1
+
+
+def test_add_terms_matches_naive_sum():
+    # small integer values make cancellations frequent, including a key
+    # that cancels and then reappears
+    rng = random.Random(23)
+    for _ in range(300):
+        acc = {k: Fraction(rng.randint(-3, 3)) for k in rng.sample(range(6), rng.randint(0, 6))}
+        acc = {k: v for k, v in acc.items() if v}
+        pairs = [(rng.randrange(6), Fraction(rng.randint(-3, 3))) for _ in range(rng.randint(0, 12))]
+        totals = {}
+        for k, v in list(acc.items()) + pairs:
+            totals[k] = totals.get(k, Fraction(0)) + v
+        expected = {k: v for k, v in totals.items() if v}
+        target = dict(acc)
+        got = add_terms(target, pairs)
+        assert got is target
+        assert got == expected
+
+
+def test_add_terms_rational_function_values():
+    a, b = gen(0), gen(1)
+    x = RationalFunction(a, b)
+    acc = add_terms({}, [("u", x), ("v", x), ("u", -x), ("v", x * 0)])
+    assert acc == {"v": x}

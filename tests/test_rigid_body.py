@@ -26,6 +26,7 @@ from manakov.rigid_body import (
     z_lambda_count,
 )
 from manakov.son import MomentSpec, pair_list
+from oracles import manakov_coefficient_enumerated
 
 
 def test_manakov_index_validation():
@@ -272,3 +273,24 @@ def test_assemble_rejects_symbolic():
     rng = random.Random(23)
     with pytest.raises(ValueError):
         assemble_integrable_set(MomentSpec.symbolic(3), GroupChart.random(3, rng, bound=5))
+
+
+def test_manakov_coefficient_recurrence_matches_enumeration():
+    # the complete-homogeneous recurrence against the exhaustive sum over
+    # exponent vectors, for every index up to n = 6 on rational moments
+    # (repeated values included) and up to n = 5 on symbolic moments
+    rng = random.Random(17)
+    for n in range(2, 7):
+        values = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n))
+        spec = MomentSpec.from_lambdas(values)
+        for idx in manakov_indices(n):
+            for _ in range(6):
+                indices = tuple(rng.randint(1, n) for _ in range(2 * idx.l))
+                got = manakov_coefficient(idx, indices, spec)
+                assert got == manakov_coefficient_enumerated(idx, indices, spec)
+    spec = MomentSpec.symbolic(5)
+    for idx in manakov_indices(5):
+        for _ in range(3):
+            indices = tuple(rng.randint(1, 5) for _ in range(2 * idx.l))
+            got = manakov_coefficient(idx, indices, spec)
+            assert got == manakov_coefficient_enumerated(idx, indices, spec)

@@ -15,7 +15,6 @@ from manakov.son import (
     casimir_set,
     cayley_orthogonal,
     dim_so,
-    is_special_orthogonal,
     pair_index,
     pair_list,
     random_skew,
@@ -23,6 +22,7 @@ from manakov.son import (
     sigma_triple,
 )
 from manakov.rigid_body import partitions
+from oracles import is_special_orthogonal
 
 
 def test_basis_element_entries():

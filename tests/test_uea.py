@@ -15,7 +15,6 @@ from manakov.uea import (
     gen_bracket,
     hamiltonian_commutator,
     hamiltonian_obstruction_b,
-    hamiltonian_operator,
     manakov_operator,
     modified_c62,
     obstruction_b,
@@ -33,6 +32,7 @@ from manakov.uea import (
     verify_quantum_central_set,
     verify_quantum_flat_cases,
 )
+from oracles import hamiltonian_operator
 
 
 def gen(n, pair):
