@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .radical import RadicalElement
 from .ratfunc import MultiPoly, RationalFunction, TermMap, add_terms
-from .son import SkewMatrix, pair_index, pair_list
+from .son import SkewMatrix, pair_list, signed_pair, structure_table
 
 
 class PhasePoly(TermMap):
@@ -159,49 +159,6 @@ def momentum_vars(n):
     return tuple(f"P{i}_{j}" for (i, j) in pair_list(n))
 
 
-def _signed_pair(i, j):
-    if i == j:
-        return None
-    return ((i, j), 1) if i < j else ((j, i), -1)
-
-
-@lru_cache(maxsize=None)
-def structure_table(n):
-    """{(u, v): (w, sign)} with u < v var indices and {P_u, P_v} = sign * P_w.
-
-    Encodes {P_ij, P_hk} = -d_ih P_jk - d_jk P_ih + d_ik P_jh + d_jh P_ik;
-    at most one delta fires for distinct ordered pairs.
-    """
-    plist = pair_list(n)
-    pidx = pair_index(n)
-    table = {}
-    for u in range(len(plist)):
-        i, j = plist[u]
-        for v in range(u + 1, len(plist)):
-            h, k = plist[v]
-            deltas = []
-            if i == h:
-                deltas.append((-1, j, k))
-            if j == k:
-                deltas.append((-1, i, h))
-            if i == k:
-                deltas.append((1, j, h))
-            if j == h:
-                deltas.append((1, i, k))
-            acc = {}
-            for sgn, a, b in deltas:
-                sp = _signed_pair(a, b)
-                if sp is None:
-                    continue
-                w, s = sp
-                acc[w] = acc.get(w, 0) + sgn * s
-            acc = {w: s for w, s in acc.items() if s}
-            if acc:
-                ((w, s),) = acc.items()
-                table[(u, v)] = (pidx[w], s)
-    return table
-
-
 class LiePoissonPoly:
     """Polynomial in the N = n(n-1)/2 invariant momentum components.
 
@@ -231,14 +188,11 @@ class LiePoissonPoly:
 
     @classmethod
     def gen(cls, n, pair, side="L"):
-        i, j = pair
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        if i == j:
+        sp = signed_pair(n, *pair)
+        if sp is None:
             return cls.zero(n, side)
-        mono = MultiPoly.gen(momentum_vars(n), pair_index(n)[(i, j)])
-        return cls(n, mono * sign, side)
+        k, sign = sp
+        return cls(n, MultiPoly.gen(momentum_vars(n), k) * sign, side)
 
     def _coerce(self, other):
         if isinstance(other, LiePoissonPoly):

@@ -23,6 +23,7 @@ from .son import (
     pair_list,
     random_rational,
     random_skew,
+    retry_generic,
     right_from_left,
 )
 
@@ -152,6 +153,29 @@ def jacobian_rank(fs, at) -> int:
     rows = [at.gradient_row(f) for f in fs]
     rank, _ = exact_rank(ExactMatrix(rows))
     return rank
+
+
+def generic_full_rank(fs, n, rng):
+    """(ok, witness) for "the functions are independent": full Jacobian rank
+    at a random point of the T*R^n chart.
+
+    Full rank at one point certifies generic full rank; a deficient point
+    certifies nothing, so it is redrawn (``retry_generic``) and the check
+    fails only when every attempt is deficient.  The first point is the one
+    a single draw would take, so a full-rank first point reads the same.
+    """
+    size = len(fs)
+
+    def draw(r):
+        rank = jacobian_rank(fs, CotangentChart.random(n, r))
+        if rank < size:
+            raise DegenerateSampleError(f"rank {rank} of {size}")
+        return rank
+
+    try:
+        return True, f"rank {retry_generic(draw, rng)} of {size}"
+    except DegenerateSampleError as exc:
+        return False, f"rank below {size} at every sampled point ({exc})"
 
 
 def involution_report(

@@ -3,8 +3,7 @@ simulation.
 
 Exact rationals cross the CLI boundary as 'p/q' strings.  Exit codes:
 0 all checks passed, 1 at least one check failed (or drift/tolerance
-violated), 2 usage error.  MANAKOV_THREADS caps worker processes for the
-per-sample quantum suites.
+violated), 2 usage error.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .dynamics import (
     write_drift_json,
     write_trajectory_csv,
 )
-from .central_force import table_rows, verify_integrable_set
+from .central_force import emit_tables
 from .ratfunc import rational
 from .report import VERSION
 from .rigid_body import hamiltonian, manakov_indices, manakov_integral
@@ -67,10 +66,8 @@ def _report_markdown(data):
 
 
 def _central_table_json(n, seed, points):
-    rng = random.Random(seed)
     rows = []
-    for spec in table_rows(n):
-        report = verify_integrable_set(spec, rng, points=points)
+    for spec, report in emit_tables(n, random.Random(seed), points=points):
         k = spec.k
         display = (
             "(" + ", ".join(spec.labels[:k]) + ("; " + ", ".join(spec.labels[k:]) if spec.labels[k:] else "") + ")"

@@ -48,6 +48,19 @@ def add_terms(acc, pairs):
     return acc
 
 
+def integer_scaled(x):
+    """``x`` (a MultiPoly or a PBW element) times the least common
+    denominator of its coefficients, so that they are integers; ``x`` itself
+    when a coefficient is not a rational number (symbolic moments).
+    Rescaling cannot change whether ``x`` vanishes."""
+    denom = 1
+    for c in x.terms.values():
+        if not isinstance(c, (int, Fraction)):
+            return x
+        denom = denom * c.denominator // int_gcd(denom, c.denominator)
+    return x.map_coeffs(lambda c: int(c * denom))
+
+
 class TermMap:
     """Sparse element ``{key: nonzero coefficient}`` of a free module over
     the coefficients, in dimension ``n``; the linear structure shared by

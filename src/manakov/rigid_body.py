@@ -14,22 +14,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
 
 from .brackets import LiePoissonPoly, lie_poisson_bracket, momentum_vars
 from .charts import GroupChart, jacobian_rank
-from .linalg import ExactMatrix, char_poly, solve
-from .ratfunc import MultiPoly
+from .linalg import ExactMatrix, solve
+from .ratfunc import MultiPoly, integer_scaled
 from .report import VerificationReport
 from .son import (
     DegenerateSampleError,
     MomentSpec,
+    SkewMatrix,
     ad_kernel_dim,
+    casimir_set,
     dim_so,
-    pair_index,
     pair_list,
     random_skew,
     sigma_triple,
+    signed_pair,
 )
 
 
@@ -123,18 +124,15 @@ def closed_walks(n, length):
     of step t, and P_{i1 i2} ... P_{i_length i1} equals sign times the product
     of those variables (each descending step flips the sign).
     """
-    pidx = pair_index(n)
     for walk in product(range(1, n + 1), repeat=length):
         sign = 1
         letters = []
         for a, b in zip(walk, walk[1:] + walk[:1]):
-            if a == b:
+            sp = signed_pair(n, a, b)
+            if sp is None:
                 break
-            if a < b:
-                letters.append(pidx[(a, b)])
-            else:
-                letters.append(pidx[(b, a)])
-                sign = -sign
+            letters.append(sp[0])
+            sign *= sp[1]
         else:
             yield walk, sign, letters
 
@@ -269,43 +267,19 @@ def table3(max_n=6, all_partitions=False):
 # -- Casimir-based central sets -------------------------------------------------
 
 
-def momentum_matrix(n, indices=None) -> ExactMatrix:
-    """The skew matrix of momentum variables restricted to ``indices``."""
+def casimir_polynomials(n, indices=None):
+    """Standard Casimirs of the momentum matrix on ``indices`` (son.casimir_set
+    of the skew matrix whose entries are the momentum generators), as
+    momentum polynomials."""
     indices = list(indices) if indices is not None else list(range(1, n + 1))
     vars = momentum_vars(n)
-    pidx = pair_index(n)
-    zero = MultiPoly.zero(vars)
-    size = len(indices)
-    entries = [[zero] * size for _ in range(size)]
-    for a in range(size):
-        for b in range(size):
-            i, j = indices[a], indices[b]
-            if i == j:
-                continue
-            if i < j:
-                entries[a][b] = MultiPoly.gen(vars, pidx[(i, j)])
-            else:
-                entries[a][b] = -MultiPoly.gen(vars, pidx[(j, i)])
-    return ExactMatrix(entries)
-
-
-def casimir_polynomials(n, indices=None):
-    """Standard Casimirs of the momentum matrix on ``indices``: the even-shift
-    characteristic coefficients, as momentum polynomials."""
-    indices = list(indices) if indices is not None else list(range(1, n + 1))
-    m = momentum_matrix(n, indices)
-    one = MultiPoly.const(momentum_vars(n), 1)
-    coeffs = char_poly(m, one=one)
-    out = []
-    size = len(indices)
-    for shift in range(1, size + 1):
-        c = coeffs[shift]
-        if shift % 2 == 1:
-            if not c.is_zero():
-                raise AssertionError("odd characteristic coefficient nonzero")
-        else:
-            out.append(LiePoissonPoly(n, c))
-    return out
+    upper = {}
+    for a in range(len(indices)):
+        for b in range(a + 1, len(indices)):
+            k, sign = signed_pair(n, indices[a], indices[b])
+            upper[(a + 1, b + 1)] = MultiPoly.gen(vars, k) * sign
+    m = SkewMatrix(len(indices), upper)
+    return [LiePoissonPoly(n, c) for c in casimir_set(m, one=MultiPoly.const(vars, 1))]
 
 
 def z_lambda(spec: MomentSpec):
@@ -449,19 +423,6 @@ def assemble_integrable_set(spec: MomentSpec, chart: GroupChart) -> RigidBodySet
 # -- verification suites ----------------------------------------------------------
 
 
-def _integer_scaled(f: LiePoissonPoly) -> LiePoissonPoly:
-    """Rescale a rational-coefficient polynomial to integer coefficients
-    (zero-preserving); symbolic coefficients pass through unchanged."""
-    denom = 1
-    for c in f.poly.terms.values():
-        if not isinstance(c, (int, Fraction)):
-            return f
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    if denom == 1:
-        return f
-    return f * Fraction(denom)
-
-
 def verify_involution_family(n, spec: MomentSpec, report=None, include_hamiltonian=True):
     """{c, c'} = 0 for all integral pairs and {c, H} = 0, exact in the
     coefficient field of ``spec``.
@@ -471,12 +432,10 @@ def verify_involution_family(n, spec: MomentSpec, report=None, include_hamiltoni
     """
     report = report if report is not None else VerificationReport()
     anchor = "rigid-classical/involution"
-    items = [
-        (idx.label(), _integer_scaled(manakov_integral(idx, n, spec)))
-        for idx in manakov_indices(n)
-    ]
+    items = [(idx.label(), manakov_integral(idx, n, spec)) for idx in manakov_indices(n)]
     if include_hamiltonian:
-        items.append(("H", _integer_scaled(hamiltonian(spec))))
+        items.append(("H", hamiltonian(spec)))
+    items = [(label, LiePoissonPoly(n, integer_scaled(f.poly))) for label, f in items]
     for a in range(len(items)):
         for b in range(a + 1, len(items)):
             br = lie_poisson_bracket(items[a][1], items[b][1])

@@ -1,8 +1,13 @@
 """The Lie algebra so(n): basis matrices, brackets, adjoint kernels,
 Casimir sets, and exact rational points on SO(n) via the Cayley map.
 
-Index pairs (i, j) are 1-based with i < j throughout, ordered
-lexicographically: (1,2) < (1,3) < ... < (n-1,n).
+This module holds the so(n) conventions for the whole package.  Index pairs
+(i, j) are 1-based with i < j throughout, ordered lexicographically:
+(1,2) < (1,3) < ... < (n-1,n); the position of (i, j) in that order is its
+pair index.  An ordered pair with i > j names minus the basis element of
+(j, i) (``signed_pair``), and ``structure_table`` holds the bracket of every
+two basis elements; the matrix bracket, the Lie-Poisson bracket of the
+momenta and the PBW normal ordering all read their constants from it.
 """
 
 from __future__ import annotations
@@ -29,8 +34,56 @@ def pair_index(n):
     return {p: k for k, p in enumerate(pair_list(n))}
 
 
+@lru_cache(maxsize=None)
+def signed_pair(n, i, j):
+    """(pair index, sign) of the ordered pair (i, j): the basis element
+    D^{ij}, or the momentum P_ij, is sign times the one at that index.
+    None when i = j, where both vanish."""
+    if i == j:
+        return None
+    if i < j:
+        return pair_index(n)[(i, j)], 1
+    return pair_index(n)[(j, i)], -1
+
+
 def dim_so(n):
     return n * (n - 1) // 2
+
+
+@lru_cache(maxsize=None)
+def structure_table(n):
+    """{(u, v): (w, sign)} with u < v pair indices and [e_u, e_v] = sign * e_w.
+
+    Encodes [D^ij, D^hk] = -d_ih D^jk - d_jk D^ih + d_ik D^jh + d_jh D^ik,
+    which is also {P_ij, P_hk} for the left momenta; at most one delta fires
+    for distinct ordered pairs.  Pairs whose bracket vanishes are absent.
+    """
+    plist = pair_list(n)
+    table = {}
+    for u in range(len(plist)):
+        i, j = plist[u]
+        for v in range(u + 1, len(plist)):
+            h, k = plist[v]
+            deltas = ((i == h, -1, j, k), (j == k, -1, i, h), (i == k, 1, j, h), (j == h, 1, i, k))
+            acc = {}
+            for fires, sgn, a, b in deltas:
+                sp = signed_pair(n, a, b) if fires else None
+                if sp is not None:
+                    w, s = sp
+                    add_terms(acc, ((w, sgn * s),))
+            if acc:
+                ((w, s),) = acc.items()
+                table[(u, v)] = (w, s)
+    return table
+
+
+def gen_bracket(n, u, v):
+    """[e_u, e_v] as (w, sign) with the bracket equal to sign * e_w, or None."""
+    table = structure_table(n)
+    if u <= v:
+        return table.get((u, v))
+    hit = table.get((v, u))
+    return None if hit is None else (hit[0], -hit[1])
 
 
 class SkewMatrix:
@@ -49,12 +102,12 @@ class SkewMatrix:
                     self.upper[(i, j)] = c
 
     def get(self, i, j):
-        if i == j:
+        sp = signed_pair(self.n, i, j)
+        if sp is None:
             return Fraction(0)
-        if i < j:
-            return self.upper.get((i, j), Fraction(0))
-        c = self.upper.get((j, i))
-        return -c if c is not None else Fraction(0)
+        k, s = sp
+        c = self.upper.get(pair_list(self.n)[k])
+        return Fraction(0) if c is None else s * c
 
     def coords(self, n_pairs=None):
         """Coordinates in the D^{ij} basis, ordered by pair_list."""
@@ -118,16 +171,26 @@ def basis_element(n, i, j) -> SkewMatrix:
         raise ValueError("basis element needs distinct indices")
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"indices {(i, j)} out of range 1..{n}")
-    if i < j:
-        return SkewMatrix(n, {(i, j): Fraction(1)})
-    return SkewMatrix(n, {(j, i): Fraction(-1)})
+    k, s = signed_pair(n, i, j)
+    return SkewMatrix(n, {pair_list(n)[k]: Fraction(s)})
 
 
 def bracket(a: SkewMatrix, b: SkewMatrix) -> SkewMatrix:
-    """Matrix commutator ab - ba, staying in so(n)."""
+    """Matrix commutator ab - ba, expanded bilinearly over the structure
+    table; the result's pairs are in lexicographic order."""
     a._check(b)
-    da, db = a.to_dense(), b.to_dense()
-    return SkewMatrix.from_dense(da @ db - db @ da, check=False)
+    n = a.n
+    plist = pair_list(n)
+    pidx = pair_index(n)
+    acc = {}
+    for p, x in a.upper.items():
+        u = pidx[p]
+        for q, y in b.upper.items():
+            hit = gen_bracket(n, u, pidx[q])
+            if hit is not None:
+                w, s = hit
+                add_terms(acc, ((w, x * y * s),))
+    return SkewMatrix(n, {plist[w]: acc[w] for w in sorted(acc)})
 
 
 def ad_matrix(a: SkewMatrix, domain_pairs=None, image_pairs=None) -> ExactMatrix:

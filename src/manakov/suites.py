@@ -1,14 +1,10 @@
 """Top-level verification suites, one per scope, shared by the CLI and the
 acceptance tests.  Each returns a VerificationReport whose checks are
-deterministic for a fixed (config, seed); MANAKOV_THREADS > 1 runs the
-per-sample quantum batteries in worker processes (results are merged in
-sample order, so the report is unchanged)."""
+deterministic for a fixed (config, seed)."""
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .central_force import (
@@ -61,6 +57,8 @@ def suite_classical_central(n, alpha=1, seed=0, points=3, tree_depth=2) -> Verif
 
 
 def suite_quantum_central(n, alpha=1, seed=0, tree_depth=2) -> VerificationReport:
+    if n < 2:
+        raise ValueError(f"quantum-central needs n >= 2 (angular momenta P_ij), got n = {n}")
     rng = random.Random(seed)
     trees = all_split_trees(range(1, n + 1), tree_depth)
     report = quantum_central_force_suite(n, alpha, rng=rng, trees=trees)
@@ -244,15 +242,8 @@ def suite_quantum_rigid(
         while len(sample_specs) < samples:
             vals = _distinct_rationals(n, rng)
             sample_specs.append(MomentSpec.from_lambdas(tuple(vals)))
-        workers = int(os.environ.get("MANAKOV_THREADS", "1"))
-        if workers > 1 and len(sample_specs) > 1:
-            jobs = [(n, spec, heavy) for spec in sample_specs]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                subs = list(pool.map(_quantum_sample_worker, jobs))
-        else:
-            subs = [verify_quantum_rigid(n, spec, heavy=heavy) for spec in sample_specs]
-        for k, sub in enumerate(subs):
-            _tag_and_extend(report, sub, f"sample{k}")
+        for k, spec in enumerate(sample_specs):
+            _tag_and_extend(report, verify_quantum_rigid(n, spec, heavy=heavy), f"sample{k}")
     part = tuple(partition) if partition else None
     if part and part != (1,) * n:
         qspec = (
@@ -263,11 +254,6 @@ def suite_quantum_rigid(
         report.extend(verify_quantum_central_set(qspec, rng, chart_bound=chart_bound))
     report.extend(verify_quantum_flat_cases(n, rng, chart_bound=chart_bound))
     return report
-
-
-def _quantum_sample_worker(job):
-    n, spec, heavy = job
-    return verify_quantum_rigid(n, spec, heavy=heavy)
 
 
 def _tag_and_extend(report, sub, tag):
@@ -293,6 +279,10 @@ def suite_all(n, alpha=1, seed=0, **kwargs) -> VerificationReport:
 def rigid_table_rows_verified(max_n=6, seed=0, points=3):
     """Counting-table rows, each re-verified: closed forms against exact
     kernel dimensions at sampled momenta."""
+    if max_n < 3:
+        raise ValueError(f"counting-table rows start at n = 3, got a largest n of {max_n}")
+    if points < 1:
+        raise ValueError(f"need at least one sampled point per table row, got {points}")
     rng = random.Random(seed)
     rows = []
     for (n, q, k, r, kbar) in table3(max_n):

@@ -16,10 +16,9 @@ n = 6 tractable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
-from .brackets import LiePoissonPoly, momentum_vars, structure_table
-from .ratfunc import MultiPoly, TermMap, add_terms
+from .brackets import LiePoissonPoly, momentum_vars
+from .ratfunc import MultiPoly, TermMap, add_terms, integer_scaled
 from .report import VerificationReport
 from .rigid_body import (
     ManakovIndex,
@@ -29,7 +28,7 @@ from .rigid_body import (
     z_lambda,
     z_lambda_count,
 )
-from .son import MomentSpec, pair_index, pair_list
+from .son import MomentSpec, gen_bracket, pair_list, signed_pair
 
 _INSERT_CACHE = {}
 _SYM_CACHE = {}
@@ -39,20 +38,6 @@ _MEMO_WORD_LIMIT = 6
 def clear_caches():
     _INSERT_CACHE.clear()
     _SYM_CACHE.clear()
-
-
-def gen_bracket(n, u, v):
-    """[e_u, e_v] as (sign, w) with the bracket equal to sign * e_w, or None."""
-    if u == v:
-        return None
-    table = structure_table(n)
-    if u < v:
-        return table.get((u, v))
-    hit = table.get((v, u))
-    if hit is None:
-        return None
-    w, s = hit
-    return (w, -s)
 
 
 def _insert(n, g, w):
@@ -99,13 +84,11 @@ class PBWElement(TermMap):
 
     @classmethod
     def generator(cls, n, pair):
-        i, j = pair
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        if i == j:
+        sp = signed_pair(n, *pair)
+        if sp is None:
             return cls.zero(n)
-        return cls(n, {(pair_index(n)[(i, j)],): Fraction(sign)})
+        k, sign = sp
+        return cls(n, {(k,): Fraction(sign)})
 
     def degree(self):
         return max((len(w) for w in self.terms), default=-1)
@@ -136,14 +119,6 @@ class PBWElement(TermMap):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
-
-    def integerized(self):
-        """Rescale so all coefficients are integers (Fraction coefficients
-        only); returns (element, scale) with element = scale * self."""
-        denom = 1
-        for c in self.terms.values():
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        return self._new({w: int(c * denom) for w, c in self.terms.items()}), denom
 
     def principal_symbol(self) -> LiePoissonPoly:
         """Top-degree part read as a commutative momentum polynomial."""
@@ -205,14 +180,9 @@ def uea_commutator(a: PBWElement, b: PBWElement) -> PBWElement:
 
 
 def commutator_is_zero(a: PBWElement, b: PBWElement) -> PBWElement:
-    """The commutator, computed over integer-rescaled operands when both
-    have Fraction coefficients (rescaling cannot change vanishing)."""
-    try:
-        ai, _ = a.integerized()
-        bi, _ = b.integerized()
-        return uea_commutator(ai, bi)
-    except (AttributeError, TypeError):
-        return uea_commutator(a, b)
+    """The commutator, computed over integer-rescaled operands when their
+    coefficients are rational (rescaling cannot change vanishing)."""
+    return uea_commutator(integer_scaled(a), integer_scaled(b))
 
 
 def pbw_normalize(n, word_sum) -> PBWElement:
@@ -272,14 +242,12 @@ def sym_k(n, generators) -> PBWElement:
     """
     sign = 1
     letters = []
-    pidx = pair_index(n)
     for (i, j) in generators:
-        if i == j:
+        sp = signed_pair(n, i, j)
+        if sp is None:
             return PBWElement.zero(n)
-        if i > j:
-            i, j = j, i
-            sign = -sign
-        letters.append(pidx[(i, j)])
+        letters.append(sp[0])
+        sign *= sp[1]
     terms = sym_word(n, tuple(letters))
     out = PBWElement(n)
     out.terms = dict(terms) if sign == 1 else {w: -c for w, c in terms.items()}

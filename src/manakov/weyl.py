@@ -321,7 +321,7 @@ def quantum_central_force_suite(n, alpha, rng=None, trees=None, rank_points=2) -
 
     if trees:
         from .central_force import recursive_set_structure
-        from .charts import CotangentChart, jacobian_rank
+        from .charts import generic_full_rank
 
         for tree in trees:
             z_items, l_items = recursive_set_structure(n, tree)
@@ -340,13 +340,12 @@ def quantum_central_force_suite(n, alpha, rng=None, trees=None, rank_points=2) -
             if rng is not None:
                 ops, labels, symbols = quantum_recursive_set(n, tree)
                 for s in range(rank_points):
-                    pt = CotangentChart.random(n, rng)
-                    rank = jacobian_rank(symbols, pt)
+                    ok, witness = generic_full_rank(symbols, n, rng)
                     report.add(
                         f"recursive/{tree.describe()}/symbol-rank/sample{s}",
                         anchor,
-                        rank == len(ops),
-                        witness=f"rank {rank} of {len(ops)}",
+                        ok,
+                        witness=witness,
                         generic=True,
                     )
     return report

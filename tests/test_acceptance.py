@@ -42,6 +42,7 @@ from manakov.son import (
     ad_kernel_dim,
     cayley_orthogonal,
     casimir_set,
+    gen_bracket,
     pair_list,
     random_skew,
     right_from_left,
@@ -49,7 +50,6 @@ from manakov.son import (
 from manakov.uea import (
     EXPANSION_SIGN,
     PBWElement,
-    gen_bracket,
     hamiltonian_commutator,
     hamiltonian_obstruction_b,
     manakov_operator,

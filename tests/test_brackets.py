@@ -8,12 +8,11 @@ from manakov.brackets import (
     PhasePoly,
     canonical_bracket,
     lie_poisson_bracket,
-    structure_table,
 )
 from manakov.central_force import kinetic, momenta, momentum, p_squared, r_squared, x_dot_p
 from manakov.charts import CotangentChart, GroupChart, involution_report, jacobian_rank
 from manakov.son import bracket as matrix_bracket
-from manakov.son import basis_element, pair_list
+from manakov.son import basis_element, pair_list, structure_table
 
 
 def test_bracket_sign_convention():

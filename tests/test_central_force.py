@@ -23,7 +23,7 @@ from manakov.central_force import (
     verify_integrable_set,
     x_dot_p,
 )
-from manakov.charts import CotangentChart, jacobian_rank
+from manakov.charts import CotangentChart, generic_full_rank, jacobian_rank
 
 
 def test_momenta_basics():
@@ -174,3 +174,58 @@ def test_generic_hamiltonian_rank_uses_all_slots():
     h = generic_hamiltonian(n)
     pt = CotangentChart.random(n, rng)
     assert jacobian_rank([h, p_squared(n)], pt) == 2
+
+
+def _record_ranks(monkeypatch):
+    """Record (set size, rank) of every chart-point rank the checks compute."""
+    from manakov import charts
+
+    seen = []
+    real = charts.jacobian_rank
+
+    def recording(fs, at):
+        rank = real(fs, at)
+        seen.append((len(fs), rank))
+        return rank
+
+    monkeypatch.setattr(charts, "jacobian_rank", recording)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "seed, check_id",
+    [(103, "split ({1,2,3}|{4})/rank/sample0"), (122, "split ({1,3,4}|{2})/rank/sample0")],
+)
+def test_classical_central_resamples_deficient_points(monkeypatch, seed, check_id):
+    # at these seeds `verify classical-central --n 4` draws a rank-deficient
+    # point for a true independence claim; the point is redrawn, not failed.
+    # The exact brackets draw no random numbers, so skipping them keeps the
+    # suite's chart draws unchanged and the test fast.
+    from manakov import central_force, suites
+    from manakov.report import VerificationReport
+
+    monkeypatch.setattr(central_force, "involution_report", lambda *a, **k: VerificationReport())
+    monkeypatch.setattr(suites, "runge_lenz_check", lambda n, alpha: VerificationReport())
+    seen = _record_ranks(monkeypatch)
+    report = suites.suite_classical_central(4, seed=seed)
+    assert any(rank < size for size, rank in seen)
+    assert report.ok, [(c.id, c.witness) for c in report.failures]
+    (check,) = [c for c in report.checks if c.id == check_id]
+    assert check.witness == "rank 5 of 5"
+
+
+def test_rank_check_fails_when_every_point_is_deficient(monkeypatch):
+    # a dependent set is deficient at every point: the check fails after
+    # the retries instead of passing on some lucky draw
+    n = 3
+    funcs = [p_squared(n), p_squared(n) * 2]
+    seen = _record_ranks(monkeypatch)
+    ok, witness = generic_full_rank(funcs, n, random.Random(0))
+    assert not ok and "rank below 2" in witness
+    assert len(seen) == 8 and all(rank == 1 for _, rank in seen)
+    spec = catalog(n, "kepler", alpha=1)
+    spec.noncentral.append(spec.central[0])
+    spec.labels.append("H again")
+    report = verify_integrable_set(spec, random.Random(0), points=1)
+    (check,) = [c for c in report.checks if "/rank/" in c.id]
+    assert check.status == "fail"

@@ -30,12 +30,14 @@ def test_usage_error_exit_code():
 
 
 def test_tables_central_force_json():
-    r = run_cli("tables", "central-force", "--n", "4", "--format", "json")
-    assert r.returncode == 0
-    rows = json.loads(r.stdout)
-    assert len(rows) == 4
-    assert all(set(row) >= {"set", "k"} for row in rows)
-    assert [row["k"] for row in rows] == [2, 3, 4, 4]
+    # with no rank points (--points 0) every row's involution is still checked
+    for extra in ((), ("--points", "0")):
+        r = run_cli("tables", "central-force", "--n", "4", "--format", "json", *extra)
+        assert r.returncode == 0
+        rows = json.loads(r.stdout)
+        assert len(rows) == 4
+        assert all(set(row) >= {"set", "k"} for row in rows)
+        assert [row["k"] for row in rows] == [2, 3, 4, 4]
 
 
 def test_tables_rigid_body_markdown():
@@ -164,3 +166,24 @@ def test_timings_are_real_and_default_output_is_unchanged():
     assert sum(times) > 0
     # apart from the times, the timed report is the default report
     assert json.dumps(report, indent=2, sort_keys=True) + "\n" == plain.stdout
+
+
+def test_quantum_central_rejects_n_below_2():
+    # a one-dimensional particle has no angular momenta: every check would
+    # pass vacuously
+    r = run_cli("verify", "quantum-central", "--n", "1")
+    assert r.returncode == 2
+    assert "n >= 2" in r.stderr
+    assert r.stdout == ""
+
+
+def test_rigid_body_table_rejects_unverifiable_input():
+    # an empty table, or rows checked against no sampled point, verify nothing
+    r = run_cli("tables", "rigid-body", "--max-n", "2", "--format", "json")
+    assert r.returncode == 2
+    assert "start at n = 3" in r.stderr
+    assert r.stdout == ""
+    r = run_cli("tables", "rigid-body", "--max-n", "3", "--points", "0")
+    assert r.returncode == 2
+    assert "at least one sampled point" in r.stderr
+    assert "disagree" not in r.stderr and r.stdout == ""

@@ -90,14 +90,15 @@ def test_c20_is_half_sum_of_squares():
 
 def test_c2m0_matches_trace_powers():
     # c_{2m,0} = (1/4m) Tr(P^{2m}) as momentum polynomials
-    from manakov.linalg import char_poly
-    from manakov.rigid_body import momentum_matrix
     from manakov.ratfunc import MultiPoly
     from manakov.brackets import momentum_vars
+    from manakov.son import SkewMatrix
 
     n = 4
     spec = MomentSpec.from_lambdas(tuple(Fraction(i) for i in (1, 2, 3, 4)))
-    m = momentum_matrix(n)
+    vars = momentum_vars(n)
+    m = SkewMatrix(n, {p: MultiPoly.gen(vars, k) for k, p in enumerate(pair_list(n))})
+    m = m.to_dense(zero=MultiPoly.zero(vars))
     for mm in (1, 2):
         power = m
         for _ in range(2 * mm - 1):

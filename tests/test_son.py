@@ -56,7 +56,7 @@ def test_bracket_examples():
 
 
 def test_bracket_matches_structure_constants():
-    # matrix-product route against the four-delta closed formula
+    # the bracket against the four-delta closed formula, written out here
     n = 4
     for (i, j) in pair_list(n):
         for (h, k) in pair_list(n):
@@ -75,6 +75,32 @@ def test_bracket_matches_structure_constants():
                 if a != b:
                     expected = expected + basis_element(n, a, b).scale(sign)
             assert got == expected
+
+
+def _sparse_skew(n, rng):
+    dense = random_skew(n, rng, 20)
+    return SkewMatrix(n, {p: v for p, v in dense.upper.items() if rng.random() < 0.6})
+
+
+def test_bracket_and_ad_matrix_match_dense_products_random():
+    # the structure-constant bracket and the ad columns built from it,
+    # against plain dense matrix products, on seeded random (and sparse)
+    # pairs and random domain/image subsets of the basis
+    rng = random.Random(41)
+    for n in range(3, 7):
+        plist = pair_list(n)
+        for _ in range(25):
+            a = random_skew(n, rng, 20) if rng.random() < 0.5 else _sparse_skew(n, rng)
+            b = _sparse_skew(n, rng)
+            assert bracket(a, b).to_dense().entries == _matrix_product_bracket(a, b)
+            domain = rng.sample(plist, rng.randint(1, len(plist)))
+            image = rng.sample(plist, rng.randint(1, len(plist)))
+            m = ad_matrix(a, domain_pairs=domain, image_pairs=image)
+            assert (m.rows, m.cols) == (len(image), len(domain))
+            for c, (h, k) in enumerate(domain):
+                dense = _matrix_product_bracket(a, basis_element(n, h, k))
+                for r, (i, j) in enumerate(image):
+                    assert m.entries[r][c] == dense[i - 1][j - 1]
 
 
 def test_jacobi_identity_randomized():

@@ -6,13 +6,12 @@ import pytest
 
 from manakov.brackets import LiePoissonPoly, lie_poisson_bracket
 from manakov.rigid_body import ManakovIndex, manakov_indices, manakov_integral
-from manakov.son import MomentSpec, pair_index, pair_list
+from manakov.son import MomentSpec, gen_bracket, pair_index, pair_list
 from manakov.uea import (
     EXPANSION_SIGN,
     PBWElement,
     clear_caches,
     correction_commutator_expansion,
-    gen_bracket,
     hamiltonian_commutator,
     hamiltonian_obstruction_b,
     manakov_operator,

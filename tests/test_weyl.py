@@ -212,3 +212,29 @@ def test_quantum_suite_n3():
     rng = random.Random(5)
     rep = quantum_central_force_suite(3, 1, rng=rng, trees=[SplitTree.split([1, 2], [3])])
     assert rep.ok, [c.id for c in rep.failures]
+
+
+@pytest.mark.parametrize("seed, tree", [(111, "({1,2,4}|{3})"), (151, "({1}|{2,3,4})")])
+def test_quantum_central_resamples_deficient_points(monkeypatch, seed, tree):
+    # at these seeds `verify quantum-central --n 4` draws a rank-deficient
+    # point for the symbols of a true recursive set; the point is redrawn,
+    # not failed.  The cached commutator sweep draws no random numbers, so
+    # stubbing it keeps the suite's chart draws unchanged and the test fast.
+    from manakov import charts, weyl
+    from manakov.suites import suite_quantum_central
+
+    seen = []
+    real = charts.jacobian_rank
+
+    def recording(fs, at):
+        rank = real(fs, at)
+        seen.append((len(fs), rank))
+        return rank
+
+    monkeypatch.setattr(charts, "jacobian_rank", recording)
+    monkeypatch.setattr(weyl, "items_commute", lambda n, a, b: True)
+    report = suite_quantum_central(4, seed=seed)
+    assert any(rank < size for size, rank in seen)
+    assert report.ok, [(c.id, c.witness) for c in report.failures]
+    (check,) = [c for c in report.checks if c.id == f"recursive/{tree}/symbol-rank/sample0"]
+    assert check.witness == "rank 4 of 4"
