@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .brackets import PhasePoly, canonical_bracket
-from .charts import generic_full_rank, involution_report
+from .charts import Differentiated, generic_full_rank, involution_report
 from .radical import RadicalElement
 from .report import VerificationReport
 
@@ -347,8 +347,9 @@ def verify_integrable_set(spec: IntegrableSetSpec, rng, points=3) -> Verificatio
         anchor="central-force/involution",
         id_prefix=f"{spec.label}/involution",
     )
+    functions = [Differentiated(f) for f in spec.functions]
     for s in range(points):
-        ok, witness = generic_full_rank(spec.functions, spec.n, rng)
+        ok, witness = generic_full_rank(functions, spec.n, rng)
         report.add(
             f"{spec.label}/rank/sample{s}",
             "central-force/independence",

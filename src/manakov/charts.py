@@ -11,9 +11,10 @@ exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .brackets import LiePoissonPoly, PhasePoly, canonical_bracket, lie_poisson_bracket
-from .linalg import ExactMatrix, exact_rank, invert
+from .linalg import ExactMatrix, invert, rank_of
 from .report import VerificationReport
 from .son import (
     DegenerateSampleError,
@@ -59,13 +60,35 @@ class CotangentChart:
         return cls(n, x, p, r=radius)
 
     def gradient_row(self, f: PhasePoly):
-        """(df/dx_1..df/dx_n, df/dp_1..df/dp_n) evaluated exactly."""
+        """(df/dx_1..df/dx_n, df/dp_1..df/dp_n) evaluated exactly; ``f`` is
+        a PhasePoly or a ``Differentiated`` one."""
         try:
             row = [f.dx(i).eval(self.x, self.r, self.p) for i in range(1, self.n + 1)]
             row += [f.dp(i).eval(self.x, self.r, self.p) for i in range(1, self.n + 1)]
         except ZeroDivisionError:
             raise DegenerateSampleError("pole hit while evaluating gradient; resample point")
         return row
+
+
+class Differentiated:
+    """A phase function whose partial derivatives are taken once, on first
+    use, and kept: a rank check over several chart points wraps its
+    functions in this so that each point only evaluates the derivatives.
+    ``dx``/``dp`` answer as the function's own do."""
+
+    def __init__(self, f: PhasePoly):
+        self.f = f
+
+    @cached_property
+    def _partials(self):
+        n = self.f.n
+        return [self.f.dx(i) for i in range(1, n + 1)] + [self.f.dp(i) for i in range(1, n + 1)]
+
+    def dx(self, i):
+        return self._partials[i - 1]
+
+    def dp(self, i):
+        return self._partials[self.f.n + i - 1]
 
 
 def _rational_sqrt(q: Fraction):
@@ -150,9 +173,7 @@ class GroupChart:
 
 def jacobian_rank(fs, at) -> int:
     """Exact rank of the Jacobian of the given functions at a chart point."""
-    rows = [at.gradient_row(f) for f in fs]
-    rank, _ = exact_rank(ExactMatrix(rows))
-    return rank
+    return rank_of(at.gradient_row(f) for f in fs)
 
 
 def generic_full_rank(fs, n, rng):
@@ -163,6 +184,8 @@ def generic_full_rank(fs, n, rng):
     certifies nothing, so it is redrawn (``retry_generic``) and the check
     fails only when every attempt is deficient.  The first point is the one
     a single draw would take, so a full-rank first point reads the same.
+    Callers that check one set at several points pass ``Differentiated``
+    functions, so that no redraw differentiates again.
     """
     size = len(fs)
 

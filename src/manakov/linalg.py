@@ -1,17 +1,20 @@
 """Exact dense linear algebra over rationals, rational functions or any
 commutative Q-algebra.
 
-Rank and kernel, inverses and solutions all come from one exact
-Gauss-Jordan elimination when entries lie in a field; a fraction-free
-Bareiss elimination covers determinants over polynomial domains without
-dividing by ring elements.  Characteristic
-polynomials use the Faddeev-LeVerrier recursion, which only ever divides by
-the integers 1..n.
+Ranks over Q come from one integer echelon (``IntegerEchelon``, and
+``rank_of`` for a whole matrix), grown one row at a time so that a greedy
+search for independent functions adds each candidate row once.  Kernels,
+inverses and solutions come from one exact Gauss-Jordan elimination
+(``_row_reduce``) when entries lie in a field; a fraction-free Bareiss
+elimination covers determinants over polynomial domains without dividing by
+ring elements.  Characteristic polynomials use the Faddeev-LeVerrier
+recursion, which only ever divides by the integers 1..n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class ExactMatrix:
@@ -120,6 +123,68 @@ def _row_reduce(a, cols):
                 a[i] = [e - f * q for e, q in zip(a[i], a[r])]
         pivots.append(c)
     return pivots
+
+
+class IntegerEchelon:
+    """Echelon basis over Q of the rows added so far.
+
+    Each kept row is a primitive integer vector (its entries have gcd 1),
+    paired with its pivot: its first nonzero column, where every row kept
+    after it is zero.  ``add`` clears an incoming row's denominators, reduces
+    it against the kept rows in the order they were kept, by
+    cross-multiplication, and keeps it when something is left.  Entries must
+    be ``int`` or ``Fraction``.
+    """
+
+    __slots__ = ("rows", "width")
+
+    def __init__(self):
+        self.rows = []
+        self.width = None
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def add(self, row) -> bool:
+        """Add one row; True when it is independent of the kept rows,
+        that is, when the rank rose."""
+        v = _integer_row(row)
+        if self.width is None:
+            self.width = len(v)
+        elif len(v) != self.width:
+            raise ValueError("ragged matrix")
+        for c, p in self.rows:
+            a = v[c]
+            if a:
+                b = p[c]
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                v = [b * x - a * y for x, y in zip(v, p)]
+        c = next((i for i, x in enumerate(v) if x), None)
+        if c is None:
+            return False
+        g = gcd(*v)
+        self.rows.append((c, [x // g for x in v]))
+        return True
+
+
+def _integer_row(row):
+    """The row times the least common denominator of its entries."""
+    row = list(row)
+    for e in row:
+        if not isinstance(e, (int, Fraction)):
+            raise TypeError(f"integer echelon needs int or Fraction entries, got {type(e).__name__}")
+    denom = lcm(*(e.denominator for e in row))
+    return [e.numerator * (denom // e.denominator) for e in row]
+
+
+def rank_of(rows) -> int:
+    """Exact rank over Q of a matrix given as rows of ``int``/``Fraction``."""
+    echelon = IntegerEchelon()
+    for row in rows:
+        echelon.add(row)
+    return echelon.rank
 
 
 def exact_rank(m: ExactMatrix):

@@ -17,7 +17,7 @@ from itertools import product
 
 from .brackets import LiePoissonPoly, lie_poisson_bracket, momentum_vars
 from .charts import GroupChart, jacobian_rank
-from .linalg import ExactMatrix, solve
+from .linalg import ExactMatrix, IntegerEchelon, solve
 from .ratfunc import MultiPoly, integer_scaled
 from .report import VerificationReport
 from .son import (
@@ -358,7 +358,8 @@ def assemble_integrable_set(spec: MomentSpec, chart: GroupChart) -> RigidBodySet
 
     Candidates are scanned in deterministic order (integral indices by
     (k, l), then right-momentum pairs lexicographically); a candidate is kept
-    iff it increases the exact Jacobian rank.  The final set has 2N - kbar
+    iff its gradient row is independent of the rows already kept, so each
+    row is added once to one integer echelon.  The final set has 2N - kbar
     elements of rank 2N - kbar, with kbar of them central.
     """
     if spec.is_symbolic:
@@ -368,9 +369,8 @@ def assemble_integrable_set(spec: MomentSpec, chart: GroupChart) -> RigidBodySet
     _, k, r, kbar = rank_counts
     target_total = 2 * dim_so(n) - kbar
     z, z_labels = z_lambda(spec)
-    chosen = list(z)
-    rank = jacobian_rank(chosen, chart)
-    if rank != len(chosen):
+    echelon = IntegerEchelon()
+    if not all(echelon.add(chart.gradient_row(f)) for f in z):
         raise DegenerateSampleError("Casimir set not independent at this point")
     integrals = []
     integral_labels = []
@@ -381,34 +381,26 @@ def assemble_integrable_set(spec: MomentSpec, chart: GroupChart) -> RigidBodySet
         if idx.j == 0:
             continue  # c_{2m,0} duplicates the full Casimirs
         cand = manakov_integral(idx, n, spec)
-        new_rank = jacobian_rank(chosen + [cand], chart)
-        if new_rank > rank:
-            chosen.append(cand)
+        if echelon.add(chart.gradient_row(cand)):
             integrals.append(cand)
             integral_labels.append(idx.label())
-            rank = new_rank
     if len(integrals) != need:
         raise DegenerateSampleError(
             f"only {len(integrals)} of {need} defect-filling integrals found"
         )
     # noncentral candidates come from B^lambda: the equal-moment left
-    # momenta first, then the right momenta, in lexicographic pair order
+    # momenta first, then the right momenta, in lexicographic pair order;
+    # every kept row raised the rank, so the rank counts the chosen set
     candidates = [("L", p) for p in spec.equal_moment_pairs()]
     candidates += [("R", p) for p in pair_list(n)]
     noncentral = []
     for side, p in candidates:
-        if len(chosen) == target_total:
+        if echelon.rank == target_total:
             break
-        cand = LiePoissonPoly.gen(n, p, side=side)
-        new_rank = jacobian_rank(chosen + [cand], chart)
-        if new_rank > rank:
-            chosen.append(cand)
+        if echelon.add(chart.gradient_row(LiePoissonPoly.gen(n, p, side=side))):
             noncentral.append((side, p))
-            rank = new_rank
-    if len(chosen) != target_total or rank != target_total:
-        raise DegenerateSampleError(
-            f"rank target {target_total} unreachable (got {rank} with {len(chosen)})"
-        )
+    if echelon.rank != target_total:
+        raise DegenerateSampleError(f"rank target {target_total} unreachable (got {echelon.rank})")
     return RigidBodySet(
         spec=spec,
         z=z,

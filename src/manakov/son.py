@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import ExactMatrix, char_poly, exact_rank, invert
+from .linalg import ExactMatrix, char_poly, invert, rank_of
 from .ratfunc import RationalFunction, add_terms
 
 
@@ -211,8 +211,7 @@ def ad_matrix(a: SkewMatrix, domain_pairs=None, image_pairs=None) -> ExactMatrix
 
 def ad_kernel_dim(a: SkewMatrix) -> int:
     """dim of the commutant {B in so(n) : [a, B] = 0}."""
-    rank, _ = exact_rank(ad_matrix(a))
-    return dim_so(a.n) - rank
+    return dim_so(a.n) - rank_of(ad_matrix(a).entries)
 
 
 def casimir_set(a: SkewMatrix, one=Fraction(1)):
@@ -366,11 +365,11 @@ def sigma_triple(a: SkewMatrix, spec: MomentSpec):
     n = a.n
     all_pairs = pair_list(n)
     lam_pairs = spec.equal_moment_pairs()
-    r1, _ = exact_rank(ad_matrix(a, domain_pairs=all_pairs, image_pairs=lam_pairs))
+    r1 = rank_of(ad_matrix(a, domain_pairs=all_pairs, image_pairs=lam_pairs).entries)
     sigma1 = dim_so(n) - r1
     if lam_pairs:
-        r2, _ = exact_rank(ad_matrix(a, domain_pairs=lam_pairs, image_pairs=lam_pairs))
-        r3, _ = exact_rank(ad_matrix(a, domain_pairs=lam_pairs, image_pairs=all_pairs))
+        r2 = rank_of(ad_matrix(a, domain_pairs=lam_pairs, image_pairs=lam_pairs).entries)
+        r3 = rank_of(ad_matrix(a, domain_pairs=lam_pairs, image_pairs=all_pairs).entries)
     else:
         r2 = r3 = 0
     sigma2 = len(lam_pairs) - r2

@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .brackets import LiePoissonPoly, momentum_vars
+from .linalg import IntegerEchelon
 from .ratfunc import MultiPoly, TermMap, add_terms, integer_scaled
 from .report import VerificationReport
 from .rigid_body import (
@@ -628,7 +629,7 @@ def verify_quantum_flat_cases(n, rng, rank_points=1, chart_bound=30) -> Verifica
     """The two all-n families: one equal-moment class, and one singleton plus
     an (n-1)-class.  The operator set is the classical set with momenta
     replaced by generators; its central part must commute with everything."""
-    from .charts import GroupChart, jacobian_rank
+    from .charts import GroupChart
 
     report = VerificationReport()
     anchor = "rigid-quantum/flat-cases"
@@ -656,31 +657,26 @@ def verify_quantum_flat_cases(n, rng, rank_points=1, chart_bound=30) -> Verifica
                 break
         report.add(f"q={q}: [Z-hat , F-hat] == 0", anchor, ok_comm, witness=witness)
         if rng is not None:
+            # the completion keeps a candidate iff its gradient row is
+            # independent of the rows already added to the echelon
             chart = GroupChart.random(n, rng, bound=chart_bound)
-            chosen = list(funcs)
-            rank = jacobian_rank(chosen, chart)
-            for p in lam_pairs:
-                if len(chosen) == target:
+            echelon = IntegerEchelon()
+            for f in funcs:
+                echelon.add(chart.gradient_row(f))
+            chosen = len(funcs)
+            candidates = [("L", p) for p in lam_pairs] + [("R", p) for p in pair_list(n)]
+            for side, p in candidates:
+                if chosen == target:
                     break
-                cand = LiePoissonPoly.gen(n, p)
-                nr = jacobian_rank(chosen + [cand], chart)
-                if nr > rank:
-                    chosen.append(cand)
-                    rank = nr
-            for p in pair_list(n):
-                if len(chosen) == target:
-                    break
-                cand = LiePoissonPoly.gen(n, p, side="R")
-                nr = jacobian_rank(chosen + [cand], chart)
-                if nr > rank:
-                    chosen.append(cand)
-                    rank = nr
-            ok = len(chosen) == target and rank == target
+                if echelon.add(chart.gradient_row(LiePoissonPoly.gen(n, p, side=side))):
+                    chosen += 1
+            rank = echelon.rank
+            ok = chosen == target and rank == target
             report.add(
                 f"q={q}: quasi-independent completion",
                 anchor,
                 ok,
-                witness=f"rank {rank} with {len(chosen)} of {target} functions",
+                witness=f"rank {rank} with {chosen} of {target} functions",
                 generic=True,
             )
     return report

@@ -321,7 +321,7 @@ def quantum_central_force_suite(n, alpha, rng=None, trees=None, rank_points=2) -
 
     if trees:
         from .central_force import recursive_set_structure
-        from .charts import generic_full_rank
+        from .charts import Differentiated, generic_full_rank
 
         for tree in trees:
             z_items, l_items = recursive_set_structure(n, tree)
@@ -339,6 +339,7 @@ def quantum_central_force_suite(n, alpha, rng=None, trees=None, rank_points=2) -
             report.add(f"recursive/{tree.describe()}/commute", anchor, ok, witness=witness)
             if rng is not None:
                 ops, labels, symbols = quantum_recursive_set(n, tree)
+                symbols = [Differentiated(f) for f in symbols]
                 for s in range(rank_points):
                     ok, witness = generic_full_rank(symbols, n, rng)
                     report.add(

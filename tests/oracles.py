@@ -3,14 +3,18 @@
 Each one computes a quantity the package also computes, by a different and
 slower route: Laplace expansion for determinants and ranks, fraction-free
 elimination, exhaustive exponent enumeration for the Manakov coefficients,
-and dense or direct forms of the rigid-body operators.
+dense or direct forms of the rigid-body operators, and greedy rank
+completions that re-rank the whole chosen set for every candidate.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from manakov.linalg import ExactMatrix, bareiss_det
-from manakov.son import MomentSpec, pair_list
+from manakov.brackets import LiePoissonPoly
+from manakov.charts import GroupChart
+from manakov.linalg import ExactMatrix, bareiss_det, exact_rank
+from manakov.rigid_body import centrality_defect, manakov_indices, manakov_integral, z_lambda
+from manakov.son import MomentSpec, dim_so, pair_list
 from manakov.uea import PBWElement
 
 
@@ -129,3 +133,64 @@ def manakov_coefficient_enumerated(idx, indices, spec: MomentSpec):
 
     rec(0, idx.j, one)
     return acc[0]
+
+
+def _rerank(fs, chart):
+    """Jacobian rank from scratch: every gradient row, one Gauss-Jordan."""
+    rank, _ = exact_rank(ExactMatrix([chart.gradient_row(f) for f in fs]))
+    return rank
+
+
+def _complete_by_reranking(n, chosen, rank, candidates, target, chart):
+    """Scan (side, pair) momentum candidates until ``target`` functions are
+    chosen, keeping one iff re-ranking chosen + [it] raises the rank."""
+    kept = []
+    for side, p in candidates:
+        if len(chosen) == target:
+            break
+        cand = LiePoissonPoly.gen(n, p, side=side)
+        new_rank = _rerank(chosen + [cand], chart)
+        if new_rank > rank:
+            chosen.append(cand)
+            kept.append((side, p))
+            rank = new_rank
+    return kept, rank
+
+
+def assemble_by_reranking(spec: MomentSpec, chart):
+    """The greedy integrable set with a full re-rank per candidate:
+    (central integral labels, noncentral pairs, final rank)."""
+    n = spec.n
+    _, _, r, kbar = centrality_defect(spec)
+    chosen = list(z_lambda(spec)[0])
+    rank = _rerank(chosen, chart)
+    labels = []
+    for idx in manakov_indices(n):
+        if len(labels) == r // 2:
+            break
+        if idx.j == 0:
+            continue
+        cand = manakov_integral(idx, n, spec)
+        new_rank = _rerank(chosen + [cand], chart)
+        if new_rank > rank:
+            chosen.append(cand)
+            labels.append(idx.label())
+            rank = new_rank
+    candidates = [("L", p) for p in spec.equal_moment_pairs()] + [("R", p) for p in pair_list(n)]
+    pairs, rank = _complete_by_reranking(n, chosen, rank, candidates, 2 * dim_so(n) - kbar, chart)
+    return labels, tuple(pairs), rank
+
+
+def flat_case_completion_witnesses(n, rng, chart_bound=30):
+    """Witnesses of the two quasi-independent completions of the quantum
+    flat cases, one chart drawn per case, with a full re-rank per candidate."""
+    witnesses = []
+    for q, mus in [((n,), (Fraction(2),)), ((1, n - 1), (Fraction(1), Fraction(2)))]:
+        spec = MomentSpec.from_partition_values(q, mus)
+        target = 2 * dim_so(n) - centrality_defect(spec)[3]
+        chart = GroupChart.random(n, rng, bound=chart_bound)
+        chosen = list(z_lambda(spec)[0])
+        candidates = [("L", p) for p in spec.equal_moment_pairs()] + [("R", p) for p in pair_list(n)]
+        _, rank = _complete_by_reranking(n, chosen, _rerank(chosen, chart), candidates, target, chart)
+        witnesses.append(f"rank {rank} with {len(chosen)} of {target} functions")
+    return witnesses

@@ -4,7 +4,16 @@ from itertools import product
 
 import pytest
 
-from manakov.linalg import ExactMatrix, bareiss_det, char_poly, exact_rank, invert, solve
+from manakov.linalg import (
+    ExactMatrix,
+    IntegerEchelon,
+    bareiss_det,
+    char_poly,
+    exact_rank,
+    invert,
+    rank_of,
+    solve,
+)
 from manakov.ratfunc import MultiPoly
 from oracles import bareiss_rank, minor_expansion_det, minor_expansion_rank
 
@@ -204,3 +213,38 @@ def test_elimination_differential_random():
             else:
                 with pytest.raises(ValueError):
                     invert(m)
+
+
+def test_integer_echelon_differential_random():
+    # the echelon answers every rank in the package; it must agree with the
+    # Gauss-Jordan rank and the fraction-free oracle on products of thin
+    # random factors (mostly rank-deficient), with zero rows, on k x 0 and
+    # 0 x k shapes, and on integer rows
+    rng = random.Random(43)
+    assert rank_of([]) == 0 and rank_of([[]] * 3) == 0
+    for case in range(100):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        m = _random_rational_matrix(rng, rows, cols, rng.randint(0, min(rows, cols)))
+        entries = [list(row) for row in m.entries]
+        for _ in range(rng.randint(0, 2) if rows else 0):
+            entries[rng.randrange(rows)] = [F(0)] * cols
+        m = ExactMatrix(entries)
+        expected = exact_rank(m)[0]
+        assert expected == bareiss_rank(m)
+        assert rank_of(entries) == expected
+        echelon = IntegerEchelon()
+        for i, row in enumerate(entries):
+            before = echelon.rank
+            assert echelon.add(row) == (exact_rank(ExactMatrix(entries[: i + 1]))[0] > before)
+        assert echelon.rank == expected
+        denom = 144  # a multiple of every product of two denominators 1..4
+        assert rank_of([[int(e * denom) for e in row] for row in entries]) == expected
+
+
+def test_integer_echelon_rejects_non_rational_entries():
+    with pytest.raises(TypeError):
+        rank_of([[F(1), 0.5]])
+    with pytest.raises(TypeError):
+        IntegerEchelon().add([MultiPoly.gen(("u",), 0), F(1)])
+    with pytest.raises(ValueError):
+        rank_of([[1, 2], [1, 2, 3]])

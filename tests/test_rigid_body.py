@@ -26,7 +26,7 @@ from manakov.rigid_body import (
     z_lambda_count,
 )
 from manakov.son import MomentSpec, pair_list
-from oracles import manakov_coefficient_enumerated
+from oracles import assemble_by_reranking, manakov_coefficient_enumerated
 
 
 def test_manakov_index_validation():
@@ -268,6 +268,21 @@ def test_z_lambda_rank_n6_partition_123():
     assert len(funcs) == z_lambda_count(spec) == 5
     chart = GroupChart.random(6, rng, bound=10)
     assert jacobian_rank(funcs, chart) == 5
+
+
+@pytest.mark.parametrize("q", [(1, 1, 1, 1), (1, 1, 2), (1, 1, 1, 1, 1), (1, 2, 2)])
+def test_assembly_matches_reranking_oracle(q):
+    # adding each candidate's row once to one echelon keeps exactly the
+    # candidates that re-ranking the whole chosen set would keep
+    n = sum(q)
+    spec = MomentSpec.from_partition_values(q, tuple(Fraction(i + 2, 2) for i in range(len(q))))
+    rng = random.Random(10 * n + len(q))
+    for _ in range(2):
+        chart = GroupChart.random(n, rng, bound=30)
+        rb = assemble_integrable_set(spec, chart)
+        labels, pairs, rank = assemble_by_reranking(spec, chart)
+        assert (rb.central_integral_labels, rb.noncentral_pairs) == (labels, pairs)
+        assert rank == rb.size
 
 
 def test_assemble_rejects_symbolic():

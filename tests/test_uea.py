@@ -31,7 +31,7 @@ from manakov.uea import (
     verify_quantum_central_set,
     verify_quantum_flat_cases,
 )
-from oracles import hamiltonian_operator
+from oracles import flat_case_completion_witnesses, hamiltonian_operator
 
 
 def gen(n, pair):
@@ -384,3 +384,14 @@ def test_quantum_central_set_and_flat_cases():
     assert rep.ok, [c.id for c in rep.failures]
     rep2 = verify_quantum_flat_cases(3, rng, chart_bound=25)
     assert rep2.ok, [c.id for c in rep2.failures]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_flat_case_completion_matches_reranking_oracle(n):
+    # the completion adds each candidate's row once to one echelon; its
+    # witnesses must be those of re-ranking the chosen set per candidate
+    for seed in (0, 1):
+        report = verify_quantum_flat_cases(n, random.Random(seed))
+        got = [c.witness for c in report.checks if c.id.endswith("quasi-independent completion")]
+        assert len(got) == 2
+        assert got == flat_case_completion_witnesses(n, random.Random(seed))
