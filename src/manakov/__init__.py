@@ -4,7 +4,7 @@ body, over arbitrary-precision rational arithmetic."""
 
 from .ratfunc import MultiPoly, RationalFunction, poly_gcd, rational
 from .radical import RadicalElement
-from .linalg import ExactMatrix, bareiss_det, char_poly, exact_rank
+from .linalg import ExactMatrix, char_poly, exact_rank
 from .son import (
     MomentSpec,
     SkewMatrix,
@@ -19,8 +19,8 @@ from .son import (
 from .brackets import LiePoissonPoly, PhasePoly, canonical_bracket, lie_poisson_bracket
 from .charts import CotangentChart, GroupChart, involution_report, jacobian_rank
 from .report import VERSION, VerificationReport
-from .weyl import WeylOperator, commutator, compose, standard_quantize, symmetrize
-from .uea import PBWElement, pbw_normalize, sym_k, uea_commutator
+from .weyl import WeylOperator, commutator, compose, symmetrize
+from .uea import PBWElement, sym_k, uea_commutator
 
 __version__ = VERSION
 
@@ -31,7 +31,6 @@ __all__ = [
     "rational",
     "RadicalElement",
     "ExactMatrix",
-    "bareiss_det",
     "char_poly",
     "exact_rank",
     "MomentSpec",
@@ -56,10 +55,8 @@ __all__ = [
     "WeylOperator",
     "commutator",
     "compose",
-    "standard_quantize",
     "symmetrize",
     "PBWElement",
-    "pbw_normalize",
     "sym_k",
     "uea_commutator",
     "__version__",

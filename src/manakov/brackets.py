@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .radical import RadicalElement
+from .radical import RadicalElement, check_axis
 from .ratfunc import MultiPoly, RationalFunction, TermMap, add_terms
 from .son import SkewMatrix, pair_list, signed_pair, structure_table
 
@@ -43,6 +43,7 @@ class PhasePoly(TermMap):
 
     @classmethod
     def momentum(cls, n, i):
+        check_axis(n, i)
         mono = [0] * n
         mono[i - 1] = 1
         return cls(n, {tuple(mono): RadicalElement.const(n, 1)})
@@ -106,10 +107,6 @@ class PhasePoly(TermMap):
 
     def p_degree(self):
         return max((sum(m) for m in self.terms), default=-1)
-
-    def top_p_part(self):
-        d = self.p_degree()
-        return self._new({m: c for m, c in self.terms.items() if sum(m) == d})
 
     def eval(self, x_values, r_value, p_values):
         total = Fraction(0)
@@ -249,11 +246,6 @@ class LiePoissonPoly:
 
     def total_degree(self):
         return self.poly.total_degree()
-
-    def top_degree_part(self):
-        d = self.poly.total_degree()
-        terms = {m: c for m, c in self.poly.terms.items() if sum(m) == d}
-        return LiePoissonPoly(self.n, MultiPoly(self.poly.vars, terms), self.side)
 
     def eval(self, values):
         """Evaluate at a SkewMatrix or at a sequence ordered like pair_list."""

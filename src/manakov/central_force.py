@@ -341,7 +341,6 @@ def verify_integrable_set(spec: IntegrableSetSpec, rng, points=3) -> Verificatio
     report = involution_report(
         spec.central,
         spec.functions,
-        "canonical",
         labels_a=spec.labels[: spec.k],
         labels_b=spec.labels,
         anchor="central-force/involution",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .brackets import LiePoissonPoly, PhasePoly, canonical_bracket, lie_poisson_bracket
+from .brackets import LiePoissonPoly, PhasePoly, canonical_bracket
 from .linalg import ExactMatrix, invert, rank_of
 from .report import VerificationReport
 from .son import (
@@ -202,23 +202,17 @@ def generic_full_rank(fs, n, rng):
 
 
 def involution_report(
-    a, b, engine, labels_a=None, labels_b=None, anchor="", id_prefix="involution"
+    a, b, labels_a=None, labels_b=None, anchor="", id_prefix="involution"
 ) -> VerificationReport:
-    """Compute every pairwise bracket between the two batches.
-
-    ``engine`` is "canonical", "lie-poisson" or a callable; nonzero brackets
-    are recorded verbatim as failure witnesses.
+    """Compute every pairwise canonical bracket between the two batches;
+    nonzero brackets are recorded verbatim as failure witnesses.
     """
-    if engine == "canonical":
-        engine = canonical_bracket
-    elif engine == "lie-poisson":
-        engine = lie_poisson_bracket
     labels_a = labels_a or [f"A{i}" for i in range(len(a))]
     labels_b = labels_b or [f"B{j}" for j in range(len(b))]
     report = VerificationReport()
     for i, f in enumerate(a):
         for j, g in enumerate(b):
-            br = engine(f, g)
+            br = canonical_bracket(f, g)
             ok = br.is_zero()
             report.add(
                 f"{id_prefix}/{{{labels_a[i]},{labels_b[j]}}}",

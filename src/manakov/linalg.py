@@ -5,10 +5,9 @@ Ranks over Q come from one integer echelon (``IntegerEchelon``, and
 ``rank_of`` for a whole matrix), grown one row at a time so that a greedy
 search for independent functions adds each candidate row once.  Kernels,
 inverses and solutions come from one exact Gauss-Jordan elimination
-(``_row_reduce``) when entries lie in a field; a fraction-free Bareiss
-elimination covers determinants over polynomial domains without dividing by
-ring elements.  Characteristic polynomials use the Faddeev-LeVerrier
-recursion, which only ever divides by the integers 1..n.
+(``_row_reduce``) when entries lie in a field.  Characteristic polynomials
+use the Faddeev-LeVerrier recursion, which only ever divides by the
+integers 1..n.
 """
 
 from __future__ import annotations
@@ -216,41 +215,6 @@ def _one_like(m):
             if e:
                 return e / e
     return Fraction(1)
-
-
-def bareiss_det(m: ExactMatrix):
-    """Fraction-free determinant; entries in any integral domain with
-    exact division (``/`` for fields, ``divexact`` for polynomials)."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
-    a = [list(row) for row in m.entries]
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return a[k][k] * 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                val = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                if prev is not None:
-                    val = _exact_div(val, prev)
-                a[i][j] = val
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return -det if sign < 0 else det
-
-
-def _exact_div(val, d):
-    if hasattr(val, "divexact"):
-        return val.divexact(d)
-    return val / d
 
 
 def char_poly(m: ExactMatrix, one=Fraction(1)):

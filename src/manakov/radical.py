@@ -18,6 +18,12 @@ def x_vars(n):
     return tuple(f"x{i}" for i in range(1, n + 1))
 
 
+def check_axis(n, i):
+    """Reject a 1-based axis index outside 1..n (index 0 would wrap to n)."""
+    if not 1 <= i <= n:
+        raise ValueError(f"axis {i} out of range 1..{n}")
+
+
 @lru_cache(maxsize=None)
 def x_square_poly(n) -> MultiPoly:
     vars = x_vars(n)
@@ -48,6 +54,7 @@ class RadicalElement:
     @classmethod
     def coordinate(cls, n, i):
         """The coordinate function x_i (1-based)."""
+        check_axis(n, i)
         return cls(n, RationalFunction.gen(x_vars(n), i - 1))
 
     @classmethod
@@ -56,9 +63,6 @@ class RadicalElement:
 
     def is_zero(self):
         return self.a.is_zero() and self.b.is_zero()
-
-    def is_rational_part_only(self):
-        return self.b.is_zero()
 
     def __bool__(self):
         return not self.is_zero()
@@ -139,8 +143,7 @@ class RadicalElement:
 
     def diff(self, i):
         """d/dx_i (1-based), using dr/dx_i = x_i * r / x^2."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"axis {i} out of range 1..{self.n}")
+        check_axis(self.n, i)
         xi = MultiPoly.gen(x_vars(self.n), i - 1)
         x2 = x_square_poly(self.n)
         da = self.a.diff(i - 1)

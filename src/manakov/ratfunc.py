@@ -49,16 +49,16 @@ def add_terms(acc, pairs):
 
 
 def integer_scaled(x):
-    """``x`` (a MultiPoly or a PBW element) times the least common
-    denominator of its coefficients, so that they are integers; ``x`` itself
-    when a coefficient is not a rational number (symbolic moments).
-    Rescaling cannot change whether ``x`` vanishes."""
+    """``(x * d, d)`` for ``x`` a MultiPoly or a PBW element, where d is the
+    least common denominator of its coefficients, so that those of ``x * d``
+    are integers; ``(x, 1)`` when a coefficient is not a rational number
+    (symbolic moments)."""
     denom = 1
     for c in x.terms.values():
         if not isinstance(c, (int, Fraction)):
-            return x
+            return x, 1
         denom = denom * c.denominator // int_gcd(denom, c.denominator)
-    return x.map_coeffs(lambda c: int(c * denom))
+    return x.map_coeffs(lambda c: int(c * denom)), denom
 
 
 class TermMap:

@@ -427,7 +427,7 @@ def verify_involution_family(n, spec: MomentSpec, report=None, include_hamiltoni
     items = [(idx.label(), manakov_integral(idx, n, spec)) for idx in manakov_indices(n)]
     if include_hamiltonian:
         items.append(("H", hamiltonian(spec)))
-    items = [(label, LiePoissonPoly(n, integer_scaled(f.poly))) for label, f in items]
+    items = [(label, LiePoissonPoly(n, integer_scaled(f.poly)[0])) for label, f in items]
     for a in range(len(items)):
         for b in range(a + 1, len(items)):
             br = lie_poisson_bracket(items[a][1], items[b][1])

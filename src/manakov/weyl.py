@@ -38,9 +38,7 @@ class WeylOperator(TermMap):
 
     @classmethod
     def momentum(cls, n, i):
-        mono = [0] * n
-        mono[i - 1] = 1
-        return cls(n, {tuple(mono): RadicalElement.const(n, 1)})
+        return cls(n, PhasePoly.momentum(n, i).terms)
 
     # -- linear structure ---------------------------------------------------
 
@@ -145,17 +143,6 @@ def diamond(a: WeylOperator, b: WeylOperator) -> WeylOperator:
     return (compose(a, b) + compose(b, a)).scale(Fraction(1, 2))
 
 
-def standard_quantize(f: PhasePoly) -> WeylOperator:
-    """v0(x) + sum v_k(x) phat_k from a phase polynomial of degree <= 1 in p.
-
-    This map is a Lie algebra isomorphism: commutators of images equal
-    images of Poisson brackets.
-    """
-    if f.p_degree() > 1:
-        raise ValueError("standard quantization needs degree <= 1 in p")
-    return WeylOperator(f.n, f.terms)
-
-
 # -- symmetrized (Weyl) quantization ------------------------------------------
 
 _sym_cache = {}
@@ -192,19 +179,23 @@ def _sym_monomial(n, xmono, pmono) -> WeylOperator:
 def symmetrize(f: PhasePoly) -> WeylOperator:
     """Weyl-ordered quantization with respect to (x, phat).
 
-    Polynomial coefficients are split into x-monomials and averaged jointly
-    with the p-factors; genuinely radical coefficients (for instance x_i/r)
-    act multiplicatively from the left, which matches their use in the
-    conserved-vector construction where they multiply p-free terms.
+    The rational part a of a coefficient a + b*r, when it is a polynomial,
+    is split into x-monomials, each averaged jointly with the p-factors.
+    The rest of the coefficient (b*r, or all of it when a is not a
+    polynomial, for instance x_i/r) acts multiplicatively from the left,
+    which matches its use in the conserved-vector construction where it
+    multiplies p-free terms.  The map is linear on symbols whose rational
+    parts are polynomials.
     """
     n = f.n
     acc = WeylOperator.zero(n)
     for pmono, coef in f.terms.items():
-        if coef.is_rational_part_only() and coef.a.is_polynomial():
+        if coef.a.is_polynomial():
             poly = coef.a.num * (1 / coef.a.den.constant_value())
             for xmono, q in poly.terms.items():
                 acc = acc + _sym_monomial(n, xmono, pmono).scale(q)
-        else:
+            coef = coef - coef.a
+        if coef:
             acc = acc + compose(WeylOperator.const(n, coef), _sym_monomial(n, (0,) * n, pmono))
     return acc
 

@@ -1,21 +1,33 @@
 """Independent reference implementations used only by the tests.
 
 Each one computes a quantity the package also computes, by a different and
-slower route: Laplace expansion for determinants and ranks, fraction-free
-elimination, exhaustive exponent enumeration for the Manakov coefficients,
-dense or direct forms of the rigid-body operators, and greedy rank
-completions that re-rank the whole chosen set for every candidate.
+slower route: Laplace expansion and fraction-free elimination for
+determinants and ranks, exhaustive exponent enumeration for the Manakov
+coefficients, dense or direct forms of the rigid-body operators, the
+walk-by-walk symmetrization of the Manakov integrals, word-by-word PBW
+normal ordering, and greedy rank completions that re-rank the whole chosen
+set for every candidate.  The remaining helpers (standard quantization, the
+top p-degree part of a phase polynomial) are small maps only tests use.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from manakov.brackets import LiePoissonPoly
+from manakov.brackets import LiePoissonPoly, PhasePoly
 from manakov.charts import GroupChart
-from manakov.linalg import ExactMatrix, bareiss_det, exact_rank
-from manakov.rigid_body import centrality_defect, manakov_indices, manakov_integral, z_lambda
+from manakov.linalg import ExactMatrix, exact_rank
+from manakov.ratfunc import add_terms
+from manakov.rigid_body import (
+    centrality_defect,
+    closed_walks,
+    manakov_coefficient,
+    manakov_indices,
+    manakov_integral,
+    z_lambda,
+)
 from manakov.son import MomentSpec, dim_so, pair_list
-from manakov.uea import PBWElement
+from manakov.uea import PBWElement, pbw_mul, sym_word
+from manakov.weyl import WeylOperator
 
 
 def minor_expansion_det(m: ExactMatrix):
@@ -56,6 +68,41 @@ def minor_expansion_rank(m: ExactMatrix):
     return best
 
 
+def bareiss_det(m: ExactMatrix):
+    """Fraction-free determinant; entries in any integral domain with
+    exact division (``/`` for fields, ``divexact`` for polynomials)."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return Fraction(1)
+    a = [list(row) for row in m.entries]
+    sign = 1
+    prev = None
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return a[k][k] * 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                val = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                if prev is not None:
+                    val = _exact_div(val, prev)
+                a[i][j] = val
+        prev = a[k][k]
+    det = a[n - 1][n - 1]
+    return -det if sign < 0 else det
+
+
+def _exact_div(val, d):
+    if hasattr(val, "divexact"):
+        return val.divexact(d)
+    return val / d
+
+
 def bareiss_rank(m: ExactMatrix):
     """Fraction-free rank over an integral domain (no field division)."""
     a = [list(row) for row in m.entries]
@@ -71,7 +118,7 @@ def bareiss_rank(m: ExactMatrix):
             for j in range(c + 1, cols):
                 val = a[i][j] * a[r][c] - a[i][c] * a[r][j]
                 if prev is not None:
-                    val = val.divexact(prev) if hasattr(val, "divexact") else val / prev
+                    val = _exact_div(val, prev)
                 a[i][j] = val
             a[i][c] = a[r][c] * 0
         prev = a[r][c]
@@ -194,3 +241,44 @@ def flat_case_completion_witnesses(n, rng, chart_bound=30):
         _, rank = _complete_by_reranking(n, chosen, _rerank(chosen, chart), candidates, target, chart)
         witnesses.append(f"rank {rank} with {len(chosen)} of {target} functions")
     return witnesses
+
+
+def manakov_operator_by_walks(idx, n, spec: MomentSpec) -> PBWElement:
+    """c-hat_{k,k-2l} with the symmetrized product of every closed walk's
+    momentum cycle added one walk at a time."""
+    scale = Fraction(1, 4 * idx.l)
+    acc = {}
+    for walk, sign, letters in closed_walks(n, 2 * idx.l):
+        coef = manakov_coefficient(idx, walk, spec) * (scale * sign)
+        add_terms(acc, ((w, coef * c) for w, c in sym_word(n, tuple(letters)).items()))
+    return PBWElement(n, acc)
+
+
+def pbw_normalize(n, word_sum) -> PBWElement:
+    """Canonical form of a sum of (word, coefficient) pairs, each word a
+    tuple of generator indices in any order, by left-multiplying one
+    generator at a time."""
+    acc = PBWElement.zero(n)
+    for w, c in word_sum:
+        term = PBWElement.const(n, c)
+        for g in reversed(w):
+            term = pbw_mul(PBWElement(n, {(g,): Fraction(1)}), term)
+        acc = acc + term
+    return acc
+
+
+def standard_quantize(f: PhasePoly) -> WeylOperator:
+    """v0(x) + sum v_k(x) phat_k from a phase polynomial of degree <= 1 in p.
+
+    This map is a Lie algebra isomorphism: commutators of images equal
+    images of Poisson brackets.
+    """
+    if f.p_degree() > 1:
+        raise ValueError("standard quantization needs degree <= 1 in p")
+    return WeylOperator(f.n, f.terms)
+
+
+def top_p_part(f: PhasePoly) -> PhasePoly:
+    """The terms of ``f`` of highest total degree in p."""
+    d = f.p_degree()
+    return f._new({m: c for m, c in f.terms.items() if sum(m) == d})

@@ -207,10 +207,10 @@ def test_rank_b_lambda():
 def test_involution_report_witnesses():
     n = 3
     rep = involution_report(
-        [p_squared(n)], [momentum(n, 1, 2), kinetic(n)], "canonical", labels_a=["P2"], labels_b=["P12", "p2"]
+        [p_squared(n)], [momentum(n, 1, 2), kinetic(n)], labels_a=["P2"], labels_b=["P12", "p2"]
     )
     assert rep.ok
-    rep2 = involution_report([kinetic(n)], [r_squared(n)], "canonical")
+    rep2 = involution_report([kinetic(n)], [r_squared(n)])
     assert not rep2.ok
     assert "p" in rep2.checks[0].witness  # the nonzero bracket 4 x.p is recorded
 

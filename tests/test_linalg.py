@@ -7,7 +7,6 @@ import pytest
 from manakov.linalg import (
     ExactMatrix,
     IntegerEchelon,
-    bareiss_det,
     char_poly,
     exact_rank,
     invert,
@@ -15,7 +14,7 @@ from manakov.linalg import (
     solve,
 )
 from manakov.ratfunc import MultiPoly
-from oracles import bareiss_rank, minor_expansion_det, minor_expansion_rank
+from oracles import bareiss_det, bareiss_rank, minor_expansion_det, minor_expansion_rank
 
 
 def F(v):

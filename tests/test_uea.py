@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from manakov.brackets import LiePoissonPoly, lie_poisson_bracket
+from manakov.brackets import LiePoissonPoly, lie_poisson_bracket, momentum_vars
+from manakov.ratfunc import MultiPoly
 from manakov.rigid_body import ManakovIndex, manakov_indices, manakov_integral
 from manakov.son import MomentSpec, gen_bracket, pair_index, pair_list
 from manakov.uea import (
@@ -20,7 +21,6 @@ from manakov.uea import (
     obstruction_b_closed_h6,
     obstruction_b_raw,
     pbw_mul,
-    pbw_normalize,
     quadratic_coefficient,
     sym3_cycle,
     sym3_expansion,
@@ -31,7 +31,12 @@ from manakov.uea import (
     verify_quantum_central_set,
     verify_quantum_flat_cases,
 )
-from oracles import flat_case_completion_witnesses, hamiltonian_operator
+from oracles import (
+    flat_case_completion_witnesses,
+    hamiltonian_operator,
+    manakov_operator_by_walks,
+    pbw_normalize,
+)
 
 
 def gen(n, pair):
@@ -134,6 +139,61 @@ def test_uea_jacobi_randomized():
         assert jac.is_zero()
 
 
+def _random_pbw(rng, n, denominators):
+    words = len(pair_list(n))
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        word = tuple(sorted(rng.randrange(words) for _ in range(rng.randint(0, 3))))
+        terms[word] = Fraction(rng.randint(-6, 6), rng.choice(denominators))
+    return PBWElement(n, terms)
+
+
+def test_uea_commutator_matches_products():
+    # rational operands are commuted over the integers and scaled back once;
+    # the result must be the plain difference of the two products
+    rng = random.Random(23)
+    for n in (3, 4, 5):
+        for denominators in ((1,), (1, 2, 3, 5, 7, 12)):
+            for _ in range(15):
+                a, b = _random_pbw(rng, n, denominators), _random_pbw(rng, n, denominators)
+                expected = pbw_mul(a, b) - pbw_mul(b, a)
+                assert uea_commutator(a, b) == expected
+                zero = PBWElement.zero(n)
+                assert uea_commutator(a, zero).is_zero() and uea_commutator(zero, b).is_zero()
+    # symbolic coefficients take the rational-function path
+    spec = MomentSpec.symbolic(4)
+    a = manakov_operator(ManakovIndex(3, 1), 4, spec)
+    b = _random_pbw(rng, 4, (1, 4))
+    assert uea_commutator(a, b) == pbw_mul(a, b) - pbw_mul(b, a)
+
+
+def _random_momentum_poly(rng, n):
+    nvars = len(pair_list(n))
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        mono = [0] * nvars
+        for _ in range(rng.randint(0, 4)):
+            mono[rng.randrange(nvars)] += 1
+        terms[tuple(mono)] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return LiePoissonPoly(n, MultiPoly(momentum_vars(n), terms))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_symmetrization_is_equivariant(n):
+    # symmetrization S(so(n)) -> U(so(n)) is a module isomorphism (Dixmier,
+    # Enveloping Algebras, 2.4.10): [P-hat_u, beta(f)] = beta({P_u, f}) ties
+    # pbw_mul and sym_word to the Lie-Poisson bracket
+    rng = random.Random(40 + n)
+    fs = [_random_momentum_poly(rng, n) for _ in range(20)]
+    spec = MomentSpec.from_lambdas(tuple(Fraction(v, 2) for v in (1, 3, 4, 7, 9)[:n]))
+    fs += [manakov_integral(idx, n, spec) for idx in manakov_indices(n, max_degree=4)]
+    for f in fs:
+        op = symmetrize_momentum_poly(f)
+        for p in rng.sample(pair_list(n), 2):
+            lhs = uea_commutator(gen(n, p), op)
+            assert lhs == symmetrize_momentum_poly(lie_poisson_bracket(LiePoissonPoly.gen(n, p), f))
+
+
 def test_sym_k_basics():
     n = 3
     a, b = gen(n, (1, 2)), gen(n, (1, 3))
@@ -226,6 +286,20 @@ def test_manakov_operator_symbols():
     for idx in manakov_indices(n):
         op = manakov_operator(idx, n, spec)
         assert op.principal_symbol() == manakov_integral(idx, n, spec)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("symbolic", [True, False], ids=["symbolic", "sampled"])
+def test_manakov_operator_matches_walk_oracle(n, symbolic):
+    # symmetrizing the classical integral monomial by monomial equals adding
+    # the symmetrized cycle of every closed walk, because sym_word depends
+    # only on the multiset of letters
+    if symbolic:
+        spec = MomentSpec.symbolic(n)
+    else:
+        spec = MomentSpec.from_lambdas(tuple(Fraction(v, 3) for v in (2, 3, 5, 7, 11, 13)[:n]))
+    for idx in manakov_indices(n):
+        assert manakov_operator(idx, n, spec) == manakov_operator_by_walks(idx, n, spec)
 
 
 def test_quantum_involution_n4_symbolic():

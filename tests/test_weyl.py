@@ -19,10 +19,10 @@ from manakov.weyl import (
     multiplication_by_r_squared,
     quantum_central_force_suite,
     quantum_recursive_set,
-    standard_quantize,
     symmetrize,
     x_dot_p_operator,
 )
+from oracles import standard_quantize, top_p_part
 
 
 def test_canonical_commutation():
@@ -109,6 +109,59 @@ def test_symmetrization_shift_all_n():
         assert shift == WeylOperator.const(n, Fraction(n * (n - 1), 4))
 
 
+def _random_x_poly(rng, n):
+    from manakov.radical import x_vars
+    from manakov.ratfunc import MultiPoly, RationalFunction
+
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        terms[tuple(rng.randint(0, 2) for _ in range(n))] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    return RationalFunction(MultiPoly(x_vars(n), terms))
+
+
+def test_symmetrize_is_additive():
+    # the polynomial rational part of a coefficient is Weyl-ordered jointly
+    # with the p-factors even when a radical part rides along, so sums of
+    # symbols with polynomial rational parts symmetrize term by term
+    n = 3
+    x1, r, p1 = PhasePoly.coordinate(n, 1), PhasePoly.radius(n), PhasePoly.momentum(n, 1)
+    assert symmetrize(x1 * p1 + r * p1) == symmetrize(x1 * p1) + symmetrize(r * p1)
+    rng = random.Random(17)
+
+    def random_symbol(radical):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            pmono = tuple(rng.randint(0, 2) for _ in range(n))
+            if radical:
+                terms[pmono] = RadicalElement(n, _random_x_poly(rng, n)) * RadicalElement.radius(n)
+            else:
+                terms[pmono] = RadicalElement(n, _random_x_poly(rng, n))
+        return PhasePoly(n, terms)
+
+    for _ in range(30):
+        f = random_symbol(radical=False)
+        g = random_symbol(radical=rng.random() < 0.7)
+        h = PhasePoly(n, {m: c * RadicalElement.radius(n) for m, c in f.terms.items()})
+        for a, b in ((f, g), (f, h), (g, h)):
+            assert symmetrize(a + b) == symmetrize(a) + symmetrize(b)
+
+
+def test_one_based_indices_are_range_checked():
+    n = 3
+    makers = (
+        RadicalElement.coordinate,
+        PhasePoly.coordinate,
+        PhasePoly.momentum,
+        WeylOperator.position,
+        WeylOperator.momentum,
+    )
+    for make in makers:
+        assert make(n, 1) != make(n, n)
+        for i in (0, -1, n + 1):
+            with pytest.raises(ValueError):
+                make(n, i)
+
+
 def test_standard_quantize_isomorphism():
     n = 3
     f = momentum(n, 1, 2)
@@ -151,11 +204,11 @@ def test_principal_symbol_homomorphism():
     b = compose(momentum_operator(n, 1, 2), momentum_operator(n, 1, 3))
     prod = compose(a, b)
     sym = prod.principal_symbol()
-    expected = (a.principal_symbol() * b.principal_symbol()).top_p_part()
+    expected = top_p_part(a.principal_symbol() * b.principal_symbol())
     assert sym == expected
     # symbol of a symmetrized polynomial is its top-degree part
     f = p_squared(n) + 3 * momentum(n, 1, 2)
-    assert symmetrize(f).principal_symbol() == f.top_p_part()
+    assert symmetrize(f).principal_symbol() == top_p_part(f)
 
 
 def test_momentum_square_identity():
