@@ -20,7 +20,7 @@ from .brackets import LiePoissonPoly, PhasePoly, canonical_bracket, lie_poisson_
 from .charts import CotangentChart, GroupChart, involution_report, jacobian_rank
 from .report import VERSION, VerificationReport
 from .weyl import WeylOperator, commutator, compose, symmetrize
-from .uea import PBWElement, sym_k, uea_commutator
+from .uea import PBWElement, uea_commutator
 
 __version__ = VERSION
 
@@ -57,7 +57,6 @@ __all__ = [
     "compose",
     "symmetrize",
     "PBWElement",
-    "sym_k",
     "uea_commutator",
     "__version__",
 ]

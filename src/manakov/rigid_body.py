@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from .brackets import LiePoissonPoly, lie_poisson_bracket, momentum_vars
@@ -97,44 +98,60 @@ def euler_bracket_closed_form(spec: MomentSpec, i, j) -> LiePoissonPoly:
     return acc
 
 
+# (spec, k - 2l, sorted index tuple) -> a^{i1..i_{2l}}_{k,k-2l}
+_COEFFICIENT_CACHE = {}
+
+
 def manakov_coefficient(idx: ManakovIndex, indices, spec: MomentSpec):
     """a^{i1..i_{2l}}_{k,k-2l}: complete homogeneous sum of squared moments.
 
     The sum over exponents b_1..b_{2l} >= 0 with total k-2l of the products
     l_{i1}^{2b_1} ... l_{i_{2l}}^{2b_{2l}} is the degree-(k-2l) complete
     homogeneous polynomial h in the squares, built one index at a time by
-    h_t += l_i^2 h_{t-1} for t = 1..k-2l.
+    h_t += l_i^2 h_{t-1} for t = 1..k-2l.  h is symmetric in its indices, so
+    each value is computed once per spec, degree and index multiset.
     """
     if len(indices) != 2 * idx.l:
         raise ValueError("index tuple length must be 2l")
+    key = (spec, idx.j, tuple(sorted(indices)))
+    cached = _COEFFICIENT_CACHE.get(key)
+    if cached is not None:
+        return cached
     one = spec.coeff_one()
     h = [one] + [one * 0] * idx.j
-    for i in indices:
+    for i in key[2]:
         x = spec.lambdas[i - 1] ** 2
         for t in range(1, idx.j + 1):
             h[t] = h[t] + x * h[t - 1]
+    _COEFFICIENT_CACHE[key] = h[idx.j]
     return h[idx.j]
+
+
+def cycle_letters(n, cycle):
+    """(sign, letters) with P_{c1 c2} P_{c2 c3} ... P_{cm c1} equal to sign
+    times the product of the momentum variables ``letters`` (each descending
+    step flips the sign); None when two neighbours coincide (P_ii = 0)."""
+    sign = 1
+    letters = []
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        sp = signed_pair(n, a, b)
+        if sp is None:
+            return None
+        letters.append(sp[0])
+        sign *= sp[1]
+    return sign, letters
 
 
 def closed_walks(n, length):
     """Closed index walks i_1 -> i_2 -> ... -> i_length -> i_1 on 1..n with
     no step from an index to itself, in lexicographic order.
 
-    Yields (walk, sign, letters): letters[t] is the momentum variable index
-    of step t, and P_{i1 i2} ... P_{i_length i1} equals sign times the product
-    of those variables (each descending step flips the sign).
+    Yields (walk, sign, letters) with (sign, letters) = cycle_letters(n, walk).
     """
     for walk in product(range(1, n + 1), repeat=length):
-        sign = 1
-        letters = []
-        for a, b in zip(walk, walk[1:] + walk[:1]):
-            sp = signed_pair(n, a, b)
-            if sp is None:
-                break
-            letters.append(sp[0])
-            sign *= sp[1]
-        else:
-            yield walk, sign, letters
+        cyc = cycle_letters(n, walk)
+        if cyc is not None:
+            yield (walk,) + cyc
 
 
 def manakov_integral(idx: ManakovIndex, n, spec: MomentSpec) -> LiePoissonPoly:
@@ -269,9 +286,13 @@ def table3(max_n=6, all_partitions=False):
 
 def casimir_polynomials(n, indices=None):
     """Standard Casimirs of the momentum matrix on ``indices`` (son.casimir_set
-    of the skew matrix whose entries are the momentum generators), as
-    momentum polynomials."""
-    indices = list(indices) if indices is not None else list(range(1, n + 1))
+    of the skew matrix whose entries are the momentum generators), as a tuple
+    of momentum polynomials; memoized, so callers must not mutate it."""
+    return _casimir_polynomials(n, tuple(indices) if indices is not None else tuple(range(1, n + 1)))
+
+
+@lru_cache(maxsize=None)
+def _casimir_polynomials(n, indices):
     vars = momentum_vars(n)
     upper = {}
     for a in range(len(indices)):
@@ -279,7 +300,7 @@ def casimir_polynomials(n, indices=None):
             k, sign = signed_pair(n, indices[a], indices[b])
             upper[(a + 1, b + 1)] = MultiPoly.gen(vars, k) * sign
     m = SkewMatrix(len(indices), upper)
-    return [LiePoissonPoly(n, c) for c in casimir_set(m, one=MultiPoly.const(vars, 1))]
+    return tuple(LiePoissonPoly(n, c) for c in casimir_set(m, one=MultiPoly.const(vars, 1)))
 
 
 def z_lambda(spec: MomentSpec):
@@ -290,7 +311,7 @@ def z_lambda(spec: MomentSpec):
     and [n/2] for u = 1.
     """
     n = spec.n
-    funcs = casimir_polynomials(n)
+    funcs = list(casimir_polynomials(n))
     labels = [f"C{k}" for k in range(1, len(funcs) + 1)]
     if spec.u > 1:
         for cls in spec.classes:

@@ -17,11 +17,22 @@ classical function (``symmetrize_momentum_poly``); the only modification is
 the (5/12) squared-generator correction of the n = 6 degree-4 operator.
 Symmetrization is an so(n)-module isomorphism, so beta({P_u, f}) =
 [P-hat_u, beta(f)].  Every commutator goes through ``uea_commutator``.
+The Sym_3 and Sym_5 expansions are symmetrizations too: Sym_k of a cycle
+depends only on its letter multiset, so each expansion is one classical
+cycle sum whose coinciding monomials collapse before any PBW work.
+
+The commutator battery builds each operator once (C-hat_{6,2} is the
+h = 6 degree-4 operator plus its correction), forms each commutator once
+(the h = 5 commutators serve both the expansion and the zero checks, and
+one pass over the squared generators serves both [H-hat, c-hat_{5,1}] and
+the correction identity), and tabulates each antisymmetrized obstruction
+coefficient once per triple from memoized Manakov coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .brackets import LiePoissonPoly, momentum_vars
 from .linalg import IntegerEchelon
@@ -30,6 +41,7 @@ from .report import VerificationReport
 from .rigid_body import (
     ManakovIndex,
     centrality_defect,
+    cycle_letters,
     manakov_coefficient,
     manakov_integral,
     z_lambda,
@@ -229,26 +241,6 @@ def sym_word(n, letters):
     return result
 
 
-def sym_k(n, generators) -> PBWElement:
-    """Sym_k of a list of generator elements given as pairs (i, j).
-
-    Each factor P_ij with i > j contributes a sign; a factor with i = j
-    makes the product vanish.
-    """
-    sign = 1
-    letters = []
-    for (i, j) in generators:
-        sp = signed_pair(n, i, j)
-        if sp is None:
-            return PBWElement.zero(n)
-        letters.append(sp[0])
-        sign *= sp[1]
-    terms = sym_word(n, tuple(letters))
-    out = PBWElement(n)
-    out.terms = dict(terms) if sign == 1 else {w: -c for w, c in terms.items()}
-    return out
-
-
 def symmetrize_momentum_poly(f: LiePoissonPoly) -> PBWElement:
     """Weyl symmetrization with respect to the momentum generators."""
     n = f.n
@@ -259,6 +251,24 @@ def symmetrize_momentum_poly(f: LiePoissonPoly) -> PBWElement:
             letters.extend([g] * e)
         add_terms(acc, ((w, coef * c) for w, c in sym_word(n, tuple(letters)).items()))
     return PBWElement(n, acc)
+
+
+def cycle_sum(n, weighted_cycles) -> LiePoissonPoly:
+    """The classical momentum polynomial sum of w * P_{c1 c2} P_{c2 c3} ...
+    P_{cm c1} over the (w, cycle) pairs; cycles that name the same monomial
+    collapse into one term, and a cycle with a repeated neighbour is zero."""
+    vars = momentum_vars(n)
+    acc = {}
+    for w, cycle in weighted_cycles:
+        cyc = cycle_letters(n, cycle)
+        if cyc is None:
+            continue
+        sign, letters = cyc
+        mono = [0] * len(vars)
+        for g in letters:
+            mono[g] += 1
+        add_terms(acc, ((tuple(mono), w if sign == 1 else -w),))
+    return LiePoissonPoly(n, MultiPoly(vars, acc))
 
 
 # -- the quantized integrals -----------------------------------------------------
@@ -276,6 +286,12 @@ def correction_weights(spec: MomentSpec):
     return [(lam[i - 1] ** 2) * (lam[j - 1] ** 2) * Fraction(5, 12) for (i, j) in pair_list(spec.n)]
 
 
+def corrected_c62(spec: MomentSpec, base: PBWElement) -> PBWElement:
+    """C-hat_{6,2} from base = c-hat_{6,2}: the squared generators with their
+    correction weights added."""
+    return base + PBWElement(base.n, {(k, k): w for k, w in enumerate(correction_weights(spec))})
+
+
 def modified_c62(n, spec: MomentSpec) -> PBWElement:
     """The corrected degree-4 operator:
     C-hat_{6,2} = c-hat_{6,2} + (5/12) sum_{i<j} l_i^2 l_j^2 (P-hat_ij)^2.
@@ -283,8 +299,7 @@ def modified_c62(n, spec: MomentSpec) -> PBWElement:
     Defined for n >= 4 (the correction needs k = 6 <= n only for the base
     operator; the quantum claims fixed here are stated at n = 6).
     """
-    base = manakov_operator(ManakovIndex(6, 2), n, spec)
-    return base + PBWElement(n, {(k, k): w for k, w in enumerate(correction_weights(spec))})
+    return corrected_c62(spec, manakov_operator(ManakovIndex(6, 2), n, spec))
 
 
 # -- obstruction coefficients ----------------------------------------------------
@@ -356,29 +371,34 @@ def hamiltonian_obstruction_b(spec: MomentSpec, i, j, k):
     return body * Fraction(-5, 6)
 
 
-def sym3_cycle(n, i, j, k) -> PBWElement:
-    """Sym_3(P-hat_ij, P-hat_jk, P-hat_ki)."""
-    return sym_k(n, [(i, j), (j, k), (k, i)])
-
-
 def sym3_expansion(n, coeff_fn) -> PBWElement:
-    """sum over ordered triples i<j<k of coeff_fn(i,j,k) * Sym_3 cycle."""
-    acc = {}
-    for i in range(1, n - 1):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n + 1):
-                add_terms(acc, sym3_cycle(n, i, j, k).scale(coeff_fn(i, j, k)).terms.items())
-    return PBWElement(n, acc)
+    """sum over ordered triples i<j<k of coeff_fn(i,j,k) * Sym_3(P-hat_ij,
+    P-hat_jk, P-hat_ki): the symmetrization of the classical sum of the
+    cycles coeff_fn(i,j,k) * P_ij P_jk P_ki."""
+    cycles = ((coeff_fn(*t), t) for t in combinations(range(1, n + 1), 3))
+    return symmetrize_momentum_poly(cycle_sum(n, cycles))
 
 
-def _weighted_square_commutator(n, weights, x: PBWElement) -> PBWElement:
-    """sum_{i<j} w_ij [(P-hat_ij)^2, x], the weights listed in pair order.
-    The weights enter only the accumulation, so with symbolic moments the
-    commutators stay in the polynomial coefficient subring (no gcd work)."""
-    acc = {}
-    for k, w in enumerate(weights):
-        add_terms(acc, uea_commutator(PBWElement(n, {(k, k): Fraction(1)}), x).scale(w).terms.items())
-    return PBWElement(n, acc)
+def weighted_square_commutators(n, weight_sets, x: PBWElement):
+    """[sum_{i<j} w_ij (P-hat_ij)^2, x] for each weight list in
+    ``weight_sets`` (weights in pair order), forming each [(P-hat_ij)^2, x]
+    once.  The weights enter only the accumulation, so with symbolic moments
+    the commutators stay in the polynomial coefficient subring (no gcd
+    work)."""
+    accs = [{} for _ in weight_sets]
+    for k in range(len(pair_list(n))):
+        comm = uea_commutator(PBWElement(n, {(k, k): Fraction(1)}), x)
+        for acc, weights in zip(accs, weight_sets):
+            add_terms(acc, comm.scale(weights[k]).terms.items())
+    return [PBWElement(n, acc) for acc in accs]
+
+
+def hamiltonian_weights(spec: MomentSpec):
+    """1/(2(l_i + l_j)) for each pair i < j, in pair order: H-hat as a
+    weighted sum of squared generators."""
+    one = spec.coeff_one()
+    lam = spec.lambdas
+    return [one / (2 * (lam[i - 1] + lam[j - 1])) for (i, j) in pair_list(spec.n)]
 
 
 def hamiltonian_commutator(spec: MomentSpec, x: PBWElement) -> PBWElement:
@@ -387,35 +407,30 @@ def hamiltonian_commutator(spec: MomentSpec, x: PBWElement) -> PBWElement:
     Equivalent to uea_commutator(H-hat, x) but much faster for symbolic
     moments.
     """
-    one = spec.coeff_one()
-    lam = spec.lambdas
-    weights = [one / (2 * (lam[i - 1] + lam[j - 1])) for (i, j) in pair_list(spec.n)]
-    return _weighted_square_commutator(spec.n, weights, x)
-
-
-def correction_commutator_expansion(spec: MomentSpec, base: PBWElement) -> PBWElement:
-    """(5/12) sum_{i<j} l_i^2 l_j^2 [base, (P-hat_ij)^2]."""
-    return -_weighted_square_commutator(spec.n, correction_weights(spec), base)
+    return weighted_square_commutators(spec.n, [hamiltonian_weights(spec)], x)[0]
 
 
 def sym35_expansion(spec: MomentSpec) -> PBWElement:
     """The triple-sum Sym_3/Sym_5 side of the degree-4 correction identity:
     -(5/6) sum_{h,l,m} l_l^4 l_m^2 [ (5/3) Sym_3(P_hl,P_lm,P_mh)
-                                     + sum_{i,j} Sym_5(P_ij,P_jh,P_hl,P_lm,P_mi) ].
-    """
+                                     + sum_{i,j} Sym_5(P_ij,P_jh,P_hl,P_lm,P_mi) ],
+    the symmetrization of the same sum of classical cycles."""
     n = spec.n
-    acc = {}
-    for h in range(1, n + 1):
-        for l in range(1, n + 1):
-            for m in range(1, n + 1):
-                w = (spec.lambdas[l - 1] ** 4) * (spec.lambdas[m - 1] ** 2) * Fraction(-5, 6)
-                s3 = sym_k(n, [(h, l), (l, m), (m, h)])
-                add_terms(acc, s3.scale(w * Fraction(5, 3)).terms.items())
-                for i in range(1, n + 1):
-                    for j in range(1, n + 1):
-                        s5 = sym_k(n, [(i, j), (j, h), (h, l), (l, m), (m, i)])
-                        add_terms(acc, s5.scale(w).terms.items())
-    return PBWElement(n, acc)
+    lam = spec.lambdas
+    idx = range(1, n + 1)
+
+    def cycles():
+        for l in idx:
+            for m in idx:
+                w = (lam[l - 1] ** 4) * (lam[m - 1] ** 2) * Fraction(-5, 6)
+                w3 = w * Fraction(5, 3)
+                for h in idx:
+                    yield w3, (h, l, m)
+                    for i in idx:
+                        for j in idx:
+                            yield w, (i, j, h, l, m)
+
+    return symmetrize_momentum_poly(cycle_sum(n, cycles()))
 
 
 # -- verification suite -----------------------------------------------------------
@@ -458,14 +473,19 @@ def verify_quantum_rigid(n, spec: MomentSpec, heavy=True) -> VerificationReport:
     for l in ls:
         record_zero(f"[H , c{l},{l-2}]", hamiltonian_commutator(spec, quad[l]))
 
-    # degree-2 against degree-4: obstruction expansions
+    # degree-2 against degree-4: obstruction expansions, each b^{[ijk]}_{l,h}
+    # once per triple into a table that also feeds the coefficient checks
+    triples = list(combinations(range(1, n + 1), 3))
     for h in (5, 6):
         if h > n:
             continue
         c4 = manakov_operator(ManakovIndex(h, 2), n, spec)
+        tables = {}
+        comms = {}
         for l in ls:
-            comm = uea_commutator(quad[l], c4)
-            rhs = sym3_expansion(n, lambda i, j, k: obstruction_b(l, h, spec, i, j, k))
+            table = tables[l] = {t: obstruction_b(l, h, spec, *t) for t in triples}
+            comm = comms[l] = uea_commutator(quad[l], c4)
+            rhs = sym3_expansion(n, lambda *t: table[t])
             ok = (comm - rhs.scale(EXPANSION_SIGN)).is_zero()
             report.add(
                 f"[c{l},{l-2} , c{h},{h-4}] == Sym3 expansion",
@@ -476,11 +496,7 @@ def verify_quantum_rigid(n, spec: MomentSpec, heavy=True) -> VerificationReport:
                 else "expansion mismatch",
             )
         if h == 5:
-            ok = all(
-                not obstruction_b(l, 5, spec, i, j, k)
-                for l in ls
-                for (i, j, k) in [(1, 2, 3), (1, 2, 5), (2, 3, 4)]
-            )
+            ok = not any(b for l in ls for b in tables[l].values())
             report.add(
                 "b[ijk]_{l,5} == 0",
                 anchor,
@@ -488,13 +504,19 @@ def verify_quantum_rigid(n, spec: MomentSpec, heavy=True) -> VerificationReport:
                 witness="antisymmetrized coefficients vanish" if ok else "nonzero obstruction",
             )
             for l in ls:
-                record_zero(f"[c{l},{l-2} , c5,1]", uea_commutator(quad[l], c4))
-            record_zero("[H , c5,1]", hamiltonian_commutator(spec, c4))
+                record_zero(f"[c{l},{l-2} , c5,1]", comms[l])
+            # the correction identity of the heavy block commutes the same
+            # squared generators with c-hat_{5,1}, only with other weights:
+            # (5/12) sum l_i^2 l_j^2 [c-hat_{5,1}, (P-hat_ij)^2]
+            c51 = c4
+            weight_sets = [hamiltonian_weights(spec)]
+            if heavy and n >= 6:
+                weight_sets.append(correction_weights(spec))
+            h_comm, *correction = weighted_square_commutators(n, weight_sets, c51)
+            record_zero("[H , c5,1]", h_comm)
         if h == 6:
             ok = all(
-                obstruction_b(l, 6, spec, i, j, k) == obstruction_b_closed_h6(l, spec, i, j, k)
-                for l in ls
-                for (i, j, k) in [(1, 2, 3), (2, 4, 6), (1, 5, 6), (3, 4, 5)]
+                b == obstruction_b_closed_h6(l, spec, *t) for l in ls for t, b in tables[l].items()
             )
             report.add(
                 "b[ijk]_{l,6} closed form",
@@ -519,14 +541,13 @@ def verify_quantum_rigid(n, spec: MomentSpec, heavy=True) -> VerificationReport:
                 ok,
                 witness=f"b^123 = {spot}" if ok else "expansion mismatch",
             )
-            c62mod = modified_c62(n, spec)
+            c62mod = corrected_c62(spec, c4)
             record_zero("[H , C6,2]", hamiltonian_commutator(spec, c62mod))
             for l in ls:
                 record_zero(f"[c{l},{l-2} , C6,2]", uea_commutator(quad[l], c62mod))
-            if heavy and n >= 5:
-                c51 = manakov_operator(ManakovIndex(5, 2), n, spec)
+            if heavy:
                 record_zero("[c5,1 , C6,2]", uea_commutator(c51, c62mod))
-                lhs = correction_commutator_expansion(spec, c51)
+                lhs = -correction[0]
                 rhs = sym35_expansion(spec)
                 ok = (lhs - rhs.scale(EXPANSION_SIGN)).is_zero()
                 report.add(

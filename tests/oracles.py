@@ -4,9 +4,10 @@ Each one computes a quantity the package also computes, by a different and
 slower route: Laplace expansion and fraction-free elimination for
 determinants and ranks, exhaustive exponent enumeration for the Manakov
 coefficients, dense or direct forms of the rigid-body operators, the
-walk-by-walk symmetrization of the Manakov integrals, word-by-word PBW
-normal ordering, and greedy rank completions that re-rank the whole chosen
-set for every candidate.  The remaining helpers (standard quantization, the
+walk-by-walk symmetrization of the Manakov integrals, the Sym_3/Sym_5
+expansions summed one symmetrized cycle at a time, word-by-word PBW normal
+ordering, and greedy rank completions that re-rank the whole chosen set for
+every candidate.  The remaining helpers (standard quantization, the
 top p-degree part of a phase polynomial) are small maps only tests use.
 """
 
@@ -25,8 +26,8 @@ from manakov.rigid_body import (
     manakov_integral,
     z_lambda,
 )
-from manakov.son import MomentSpec, dim_so, pair_list
-from manakov.uea import PBWElement, pbw_mul, sym_word
+from manakov.son import MomentSpec, dim_so, pair_list, signed_pair
+from manakov.uea import PBWElement, correction_weights, pbw_mul, sym_word, weighted_square_commutators
 from manakov.weyl import WeylOperator
 
 
@@ -251,6 +252,61 @@ def manakov_operator_by_walks(idx, n, spec: MomentSpec) -> PBWElement:
     for walk, sign, letters in closed_walks(n, 2 * idx.l):
         coef = manakov_coefficient(idx, walk, spec) * (scale * sign)
         add_terms(acc, ((w, coef * c) for w, c in sym_word(n, tuple(letters)).items()))
+    return PBWElement(n, acc)
+
+
+def correction_commutator_expansion(spec: MomentSpec, base: PBWElement) -> PBWElement:
+    """(5/12) sum_{i<j} l_i^2 l_j^2 [base, (P-hat_ij)^2]."""
+    return -weighted_square_commutators(spec.n, [correction_weights(spec)], base)[0]
+
+
+def sym_k(n, generators) -> PBWElement:
+    """Sym_k of a list of generator elements given as pairs (i, j).
+
+    Each factor P_ij with i > j contributes a sign; a factor with i = j
+    makes the product vanish.
+    """
+    sign = 1
+    letters = []
+    for (i, j) in generators:
+        sp = signed_pair(n, i, j)
+        if sp is None:
+            return PBWElement.zero(n)
+        letters.append(sp[0])
+        sign *= sp[1]
+    terms = sym_word(n, tuple(letters))
+    return PBWElement(n, terms if sign == 1 else {w: -c for w, c in terms.items()})
+
+
+def sym3_cycle(n, i, j, k) -> PBWElement:
+    """Sym_3(P-hat_ij, P-hat_jk, P-hat_ki)."""
+    return sym_k(n, [(i, j), (j, k), (k, i)])
+
+
+def sym3_expansion_by_cycles(n, coeff_fn) -> PBWElement:
+    """sum over ordered triples i<j<k of coeff_fn(i,j,k) * Sym_3 cycle, one
+    scaled cycle at a time."""
+    acc = {}
+    for i, j, k in combinations(range(1, n + 1), 3):
+        add_terms(acc, sym3_cycle(n, i, j, k).scale(coeff_fn(i, j, k)).terms.items())
+    return PBWElement(n, acc)
+
+
+def sym35_expansion_by_cycles(spec: MomentSpec) -> PBWElement:
+    """-(5/6) sum_{h,l,m} l_l^4 l_m^2 [ (5/3) Sym_3(P_hl,P_lm,P_mh)
+    + sum_{i,j} Sym_5(P_ij,P_jh,P_hl,P_lm,P_mi) ], one Sym_k per index tuple."""
+    n = spec.n
+    acc = {}
+    for h in range(1, n + 1):
+        for l in range(1, n + 1):
+            for m in range(1, n + 1):
+                w = (spec.lambdas[l - 1] ** 4) * (spec.lambdas[m - 1] ** 2) * Fraction(-5, 6)
+                s3 = sym_k(n, [(h, l), (l, m), (m, h)])
+                add_terms(acc, s3.scale(w * Fraction(5, 3)).terms.items())
+                for i in range(1, n + 1):
+                    for j in range(1, n + 1):
+                        s5 = sym_k(n, [(i, j), (j, h), (h, l), (l, m), (m, i)])
+                        add_terms(acc, s5.scale(w).terms.items())
     return PBWElement(n, acc)
 
 

@@ -1,5 +1,7 @@
 """The benchmark's per-layer probes name package functions by string; each
-name must still resolve, or `benchmarks/run.py --trace 1` fails."""
+name must still resolve, or `benchmarks/run.py --trace 1` fails.  The
+benchmark worker empties the package's memos before every invocation; each
+memo must be one it finds, or later rounds skip work a fresh process does."""
 
 import importlib
 import importlib.util
@@ -8,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("benchmark_tracing", TRACING)
+def _load_benchmark_module(name):
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCHMARKS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # dataclasses resolve string annotations through sys.modules
     sys.modules[spec.name] = module
@@ -23,7 +25,7 @@ def _load_tracing():
     return module
 
 
-PROBES = _load_tracing().PROBES
+PROBES = _load_benchmark_module("tracing").PROBES
 
 
 @pytest.mark.parametrize("probe", PROBES, ids=lambda p: p.name)
@@ -33,3 +35,22 @@ def test_probe_target_resolves(probe):
         assert hasattr(obj, part), f"manakov.{probe.module}.{probe.target} does not exist"
         obj = getattr(obj, part)
     assert callable(obj)
+
+
+def test_worker_empties_the_memos():
+    from fractions import Fraction
+
+    from manakov import rigid_body
+    from manakov.rigid_body import ManakovIndex, casimir_polynomials, manakov_coefficient
+    from manakov.son import MomentSpec
+
+    clear_caches = _load_benchmark_module("worker").clear_caches
+    for spec in (MomentSpec.symbolic(4), MomentSpec.from_lambdas((Fraction(1), Fraction(2), Fraction(3)))):
+        manakov_coefficient(ManakovIndex(3, 1), (1, 2), spec)
+    casimir_polynomials(4)
+    casimir_polynomials(4, (1, 2, 3))
+    assert len(rigid_body._COEFFICIENT_CACHE) >= 2
+    assert rigid_body._casimir_polynomials.cache_info().currsize >= 2
+    clear_caches()
+    assert not rigid_body._COEFFICIENT_CACHE
+    assert rigid_body._casimir_polynomials.cache_info().currsize == 0

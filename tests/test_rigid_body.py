@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from manakov import rigid_body
 from manakov.brackets import LiePoissonPoly, lie_poisson_bracket
 from manakov.charts import GroupChart, jacobian_rank
 from manakov.rigid_body import (
@@ -310,3 +311,32 @@ def test_manakov_coefficient_recurrence_matches_enumeration():
             indices = tuple(rng.randint(1, 5) for _ in range(2 * idx.l))
             got = manakov_coefficient(idx, indices, spec)
             assert got == manakov_coefficient_enumerated(idx, indices, spec)
+
+
+def test_memoized_coefficient_is_symmetric_and_per_spec():
+    # the memo keys on the index multiset: every permutation of a tuple,
+    # whether it computes the value or reads it back, equals the exhaustive
+    # sum for its own spec, and equal index tuples under other moments do
+    # not share an entry
+    rng = random.Random(29)
+    specs = [MomentSpec.symbolic(5)]
+    for n in (5, 6, 6):
+        specs.append(MomentSpec.from_lambdas(tuple(Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n))))
+    rigid_body._COEFFICIENT_CACHE.clear()
+    for spec in specs:
+        n = spec.n
+        for idx in manakov_indices(n):
+            for _ in range(3):
+                indices = [rng.randint(1, 5) for _ in range(2 * idx.l)]
+                expected = manakov_coefficient_enumerated(idx, tuple(indices), spec)
+                for _ in range(4):
+                    rng.shuffle(indices)
+                    assert manakov_coefficient(idx, tuple(indices), spec) == expected
+
+
+def test_casimir_polynomials_memoized_on_indices():
+    assert casimir_polynomials(4, [1, 2, 3]) is casimir_polynomials(4, (1, 2, 3))
+    assert casimir_polynomials(4) is casimir_polynomials(4, range(1, 5))
+    # z_lambda extends a copy, never the memoized tuple
+    funcs, _ = z_lambda(MomentSpec.from_partition((1, 3)))
+    assert len(funcs) == 3 and len(casimir_polynomials(4)) == 2

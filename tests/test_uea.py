@@ -12,7 +12,6 @@ from manakov.uea import (
     EXPANSION_SIGN,
     PBWElement,
     clear_caches,
-    correction_commutator_expansion,
     hamiltonian_commutator,
     hamiltonian_obstruction_b,
     manakov_operator,
@@ -22,20 +21,24 @@ from manakov.uea import (
     obstruction_b_raw,
     pbw_mul,
     quadratic_coefficient,
-    sym3_cycle,
     sym3_expansion,
     sym35_expansion,
-    sym_k,
     symmetrize_momentum_poly,
     uea_commutator,
     verify_quantum_central_set,
     verify_quantum_flat_cases,
+    verify_quantum_rigid,
 )
 from oracles import (
+    correction_commutator_expansion,
     flat_case_completion_witnesses,
     hamiltonian_operator,
     manakov_operator_by_walks,
     pbw_normalize,
+    sym3_cycle,
+    sym3_expansion_by_cycles,
+    sym35_expansion_by_cycles,
+    sym_k,
 )
 
 
@@ -469,3 +472,60 @@ def test_flat_case_completion_matches_reranking_oracle(n):
         got = [c.witness for c in report.checks if c.id.endswith("quasi-independent completion")]
         assert len(got) == 2
         assert got == flat_case_completion_witnesses(n, random.Random(seed))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_expansions_match_cycle_by_cycle_sums(n):
+    # one symmetrization of the classical cycle sum against the Sym_k of
+    # every index tuple scaled and added one at a time
+    rng = random.Random(31 + n)
+    spec = MomentSpec.from_lambdas(tuple(Fraction(v, 2) for v in rng.sample(range(1, 25), n)))
+    coeffs = {t: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for t in itertools.combinations(range(1, n + 1), 3)}
+    for fn in (
+        lambda i, j, k: coeffs[(i, j, k)],
+        lambda i, j, k: hamiltonian_obstruction_b(spec, i, j, k),
+        lambda i, j, k: obstruction_b_closed_h6(4, spec, i, j, k),
+    ):
+        assert sym3_expansion(n, fn) == sym3_expansion_by_cycles(n, fn)
+    assert sym35_expansion(spec) == sym35_expansion_by_cycles(spec)
+
+
+def test_expansions_match_cycle_by_cycle_sums_symbolic():
+    spec = MomentSpec.symbolic(4)
+    fn = lambda i, j, k: obstruction_b(3, 5, spec, i, j, k) + hamiltonian_obstruction_b(spec, i, j, k)
+    assert sym3_expansion(4, fn) == sym3_expansion_by_cycles(4, fn)
+    assert sym35_expansion(spec) == sym35_expansion_by_cycles(spec)
+
+
+def _element_key(x):
+    return frozenset(x.terms.items())
+
+
+@pytest.mark.parametrize(
+    "n, lambdas",
+    [(6, (Fraction(5, 2), Fraction(19, 2), Fraction(3, 2), Fraction(9, 2), Fraction(2), Fraction(8))), (5, None)],
+)
+def test_battery_builds_and_commutes_each_once(monkeypatch, n, lambdas):
+    # every integral is built once and every operand pair is commuted once,
+    # [a, b] and [b, a] counting as the same pair
+    import manakov.uea as uea
+
+    spec = MomentSpec.from_lambdas(lambdas) if lambdas else MomentSpec.symbolic(n)
+    built = []
+    pairs = []
+
+    def integral(idx, n_, spec_):
+        built.append(idx)
+        return manakov_integral(idx, n_, spec_)
+
+    def commutator(a, b):
+        pairs.append(frozenset((_element_key(a), _element_key(b))))
+        return uea_commutator(a, b)
+
+    monkeypatch.setattr(uea, "manakov_integral", integral)
+    monkeypatch.setattr(uea, "uea_commutator", commutator)
+    report = verify_quantum_rigid(n, spec, heavy=True)
+    assert report.ok, [c.id for c in report.failures]
+    assert len(built) == len(set(built))
+    assert set(built) == {ManakovIndex(l, 1) for l in range(2, n + 1)} | {ManakovIndex(h, 2) for h in (5, 6) if h <= n}
+    assert len(pairs) == len(set(pairs))
