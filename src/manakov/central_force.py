@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .brackets import PhasePoly, canonical_bracket
-from .charts import Differentiated, generic_full_rank, involution_report
+from .charts import CotangentChart, Differentiated, generic_full_rank, involution_report
 from .radical import RadicalElement
 from .report import VerificationReport
 
@@ -348,7 +348,7 @@ def verify_integrable_set(spec: IntegrableSetSpec, rng, points=3) -> Verificatio
     )
     functions = [Differentiated(f) for f in spec.functions]
     for s in range(points):
-        ok, witness = generic_full_rank(functions, spec.n, rng)
+        ok, witness = generic_full_rank(functions, lambda r: CotangentChart.random(spec.n, r), rng)
         report.add(
             f"{spec.label}/rank/sample{s}",
             "central-force/independence",

@@ -176,21 +176,21 @@ def jacobian_rank(fs, at) -> int:
     return rank_of(at.gradient_row(f) for f in fs)
 
 
-def generic_full_rank(fs, n, rng):
+def generic_full_rank(fs, draw_chart, rng):
     """(ok, witness) for "the functions are independent": full Jacobian rank
-    at a random point of the T*R^n chart.
+    at a random chart point, ``draw_chart(rng)``.
 
     Full rank at one point certifies generic full rank; a deficient point
     certifies nothing, so it is redrawn (``retry_generic``) and the check
     fails only when every attempt is deficient.  The first point is the one
     a single draw would take, so a full-rank first point reads the same.
-    Callers that check one set at several points pass ``Differentiated``
-    functions, so that no redraw differentiates again.
+    Callers that check one set at several T*R^n points pass
+    ``Differentiated`` functions, so that no redraw differentiates again.
     """
     size = len(fs)
 
     def draw(r):
-        rank = jacobian_rank(fs, CotangentChart.random(n, r))
+        rank = jacobian_rank(fs, draw_chart(r))
         if rank < size:
             raise DegenerateSampleError(f"rank {rank} of {size}")
         return rank

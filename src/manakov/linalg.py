@@ -1,13 +1,13 @@
 """Exact dense linear algebra over rationals, rational functions or any
 commutative Q-algebra.
 
-Ranks over Q come from one integer echelon (``IntegerEchelon``, and
-``rank_of`` for a whole matrix), grown one row at a time so that a greedy
-search for independent functions adds each candidate row once.  Kernels,
-inverses and solutions come from one exact Gauss-Jordan elimination
-(``_row_reduce``) when entries lie in a field.  Characteristic polynomials
-use the Faddeev-LeVerrier recursion, which only ever divides by the
-integers 1..n.
+Every elimination over Q is one echelon of integer rows (``IntegerEchelon``),
+grown one row at a time so that a greedy search for independent functions adds
+each candidate row once.  Ranks (``rank_of``) read its size; kernels
+(``exact_rank``), inverses and solutions read the reduced form that back
+substitution gives from it.  Their entries must be ``int`` or ``Fraction``.
+Characteristic polynomials use the Faddeev-LeVerrier recursion, which only
+ever divides by the integers 1..n.
 """
 
 from __future__ import annotations
@@ -96,34 +96,6 @@ class ExactMatrix:
     __repr__ = __str__
 
 
-def _row_reduce(a, cols):
-    """Gauss-Jordan elimination of the row list ``a`` in place, over a field.
-
-    Reduces the first ``cols`` columns to reduced row-echelon form (further
-    columns, such as an augmented right-hand side, are carried along) and
-    returns the pivot columns; row r of the result has its leading one in
-    column pivots[r].
-    """
-    rows = len(a)
-    pivots = []
-    for c in range(cols):
-        r = len(pivots)
-        if r == rows:
-            break
-        pivot = next((i for i in range(r, rows) if a[i][c]), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = a[r][c]
-        a[r] = [e / inv for e in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [e - f * q for e, q in zip(a[i], a[r])]
-        pivots.append(c)
-    return pivots
-
-
 class IntegerEchelon:
     """Echelon basis over Q of the rows added so far.
 
@@ -186,35 +158,48 @@ def rank_of(rows) -> int:
     return echelon.rank
 
 
+def _reduced_rows(rows):
+    """The reduced row echelon form over Q of ``int``/``Fraction`` rows, as
+    {pivot column: row}.
+
+    The rows go through one ``IntegerEchelon``; back substitution in reverse
+    keep order then clears every other pivot column, because a kept row is
+    zero at the pivots of the rows kept before it.  Every row echelon form
+    of a matrix has the same pivot columns, so this is the reduced form.
+    """
+    echelon = IntegerEchelon()
+    for row in rows:
+        echelon.add(row)
+    reduced = {}
+    for c, p in reversed(echelon.rows):
+        row = [Fraction(x, p[c]) for x in p]
+        for d, later in reduced.items():
+            f = row[d]
+            if f:
+                row = [a - f * b for a, b in zip(row, later)]
+        reduced[c] = row
+    return reduced
+
+
 def exact_rank(m: ExactMatrix):
-    """Rank and an exact kernel basis; entries must lie in a field.
+    """Rank and an exact kernel basis over Q; entries must be ``int`` or
+    ``Fraction``.
 
     Returns ``(rank, kernel)`` where ``kernel`` is a list of column vectors
-    (plain lists) spanning the right null space, with rank + len(kernel)
-    equal to the number of columns.
+    (plain lists), one per non-pivot column: 1 there, 0 at the other
+    non-pivot columns.  rank + len(kernel) is the number of columns.
     """
-    a = [list(row) for row in m.entries]
-    pivots = _row_reduce(a, m.cols)
-    one = _one_like(m)
-    zero = one * 0
+    reduced = _reduced_rows(m.entries)
     kernel = []
-    for fc in range(m.cols):
-        if fc in pivots:
+    for free in range(m.cols):
+        if free in reduced:
             continue
-        vec = [zero] * m.cols
-        vec[fc] = one
-        for pr, pc in enumerate(pivots):
-            vec[pc] = -a[pr][fc]
+        vec = [Fraction(0)] * m.cols
+        vec[free] = Fraction(1)
+        for c, row in reduced.items():
+            vec[c] = -row[free]
         kernel.append(vec)
-    return len(pivots), kernel
-
-
-def _one_like(m):
-    for row in m.entries:
-        for e in row:
-            if e:
-                return e / e
-    return Fraction(1)
+    return len(reduced), kernel
 
 
 def char_poly(m: ExactMatrix, one=Fraction(1)):
@@ -238,27 +223,26 @@ def char_poly(m: ExactMatrix, one=Fraction(1)):
 
 
 def invert(m: ExactMatrix) -> ExactMatrix:
-    """Exact inverse over a field; raises ValueError if singular."""
+    """Exact inverse over Q from the reduced form of [m | I]; raises
+    ValueError if singular, that is, if a pivot lands in the I block."""
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    one = _one_like(m)
-    zero = one * 0
-    a = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(m.entries)]
-    if len(_row_reduce(a, n)) < n:
+    reduced = _reduced_rows(row + [int(i == j) for j in range(n)] for i, row in enumerate(m.entries))
+    if any(c >= n for c in reduced):
         raise ValueError("singular matrix")
-    return ExactMatrix([row[n:] for row in a])
+    return ExactMatrix([reduced[c][n:] for c in range(n)])
 
 
 def solve(m: ExactMatrix, rhs):
-    """One exact solution of m @ x = rhs over a field, or None if inconsistent."""
+    """One exact solution of m @ x = rhs over Q, 0 at every non-pivot column,
+    from the reduced form of [m | rhs]; None if inconsistent, that is, if a
+    pivot lands in the rhs column."""
     cols = m.cols
-    a = [list(row) + [rhs[i]] for i, row in enumerate(m.entries)]
-    pivots = _row_reduce(a, cols)
-    if any(row[cols] for row in a[len(pivots) :]):
+    reduced = _reduced_rows(row + [b] for row, b in zip(m.entries, rhs, strict=True))
+    if cols in reduced:
         return None
-    zero = _one_like(m) * 0
-    x = [zero] * cols
-    for pr, pc in enumerate(pivots):
-        x[pc] = a[pr][cols]
+    x = [Fraction(0)] * cols
+    for c, row in reduced.items():
+        x[c] = row[cols]
     return x

@@ -162,11 +162,10 @@ def suite_classical_rigid(
     )
 
     def build(r):
-        chart = GroupChart.random(n, r, bound=chart_bound)
-        return assemble_integrable_set(numeric_spec, chart), chart
+        return assemble_integrable_set(numeric_spec, GroupChart.random(n, r, bound=chart_bound))
 
     try:
-        rb, chart = retry_generic(lambda r: build(r), rng)
+        rb = retry_generic(build, rng)
         target = 2 * dim_so(n) - rb.counts[3]
         report.add(
             "rigid/assembled set",

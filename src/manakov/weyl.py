@@ -312,7 +312,7 @@ def quantum_central_force_suite(n, alpha, rng=None, trees=None, rank_points=2) -
 
     if trees:
         from .central_force import recursive_set_structure
-        from .charts import Differentiated, generic_full_rank
+        from .charts import CotangentChart, Differentiated, generic_full_rank
 
         for tree in trees:
             z_items, l_items = recursive_set_structure(n, tree)
@@ -332,7 +332,7 @@ def quantum_central_force_suite(n, alpha, rng=None, trees=None, rank_points=2) -
                 ops, labels, symbols = quantum_recursive_set(n, tree)
                 symbols = [Differentiated(f) for f in symbols]
                 for s in range(rank_points):
-                    ok, witness = generic_full_rank(symbols, n, rng)
+                    ok, witness = generic_full_rank(symbols, lambda r: CotangentChart.random(n, r), rng)
                     report.add(
                         f"recursive/{tree.describe()}/symbol-rank/sample{s}",
                         anchor,

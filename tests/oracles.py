@@ -16,7 +16,7 @@ from itertools import combinations
 
 from manakov.brackets import LiePoissonPoly, PhasePoly
 from manakov.charts import GroupChart
-from manakov.linalg import ExactMatrix, exact_rank
+from manakov.linalg import ExactMatrix
 from manakov.ratfunc import add_terms
 from manakov.rigid_body import (
     centrality_defect,
@@ -184,9 +184,9 @@ def manakov_coefficient_enumerated(idx, indices, spec: MomentSpec):
 
 
 def _rerank(fs, chart):
-    """Jacobian rank from scratch: every gradient row, one Gauss-Jordan."""
-    rank, _ = exact_rank(ExactMatrix([chart.gradient_row(f) for f in fs]))
-    return rank
+    """Jacobian rank from scratch: every gradient row, one fraction-free
+    elimination apart from the package's echelon."""
+    return bareiss_rank(ExactMatrix([chart.gradient_row(f) for f in fs]))
 
 
 def _complete_by_reranking(n, chosen, rank, candidates, target, chart):

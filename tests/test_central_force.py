@@ -220,7 +220,7 @@ def test_rank_check_fails_when_every_point_is_deficient(monkeypatch):
     n = 3
     funcs = [p_squared(n), p_squared(n) * 2]
     seen = _record_ranks(monkeypatch)
-    ok, witness = generic_full_rank(funcs, n, random.Random(0))
+    ok, witness = generic_full_rank(funcs, lambda r: CotangentChart.random(n, r), random.Random(0))
     assert not ok and "rank below 2" in witness
     assert len(seen) == 8 and all(rank == 1 for _, rank in seen)
     spec = catalog(n, "kepler", alpha=1)

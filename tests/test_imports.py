@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used (no linter is assumed)."""
+"""Every module-level import in the package is used (no linter is assumed),
+and only the RK4 layer and the CLI touch numpy or float()."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,29 @@ def _unused_imports(path):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(path) == []
+
+
+FLOAT_MODULES = {"dynamics.py", "cli.py"}
+
+
+def _float_uses(path):
+    tree = ast.parse(path.read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if a.name.split(".")[0] == "numpy"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            found.append((node.lineno, node.module))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            found.append((node.lineno, "float("))
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name not in FLOAT_MODULES), ids=lambda p: p.name
+)
+def test_exact_modules_use_no_floats(path):
+    # floating point belongs to the RK4 layer and its command; everything
+    # else certifies exact facts.  (Float division of int entries cannot be
+    # seen here; test_linalg checks that by value.)
+    assert _float_uses(path) == []

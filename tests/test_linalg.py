@@ -247,3 +247,80 @@ def test_integer_echelon_rejects_non_rational_entries():
         IntegerEchelon().add([MultiPoly.gen(("u",), 0), F(1)])
     with pytest.raises(ValueError):
         rank_of([[1, 2], [1, 2, 3]])
+
+
+def _exact_types(values):
+    return all(type(v) in (int, Fraction) for v in values)
+
+
+def test_integer_entries_stay_exact():
+    # int entries go through the same integer echelon as Fraction ones:
+    # no float division, and ranks beyond 53-bit precision are exact
+    big = ExactMatrix([[10**17 + 1, 10**17], [10**17, 10**17 - 1]])
+    assert exact_rank(big) == (2, [])
+    inv = invert(big)
+    assert inv.entries == [[-(10**17 - 1), 10**17], [10**17, -(10**17 + 1)]]
+    inv = invert(ExactMatrix([[1, 2], [3, 4]]))
+    assert inv.entries == [[-2, 1], [Fraction(3, 2), Fraction(-1, 2)]]
+    assert _exact_types(e for row in inv.entries for e in row)
+    x = solve(ExactMatrix([[1, 2], [3, 4]]), [5, 6])
+    assert x == [-4, Fraction(9, 2)] and _exact_types(x)
+    rank, kernel = exact_rank(ExactMatrix([[1, 2, 3], [2, 4, 7]]))
+    assert (rank, kernel) == (2, [[-2, 1, 0]]) and _exact_types(kernel[0])
+    for call in (exact_rank, invert, lambda m: solve(m, [1, 2])):
+        with pytest.raises(TypeError):
+            call(ExactMatrix([[1.0, 2], [3, 4]]))
+
+
+def _height_matrix(rng, rows, cols, rank, kind, height=10**6):
+    """rows x cols of rank ``rank`` (full or planted-deficient): ``rank``
+    random rows of the given height, the others small integer combinations
+    of them, shuffled in."""
+
+    def entry():
+        num = rng.randint(-height, height)
+        return num if kind is int else Fraction(num, rng.randint(1, height))
+
+    base = [[entry() for _ in range(cols)] for _ in range(rank)]
+    out = list(base)
+    while len(out) < rows:
+        coeffs = [rng.randint(-3, 3) for _ in base]
+        out.append([sum((c * row[j] for c, row in zip(coeffs, base)), kind(0)) for j in range(cols)])
+    rng.shuffle(out)
+    return ExactMatrix(out)
+
+
+def test_elimination_matches_sympy_at_cayley_size():
+    # differential test against sympy's rank, RREF nullspace, inverse and
+    # Gauss-Jordan solve on the shapes the Cayley chart inverts (6 x 6 and
+    # its 6 x 12 augmentation) with entries of height 10^6
+    sympy = pytest.importorskip("sympy")
+
+    def from_sympy(v):
+        return Fraction(int(v.p), int(v.q))
+
+    rng = random.Random(47)
+    for rows, cols in ((6, 6), (6, 12)):
+        for kind in (int, Fraction):
+            for planted in (6, 4, 4):
+                m = _height_matrix(rng, rows, cols, planted, kind)
+                sm = sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in row] for row in m.entries])
+                rank, kernel = exact_rank(m)
+                assert rank == sm.rank() == planted
+                assert kernel == [[from_sympy(v) for v in vec] for vec in sm.nullspace()]
+                x0 = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(cols)]
+                rhs = [sum((a * b for a, b in zip(row, x0)), Fraction(0)) for row in m.entries]
+                sol, params = sm.gauss_jordan_solve(sympy.Matrix([sympy.Rational(b.numerator, b.denominator) for b in rhs]))
+                particular = sol.subs({t: 0 for t in params})
+                assert solve(m, rhs) == [from_sympy(v) for v in particular]
+                if planted < rows:
+                    bad = [Fraction(rng.randint(1, 9)) for _ in range(rows)]
+                    with pytest.raises(ValueError):
+                        sm.gauss_jordan_solve(sympy.Matrix(bad))
+                    assert solve(m, bad) is None
+                if rows == cols:
+                    if planted == rows:
+                        assert invert(m).entries == [[from_sympy(v) for v in sm.inv().row(i)] for i in range(rows)]
+                    else:
+                        with pytest.raises(ValueError):
+                            invert(m)

@@ -292,6 +292,12 @@ def test_assemble_rejects_symbolic():
         assemble_integrable_set(MomentSpec.symbolic(3), GroupChart.random(3, rng, bound=5))
 
 
+def test_hamiltonian_combination_rejects_symbolic():
+    # the solve runs on the integer echelon, which takes rationals only
+    with pytest.raises(ValueError, match="explicit rational moments"):
+        hamiltonian_as_integral_combination(MomentSpec.symbolic(4))
+
+
 def test_manakov_coefficient_recurrence_matches_enumeration():
     # the complete-homogeneous recurrence against the exhaustive sum over
     # exponent vectors, for every index up to n = 6 on rational moments

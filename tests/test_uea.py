@@ -6,8 +6,10 @@ import pytest
 
 from manakov.brackets import LiePoissonPoly, lie_poisson_bracket, momentum_vars
 from manakov.ratfunc import MultiPoly
-from manakov.rigid_body import ManakovIndex, manakov_indices, manakov_integral
-from manakov.son import MomentSpec, gen_bracket, pair_index, pair_list
+from manakov.charts import GroupChart
+from manakov.linalg import ExactMatrix, exact_rank, solve
+from manakov.rigid_body import ManakovIndex, centrality_defect, manakov_indices, manakov_integral, verify_z_lambda
+from manakov.son import MomentSpec, SkewMatrix, dim_so, gen_bracket, pair_index, pair_list
 from manakov.uea import (
     EXPANSION_SIGN,
     PBWElement,
@@ -529,3 +531,72 @@ def test_battery_builds_and_commutes_each_once(monkeypatch, n, lambdas):
     assert len(built) == len(set(built))
     assert set(built) == {ManakovIndex(l, 1) for l in range(2, n + 1)} | {ManakovIndex(h, 2) for h in (5, 6) if h <= n}
     assert len(pairs) == len(set(pairs))
+
+
+def _first_chart_has_zero_left_momenta(monkeypatch):
+    """Make the first GroupChart draw consume its random numbers as usual
+    but return a point with zero left momenta, where every Casimir gradient
+    vanishes; later draws are untouched.  Returns the list of draws."""
+    real = GroupChart.random.__func__
+    draws = []
+
+    def random_chart(cls, n, rng, bound=10**6):
+        chart = real(cls, n, rng, bound)
+        draws.append(chart)
+        return cls(n, chart.s, SkewMatrix(n)) if len(draws) == 1 else chart
+
+    monkeypatch.setattr(GroupChart, "random", classmethod(random_chart))
+    return draws
+
+
+@pytest.mark.parametrize("check", ["rigid/z-rank/sample0", "symbol-rank Z-hat / sample0", "completion"])
+def test_deficient_group_chart_point_is_redrawn(monkeypatch, check):
+    # a rank-deficient point on T*SO(n) certifies nothing, so it is redrawn
+    # as on T*R^n instead of being recorded as a failure
+    draws = _first_chart_has_zero_left_momenta(monkeypatch)
+    spec = MomentSpec.from_partition_values((2, 2), (Fraction(1), Fraction(3)))
+    if check == "completion":
+        report = verify_quantum_flat_cases(4, random.Random(5))
+        got = report.checks[1]
+        flat = MomentSpec.from_partition_values((4,), (Fraction(2),))
+        target = 2 * dim_so(4) - centrality_defect(flat)[3]
+        assert got.id == "q=(4,): quasi-independent completion"
+        assert got.witness == f"rank {target} with {target} of {target} functions"
+    else:
+        if check.startswith("rigid/"):
+            report = verify_z_lambda(spec, random.Random(5), points=1)
+        else:
+            report = verify_quantum_central_set(spec, random.Random(5), rank_points=1)
+        (got,) = [c for c in report.checks if c.id == check]
+        assert got.witness == "rank 4 of 4"
+    assert got.status == "generic-point-certificate"
+    assert len(draws) >= 2
+
+
+def test_correction_weight_derived_by_solve():
+    # 5/12 is derived, not assumed: with [H-hat, X] stacked as PBW
+    # coefficient columns, [H-hat, c-hat_{6,2}] + t [H-hat, X_22] = 0 has the
+    # one solution t = 5/12.  In the widened span (X_40, X_31, X_22) the
+    # solution is unique modulo the commutant X_40 + X_22, which carries
+    # c-hat_{4,2}'s weights l_i^4 + l_i^2 l_j^2 + l_j^4
+    n = 6
+    spec = MomentSpec.from_lambdas(tuple(Fraction(v) for v in (1, 2, 3, 5, 7, 11)))
+    lam = spec.lambdas
+
+    def squares(weight):
+        return PBWElement(n, {(k, k): weight(lam[i - 1], lam[j - 1]) for k, (i, j) in enumerate(pair_list(n))})
+
+    x40 = squares(lambda a, b: a**4 + b**4)
+    x31 = squares(lambda a, b: a**3 * b + a * b**3)
+    x22 = squares(lambda a, b: a**2 * b**2)
+    base = hamiltonian_commutator(spec, manakov_operator(ManakovIndex(6, 2), n, spec))
+    cols = [hamiltonian_commutator(spec, x) for x in (x40, x31, x22)]
+    words = sorted(set(base.terms).union(*(c.terms for c in cols)))
+    rhs = [-base.terms.get(w, Fraction(0)) for w in words]
+
+    def system(columns):
+        return ExactMatrix([[c.terms.get(w, Fraction(0)) for c in columns] for w in words])
+
+    assert solve(system(cols[2:]), rhs) == [Fraction(5, 12)]
+    assert solve(system(cols), rhs) == [Fraction(-5, 12), 0, 0]
+    assert exact_rank(system(cols)) == (2, [[1, 0, 1]])
