@@ -2,7 +2,7 @@
 rotation-invariant one-particle systems and the free n-dimensional rigid
 body, over arbitrary-precision rational arithmetic."""
 
-from .ratfunc import MultiPoly, RationalFunction, poly_gcd, rational
+from .ratfunc import MultiPoly, RationalFunction, rational
 from .radical import RadicalElement
 from .linalg import ExactMatrix, char_poly, exact_rank
 from .son import (
@@ -27,7 +27,6 @@ __version__ = VERSION
 __all__ = [
     "MultiPoly",
     "RationalFunction",
-    "poly_gcd",
     "rational",
     "RadicalElement",
     "ExactMatrix",

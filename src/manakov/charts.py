@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .brackets import LiePoissonPoly, PhasePoly, canonical_bracket
-from .linalg import ExactMatrix, invert, rank_of
+from .linalg import ExactMatrix, rank_of
 from .report import VerificationReport
 from .son import (
     DegenerateSampleError,
@@ -132,17 +132,17 @@ class GroupChart:
             return self._dpr_s, self._dpr_pl
         n = self.n
         pairs = pair_list(n)
-        eye = ExactMatrix.identity(n)
-        m = invert(eye + self.s.to_dense())
         x = self.x
         xt = x.transpose()
         pld = self.pl.to_dense()
-        ipx = eye + x
+        # X = (I - S)(I + S)^-1 gives (I + S)^-1 = (I + X)/2, so that
+        # dX = -(I + X) dS (I + S)^-1 = -(I + X) dS (I + X)/2
+        ipx = ExactMatrix.identity(n) + x
         dpr_s = []
         dpr_pl = []
         for (a, b) in pairs:
             dab = basis_element(n, a, b).to_dense()
-            dx = (ipx @ dab @ m).scale(Fraction(-1))
+            dx = (ipx @ dab @ ipx).scale(Fraction(-1, 2))
             dmat = dx @ pld @ xt + x @ pld @ dx.transpose()
             dpr_s.append([dmat.entries[i - 1][j - 1] for (i, j) in pairs])
             dmat2 = x @ dab @ xt

@@ -77,6 +77,9 @@ def _central_table_json(n, seed, points):
 
 
 def cmd_tables(args):
+    if args.points < 0:
+        print("--points must be 0 or more", file=sys.stderr)
+        return 2
     if args.which == "central-force":
         n = args.n or 4
         if n not in (4, 5):
@@ -160,6 +163,11 @@ def cmd_simulate(args):
     if args.dt <= 0 or args.t_end <= 0 or args.stride < 1:
         print("dynamics parameters must be positive", file=sys.stderr)
         return 2
+    steps = int(round(args.t_end / args.dt))
+    if steps < args.stride:
+        # only the t = 0 sample would be taken, and drift against itself is 0
+        print(f"{steps} steps is fewer than one stride ({args.stride}): no step would be sampled", file=sys.stderr)
+        return 2
     lambdas = _parse_rationals(args.lambdas)
     n = args.n
     if len(lambdas) != n:
@@ -172,7 +180,6 @@ def cmd_simulate(args):
     rng = random.Random(args.seed)
     p0 = default_initial_momentum(n, rng)
     state = FlowState.from_spec(spec, p0)
-    steps = int(round(args.t_end / args.dt))
     try:
         samples = integrate(state, args.dt, steps, stride=args.stride)
     except FloatingPointError as exc:

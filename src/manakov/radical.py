@@ -10,12 +10,21 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .ratfunc import MultiPoly, RationalFunction
+from .ratfunc import MultiPoly, RationalFunction, declare_factors
 
 
 @lru_cache(maxsize=None)
 def x_vars(n):
-    return tuple(f"x{i}" for i in range(1, n + 1))
+    """The coordinates x1..xn; |x|^2 is the one denominator factor over them
+    (x1 itself at n = 1, where |x|^2 = x1^2 is not irreducible)."""
+    vars = tuple(f"x{i}" for i in range(1, n + 1))
+    declare_factors(vars, [_sum_of_squares(vars) if n > 1 else MultiPoly.gen(vars, 0)])
+    return vars
+
+
+def _sum_of_squares(vars):
+    n = len(vars)
+    return MultiPoly(vars, {tuple(2 * (k == i) for k in range(n)): Fraction(1) for i in range(n)})
 
 
 def check_axis(n, i):
@@ -26,13 +35,13 @@ def check_axis(n, i):
 
 @lru_cache(maxsize=None)
 def x_square_poly(n) -> MultiPoly:
-    vars = x_vars(n)
-    terms = {}
-    for i in range(n):
-        mono = [0] * n
-        mono[i] = 2
-        terms[tuple(mono)] = Fraction(1)
-    return MultiPoly(vars, terms)
+    return _sum_of_squares(x_vars(n))
+
+
+@lru_cache(maxsize=None)
+def _log_radius_derivative(n, i):
+    """d(log r)/dx_i = x_i / x^2, formed once per axis."""
+    return RationalFunction(MultiPoly.gen(x_vars(n), i - 1), x_square_poly(n))
 
 
 class RadicalElement:
@@ -144,10 +153,8 @@ class RadicalElement:
     def diff(self, i):
         """d/dx_i (1-based), using dr/dx_i = x_i * r / x^2."""
         check_axis(self.n, i)
-        xi = MultiPoly.gen(x_vars(self.n), i - 1)
-        x2 = x_square_poly(self.n)
         da = self.a.diff(i - 1)
-        db = self.b.diff(i - 1) + self.b * RationalFunction(xi, x2)
+        db = self.b.diff(i - 1) + self.b * _log_radius_derivative(self.n, i)
         return RadicalElement(self.n, da, db)
 
     def eval(self, x_values, r_value):

@@ -7,6 +7,12 @@ functions in the inertia moments) as long as the domain supports ``+ - * ==``
 with itself and with small integers.  All values are treated as immutable:
 no method mutates ``self`` after construction.
 
+Rational functions cancel only the denominator factors declared for their
+variables (``declare_factors``): every denominator the package forms is a
+product of |x|^2 over the coordinates, or of v_i + v_j and v_i over the
+moments, so exact trial division by those factors takes the place of a
+general multivariate gcd.
+
 The monomial order used everywhere is graded lexicographic.
 """
 
@@ -281,30 +287,7 @@ class MultiPoly:
     def map_coeffs(self, fn):
         return MultiPoly(self.vars, {m: fn(c) for m, c in self.terms.items()})
 
-    # -- content / division (Fraction coefficients only) -----------------
-
-    def content(self) -> Fraction:
-        """Positive rational c with ``self / c`` integer-primitive.
-
-        Sign is taken from the graded-lex leading coefficient, so the
-        primitive part has positive leading coefficient.
-        """
-        if not self.terms:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = int_gcd(num, c.numerator)
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        c = Fraction(num, den)
-        _, lead = self.leading()
-        return -c if lead < 0 else c
-
-    def primitive(self):
-        if not self.terms:
-            return self
-        inv = 1 / self.content()
-        return MultiPoly(self.vars, {m: c * inv for m, c in self.terms.items()})
+    # -- division ----------------------------------------------------------
 
     def divexact(self, other):
         """Exact quotient ``self / other``; raises ValueError if not divisible."""
@@ -334,9 +317,6 @@ class MultiPoly:
             products = ((tuple(a + b for a, b in zip(qm, m2)), -qc * c2) for m2, c2 in other.terms.items())
             add_terms(rem, products)
         return MultiPoly(self.vars, quot)
-
-    def divides(self, other):
-        return other._try_div(self) is not None
 
     # -- printing ---------------------------------------------------------
 
@@ -369,236 +349,55 @@ class MultiPoly:
     __repr__ = __str__
 
 
-# -- gcd ------------------------------------------------------------------
+# -- denominators -------------------------------------------------------------
+
+# The irreducible polynomials that may divide a denominator, per variable
+# tuple.  The module that names a variable tuple declares them once:
+# ``radical.x_vars`` declares |x|^2, ``son.lambda_vars`` and ``son.mu_vars``
+# declare v_i + v_j and v_i.  Every denominator the package forms is a
+# product of these, so cancelling a quotient is exact trial division by them.
+# A polynomial carries only its variable tuple, so the tuple is the key.
+_DECLARED_FACTORS = {}
 
 
-def _to_univariate(f: MultiPoly, i):
-    """Regroup ``f`` by the degree in variable ``i``; coefficients keep the ring."""
-    coeffs = {}
-    for m, c in f.terms.items():
-        e = m[i]
-        rest = list(m)
-        rest[i] = 0
-        coeffs.setdefault(e, {})[tuple(rest)] = c
-    return {e: MultiPoly(f.vars, t) for e, t in coeffs.items()}
-
-
-def _from_univariate(coeffs, i, vars):
-    terms = {}
-    for e, p in coeffs.items():
-        for m, c in p.terms.items():
-            mm = list(m)
-            mm[i] = e
-            terms[tuple(mm)] = c
-    return MultiPoly(vars, terms)
-
-
-def _pseudo_rem(f, g, i):
-    """Pseudo-remainder of f by g in variable ``i`` (both as coefficient maps)."""
-    df = max(f)
-    dg = max(g)
-    lg = g[dg]
-    while f and max(f) >= dg:
-        df = max(f)
-        lf = f[df]
-        # lg * f - lf * x^(df-dg) * g
-        new = {}
-        for e, p in f.items():
-            new[e] = p * lg
-        for e, p in g.items():
-            ee = e + df - dg
-            q = new.get(ee)
-            term = p * lf
-            new[ee] = (q - term) if q is not None else -term
-        f = {e: p for e, p in new.items() if not p.is_zero()}
-        if f and max(f) == df:
-            raise ArithmeticError("pseudo-division failed to reduce degree")
-    return f
+def declare_factors(vars, factors):
+    """Declare the monic irreducible polynomials over ``vars`` that
+    denominators may contain.  Declaring a tuple again replaces its list."""
+    _DECLARED_FACTORS[tuple(vars)] = tuple(factors)
 
 
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Primitive gcd over Q[vars], positive leading coefficient.
-
-    Cheap paths handle constants, monomials and exact divisibility; the
-    general case runs the evaluation-point heuristic (candidate verified by
-    exact division, hence sound) and falls back to the primitive
-    polynomial-remainder-sequence when the heuristic abstains.
+    """Monic gcd of ``f`` and a nonzero denominator ``g``: the product of
+    the factors declared for their variables, each to the highest power
+    that divides both, found by exact trial division.  A factor of ``g``
+    outside the declared ones raises ValueError.
     """
     if f.vars != g.vars:
         raise ValueError("gcd of polynomials over different variables")
-    if f.is_zero():
-        return g.primitive() if not g.is_zero() else g
     if g.is_zero():
-        return f.primitive()
-    f = f.primitive()
-    g = g.primitive()
-    if f.is_constant() or g.is_constant():
-        return MultiPoly.const(f.vars, 1)
-    if f == g:
-        return f
-    if len(f.terms) == 1 or len(g.terms) == 1:
-        return _monomial_gcd(f, g)
-    # trial division settles the common fully-reducible case quickly
-    small, large = (f, g) if len(f.terms) <= len(g.terms) else (g, f)
-    if small.divides(large):
-        return small
-    h = _heuristic_gcd(f, g)
-    if h is not None:
-        return h.primitive()
-    return _prs_gcd(f, g)
-
-
-def _prs_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    # main variable: smallest combined degree among variables present in both
-    cand = [
-        (f.degree_in(i) + g.degree_in(i), i)
-        for i in range(len(f.vars))
-        if f.degree_in(i) > 0 and g.degree_in(i) > 0
-    ]
-    if not cand:
-        return MultiPoly.const(f.vars, 1)
-    _, mv = min(cand)
-    fu = _to_univariate(f, mv)
-    gu = _to_univariate(g, mv)
-    f_cont = _list_gcd(list(fu.values()))
-    g_cont = _list_gcd(list(gu.values()))
-    cont = poly_gcd(f_cont, g_cont)
-    fu = {e: p.divexact(f_cont) for e, p in fu.items()}
-    gu = {e: p.divexact(g_cont) for e, p in gu.items()}
-    if max(fu) < max(gu):
-        fu, gu = gu, fu
-    while True:
-        r = _pseudo_rem(fu, gu, mv)
-        if not r:
-            h = _from_univariate(gu, mv, f.vars)
-            break
-        if max(r) == 0:
-            h = MultiPoly.const(f.vars, 1)
-            break
-        rc = _list_gcd(list(r.values()))
-        fu, gu = gu, {e: p.divexact(rc) for e, p in r.items()}
-    h = h.primitive() * cont
-    return h.primitive()
-
-
-def _monomial_gcd(f, g):
-    mono = tuple(
-        min(min(m[i] for m in f.terms), min(m[i] for m in g.terms))
-        for i in range(len(f.vars))
-    )
-    return MultiPoly(f.vars, {mono: Fraction(1)})
-
-
-def _subst_var(f: MultiPoly, i, value):
-    """Substitute an integer for variable i (degree collapses onto the rest)."""
-    terms = ((m[:i] + (0,) + m[i + 1 :], c * value ** m[i] if m[i] else c) for m, c in f.terms.items())
-    return MultiPoly(f.vars, add_terms({}, terms))
-
-
-def _max_norm(f: MultiPoly):
-    return max(abs(c) for c in f.terms.values())
-
-
-def _int_content(f: MultiPoly):
-    acc = 0
-    for c in f.terms.values():
-        acc = int_gcd(acc, int(c))
-    return acc
-
-
-def _sym_mod(f: MultiPoly, xi):
-    """Coefficient-wise symmetric residue in (-xi/2, xi/2]."""
-    half = xi // 2
-    terms = {}
-    for m, c in f.terms.items():
-        r = int(c) % xi
-        if r > half:
-            r -= xi
-        if r:
-            terms[m] = Fraction(r)
-    return MultiPoly(f.vars, terms)
-
-
-def _heuristic_gcd(f: MultiPoly, g: MultiPoly, depth=0):
-    """Evaluation-point gcd (integer-primitive inputs): reconstruct a
-    candidate from the gcd of images at a large integer and verify it by
-    exact division.  Returns None when six point choices fail; any returned
-    polynomial exactly divides both inputs and equals their gcd by the
-    usual magnitude argument for points beyond twice the coefficient norms.
-    """
-    mv = None
-    best = None
-    for i in range(len(f.vars)):
-        df, dg = f.degree_in(i), g.degree_in(i)
-        if df > 0 and dg > 0 and (best is None or df + dg < best):
-            best = df + dg
-            mv = i
-    if mv is None:
-        # disjoint variables: only an integer factor can be shared
-        return MultiPoly.const(f.vars, Fraction(int_gcd(_int_content(f), _int_content(g))))
-    xi = 2 * min(int(_max_norm(f)), int(_max_norm(g))) + 29
-    for _ in range(6):
-        fi = _subst_var(f, mv, xi)
-        gi = _subst_var(g, mv, xi)
-        if fi.is_zero() or gi.is_zero():
-            xi = xi * 73794 // 27011 + 5
-            continue
-        if fi.is_constant() or gi.is_constant():
-            himg = MultiPoly.const(
-                f.vars, Fraction(int_gcd(_int_content(fi), _int_content(gi)))
-            )
-        elif depth < 12:
-            himg = _heuristic_gcd(fi, gi, depth + 1)
-            if himg is None:
-                xi = xi * 73794 // 27011 + 5
-                continue
-        else:
-            return None
-        # base-xi digit reconstruction along the main variable
-        digits = {}
-        rest = himg
-        power = 0
-        while not rest.is_zero() and power <= f.degree_in(mv) + g.degree_in(mv):
-            digit = _sym_mod(rest, xi)
-            if not digit.is_zero():
-                digits[power] = digit
-            rest = (rest - digit) * Fraction(1, xi)
-            power += 1
-        if not rest.is_zero():
-            xi = xi * 73794 // 27011 + 5
-            continue
-        terms = {}
-        for e, p in digits.items():
-            for m, c in p.terms.items():
-                mm = list(m)
-                mm[mv] = e
-                terms[tuple(mm)] = c
-        h = MultiPoly(f.vars, terms)
-        if h.is_zero():
-            xi = xi * 73794 // 27011 + 5
-            continue
-        h = h.primitive()
-        if h.divides(f) and h.divides(g):
-            return h
-        xi = xi * 73794 // 27011 + 5
-    return None
-
-
-def _list_gcd(polys):
-    acc = polys[0]
-    for p in polys[1:]:
-        if acc.is_constant():
-            break
-        acc = poly_gcd(acc, p)
-    return acc.primitive() if not acc.is_constant() else MultiPoly.const(acc.vars, 1)
+        raise ZeroDivisionError("gcd with a zero denominator")
+    common = MultiPoly.const(g.vars, 1)
+    for p in _DECLARED_FACTORS.get(g.vars, ()):
+        shared = True
+        while not g.is_constant() and (q := g._try_div(p)) is not None:
+            g = q
+            if shared and (q := f._try_div(p)) is not None:
+                f = q
+                common = common * p
+            else:
+                shared = False
+    if not g.is_constant():
+        raise ValueError(f"denominator factor {g} is none of those declared for {g.vars}")
+    return common
 
 
 class RationalFunction:
     """Quotient num/den of polynomials over the same variables.
 
     The stored pair is unique: gcd(num, den) = 1 and the denominator is monic
-    in graded-lex order.  Supports arithmetic with itself, MultiPoly, int and
-    Fraction operands.
+    in graded-lex order.  A denominator factor that is not declared for the
+    variables raises ValueError (see ``poly_gcd``).
+    Supports arithmetic with itself, MultiPoly, int and Fraction operands.
     """
 
     __slots__ = ("num", "den")

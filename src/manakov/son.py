@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import combinations
 
 from .linalg import ExactMatrix, char_poly, invert, rank_of
-from .ratfunc import RationalFunction, add_terms
+from .ratfunc import MultiPoly, RationalFunction, add_terms, declare_factors
 
 
 class DegenerateSampleError(ValueError):
@@ -256,14 +257,22 @@ def right_from_left(x: ExactMatrix, pl: SkewMatrix) -> SkewMatrix:
 # -- moments of inertia -------------------------------------------------------
 
 
+def _moment_vars(names):
+    """Declare the moment denominators over ``names``: v_i + v_j (i < j), from
+    the Hamiltonian and its flow, and v_i, from 2 v_i in equal-moment classes."""
+    singles = [MultiPoly.gen(names, i) for i in range(len(names))]
+    declare_factors(names, [a + b for a, b in combinations(singles, 2)] + singles)
+    return names
+
+
 @lru_cache(maxsize=None)
 def lambda_vars(n):
-    return tuple(f"l{i}" for i in range(1, n + 1))
+    return _moment_vars(tuple(f"l{i}" for i in range(1, n + 1)))
 
 
 @lru_cache(maxsize=None)
 def mu_vars(u):
-    return tuple(f"mu{i}" for i in range(1, u + 1))
+    return _moment_vars(tuple(f"mu{i}" for i in range(1, u + 1)))
 
 
 @dataclass(frozen=True)
@@ -331,6 +340,16 @@ class MomentSpec:
         for size, mu in zip(q, mus):
             values.extend([Fraction(mu)] * size)
         return cls.from_lambdas(tuple(values))
+
+    # every manakov_coefficient memo lookup hashes its spec, and the moments
+    # (symbolic ones above all) are dear to hash, so hash them once; the
+    # other fields follow from the moments
+    @cached_property
+    def _hash(self):
+        return hash(self.lambdas)
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_symbolic(self):

@@ -180,6 +180,23 @@ def test_rank_momenta_left_right_and_b():
         assert jacobian_rank(pl + pr, gc) == 2 * nn - n // 2
 
 
+def test_group_chart_derivatives_reuse_the_cayley_inverse(monkeypatch):
+    # (I + S)^-1 = (I + X)/2, so a chart inverts I + S once, for X itself
+    from manakov import son
+    from oracles import momentum_derivatives_by_inverse
+
+    calls = []
+    real_invert = son.invert
+    monkeypatch.setattr(son, "invert", lambda m: calls.append(m) or real_invert(m))
+    rng = random.Random(17)
+    for k in range(20):
+        n = 3 + k % 4
+        calls.clear()
+        gc = GroupChart.random(n, rng, bound=12)
+        assert gc._momentum_derivatives() == momentum_derivatives_by_inverse(gc)
+        assert len(calls) == 1
+
+
 def test_rank_b_lambda():
     from manakov.rigid_body import partitions
 

@@ -122,6 +122,24 @@ def test_simulate_rejects_bad_parameters(tmp_path):
     assert r3.returncode == 2
 
 
+def test_simulate_rejects_fewer_steps_than_one_stride(tmp_path):
+    # only the t = 0 sample would exist, and its drift against itself is 0
+    for extra in (("--t-end", "0.0004", "--dt", "0.001"), ("--t-end", "0.01", "--dt", "0.001", "--stride", "100")):
+        out = tmp_path / "run"
+        r = run_cli("simulate", "--n", "4", "--lambda", "1,2,3,4", *extra, "--output-dir", str(out))
+        assert r.returncode == 2
+        assert "no step would be sampled" in r.stderr
+        assert not out.exists()
+
+
+def test_tables_reject_negative_points():
+    for which in (("central-force", "--n", "4"), ("rigid-body", "--max-n", "3")):
+        r = run_cli("tables", *which, "--points", "-2")
+        assert r.returncode == 2
+        assert "--points" in r.stderr
+        assert r.stdout == ""
+
+
 def test_version_flag():
     r = run_cli("--version")
     assert r.returncode == 0

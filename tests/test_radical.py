@@ -65,7 +65,9 @@ def test_derivative_of_unrelated_coordinate():
         x1.diff(4)
 
 
-def test_mul_distributes_and_associates():
+def test_mul_distributes_and_associates(general_gcd_ring):
+    # arbitrary denominators: the radical field over the general gcd of
+    # the test oracles
     import random
 
     rng = random.Random(5)
@@ -83,6 +85,35 @@ def test_mul_distributes_and_associates():
             return MultiPoly(vars, terms)
         return RadicalElement(n, RationalFunction(rp(), rp() + MultiPoly.const(vars, 1)),
                               RationalFunction(rp(), reduce=False))
+
+    for _ in range(15):
+        u, v, w = rand_elem(), rand_elem(), rand_elem()
+        assert (u * v) * w == u * (v * w)
+        assert u * (v + w) == u * v + u * w
+
+
+def test_mul_distributes_and_associates_over_declared_denominators():
+    # the shipped ring: every denominator a power of |x|^2
+    import random
+
+    from manakov.ratfunc import MultiPoly
+
+    rng = random.Random(5)
+    n = 3
+    x2 = x_square_poly(n)
+
+    def rand_elem():
+        vars = x2.vars
+
+        def rp():
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                mono = tuple(rng.randint(0, 2) for _ in vars)
+                terms[mono] = Fraction(rng.randint(-4, 4))
+            return MultiPoly(vars, terms)
+
+        return RadicalElement(n, RationalFunction(rp(), x2 ** rng.randint(0, 1)),
+                              RationalFunction(rp(), x2 ** rng.randint(0, 1)))
 
     for _ in range(15):
         u, v, w = rand_elem(), rand_elem(), rand_elem()

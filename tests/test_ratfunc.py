@@ -4,13 +4,26 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from manakov.ratfunc import MultiPoly, RationalFunction, add_terms, poly_gcd, rational
+from manakov.radical import x_vars
+from manakov.ratfunc import MultiPoly, RationalFunction, add_terms, declare_factors, poly_gcd, rational
+from manakov.son import lambda_vars
+from oracles import general_gcd, reduced_pair
 
 V = ("a", "b", "c")
 
 
 def gen(i):
     return MultiPoly.gen(V, i)
+
+
+def _moment_factors(vars):
+    singles = [MultiPoly.gen(vars, i) for i in range(len(vars))]
+    return [singles[i] + singles[j] for i in range(len(vars)) for j in range(i + 1, len(vars))] + singles
+
+
+# the shipped ring over V cancels pair sums and single variables, as over
+# the moments; anything else needs the general gcd of ``oracles``
+declare_factors(V, _moment_factors(V))
 
 
 def const(c):
@@ -69,16 +82,49 @@ def test_divexact():
 
 
 def test_gcd_examples():
+    # the general gcd, moved out of the package into the test oracles
     a, b, c = gen(0), gen(1), gen(2)
-    assert poly_gcd((a + b) ** 3, (a + b) * (a - c)) == a + b
+    assert general_gcd((a + b) ** 3, (a + b) * (a - c)) == a + b
+    assert general_gcd(a * b, a * c) == a
+    assert general_gcd(a + b, a + c) == const(1)
+    assert general_gcd(MultiPoly.zero(V), a + b) == a + b
+    # content handling: gcd is primitive with positive leading coefficient
+    g = general_gcd(2 * (a + b), 4 * (a + b) * (a - b))
+    assert g == a + b
+    g2 = general_gcd(-2 * (a + b), -4 * (a + b))
+    assert g2 == a + b
+
+
+def test_declared_factor_gcd_examples():
+    a, b, c = gen(0), gen(1), gen(2)
+    assert poly_gcd((a + b) ** 3 * (b + c), (a + b) * (a + c)) == a + b
     assert poly_gcd(a * b, a * c) == a
     assert poly_gcd(a + b, a + c) == const(1)
-    assert poly_gcd(MultiPoly.zero(V), a + b) == a + b
-    # content handling: gcd is primitive with positive leading coefficient
-    g = poly_gcd(2 * (a + b), 4 * (a + b) * (a - b))
-    assert g == a + b
-    g2 = poly_gcd(-2 * (a + b), -4 * (a + b))
-    assert g2 == a + b
+    assert poly_gcd(MultiPoly.zero(V), (a + b) * c) == (a + b) * c
+    # the gcd is monic whatever the scalars
+    assert poly_gcd(-2 * (a + b) * (a - b), 4 * (a + b) ** 2) == a + b
+    with pytest.raises(ZeroDivisionError):
+        poly_gcd(a, MultiPoly.zero(V))
+
+
+def test_undeclared_denominator_factor_raises():
+    a, b, c = gen(0), gen(1), gen(2)
+    with pytest.raises(ValueError, match="declared"):
+        RationalFunction(a, a - b)
+    with pytest.raises(ValueError, match="declared"):
+        # even where the numerator would cancel it
+        RationalFunction((a - b) * c, (a - b) * (a + b))
+    lam = [MultiPoly.gen(lambda_vars(3), i) for i in range(3)]
+    with pytest.raises(ValueError):
+        RationalFunction(lam[0], lam[0] - lam[1])
+    xs = [MultiPoly.gen(x_vars(3), i) for i in range(3)]
+    with pytest.raises(ValueError):
+        RationalFunction(xs[0], xs[0] + xs[1])
+    # variables nobody declared have no denominator factors at all
+    w = MultiPoly.gen(("w",), 0)
+    with pytest.raises(ValueError):
+        RationalFunction(w * w, w)
+    assert RationalFunction(w * w, MultiPoly.const(("w",), 2)).num == w * w * Fraction(1, 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -92,7 +138,7 @@ def test_ring_axioms_randomized(s1, s2, s3):
     assert p * q == q * p
 
 
-def test_rational_function_normalization():
+def test_rational_function_normalization(general_gcd_ring):
     a, b, c = gen(0), gen(1), gen(2)
     f = RationalFunction((a + b) ** 2, (a + b) * (a - c))
     assert f.num == a + b
@@ -103,7 +149,29 @@ def test_rational_function_normalization():
     assert g.num == Fraction(1, 2) * a
 
 
-def test_rational_function_sum_identity():
+def test_declared_factor_normalization():
+    a, b, c = gen(0), gen(1), gen(2)
+    f = RationalFunction((a + b) ** 2 * (a - c), (a + b) * (b + c) * c)
+    assert f.num == (a + b) * (a - c)
+    assert f.den == (b + c) * c
+    # monic denominator
+    g = RationalFunction(a, 2 * b)
+    assert g.den == b
+    assert g.num == Fraction(1, 2) * a
+    h = RationalFunction(-3 * (b + c) * a, 6 * (b + c) * (a + c) ** 2)
+    assert (h.num, h.den) == (Fraction(-1, 2) * a, (a + c) ** 2)
+
+
+def test_cancels_every_shared_moment_factor():
+    # the general heuristic gcd the package used to run returned l2 here,
+    # not l2*l3, so the stored pair kept l3 and equal values compared unequal
+    l1, l2, l3, l4 = (MultiPoly.gen(lambda_vars(4), i) for i in range(4))
+    f = RationalFunction(l2 * l3 * (l1 + l4 + 1) * (l1 - l2), l2 * l3 * (l1 + l4))
+    assert (f.num, f.den) == ((l1 + l4 + 1) * (l1 - l2), l1 + l4)
+    assert f == RationalFunction(f.num * l1, f.den * l1)
+
+
+def test_rational_function_sum_identity(general_gcd_ring):
     rng = random.Random(7)
     for _ in range(25):
         a = random_poly(rng) + const(1)
@@ -114,6 +182,64 @@ def test_rational_function_sum_identity():
         rhs = RationalFunction(a * d + c * b, b * d)
         assert lhs == rhs
         assert (lhs - rhs).is_zero()
+
+
+def _declared_product(rng, factors, most=3):
+    """A random product of up to ``most`` of the declared ``factors``."""
+    p = MultiPoly.const(factors[0].vars, rng.choice([1, 2, -3, Fraction(1, 2)]))
+    for _ in range(rng.randint(0, most)):
+        p = p * rng.choice(factors)
+    return p
+
+
+def test_declared_factor_sum_identity():
+    rng = random.Random(7)
+    factors = _moment_factors(V)
+    for _ in range(25):
+        a = random_poly(rng) + const(1)
+        b = _declared_product(rng, factors)
+        c = random_poly(rng)
+        d = _declared_product(rng, factors)
+        lhs = RationalFunction(a, b) + RationalFunction(c, d)
+        rhs = RationalFunction(a * d + c * b, b * d)
+        assert lhs == rhs
+        assert (lhs - rhs).is_zero()
+
+
+def test_declared_factor_ring_matches_general_gcd_and_sympy():
+    # a random numerator times declared factors, over declared factors: the
+    # shipped pair is the one the general gcd gives, and sympy.cancel's
+    # pair scaled to a monic (graded-lex) denominator
+    sympy = pytest.importorskip("sympy")
+    from manakov.radical import x_square_poly
+
+    rings = [(lambda_vars(4), _moment_factors(lambda_vars(4))), (x_vars(3), [x_square_poly(3)])]
+    rng = random.Random(41)
+    for case in range(100):
+        vars, factors = rings[case % 2]
+        gens = sympy.symbols(vars)
+
+        def to_sympy(p):
+            return sum(
+                (sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(g**e for g, e in zip(gens, m)))
+                 for m, c in p.terms.items()),
+                sympy.Integer(0),
+            )
+
+        r = MultiPoly.zero(vars)
+        while r.is_zero():
+            r = MultiPoly(vars, {
+                tuple(rng.randint(0, 2) for _ in vars): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                for _ in range(rng.randint(1, 4))
+            })
+        num = r * _declared_product(rng, factors)
+        den = _declared_product(rng, factors)
+        f = RationalFunction(num, den)
+        assert (f.num, f.den) == reduced_pair(num, den)
+        p, q = sympy.fraction(sympy.cancel(to_sympy(num) / to_sympy(den)))
+        lc = sympy.Poly(q, *gens).LC(order="grlex")
+        assert sympy.expand(to_sympy(f.num) - p / lc) == 0
+        assert sympy.expand(to_sympy(f.den) - q / lc) == 0
 
 
 def test_rational_function_arithmetic():

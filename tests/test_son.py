@@ -223,6 +223,24 @@ def test_moment_spec_partition_mode():
     assert len(spec.equal_moment_pairs()) == 1 + 3
 
 
+def test_moment_spec_hashes_its_moments_once(monkeypatch):
+    from manakov.ratfunc import RationalFunction
+
+    a, b = MomentSpec.symbolic(4), MomentSpec.symbolic(4)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert hash(MomentSpec.from_partition((1, 3))) == hash(MomentSpec.from_partition((1, 3)))
+    c = MomentSpec.symbolic(5)
+    hashed = []
+    real_hash = RationalFunction.__hash__
+    monkeypatch.setattr(RationalFunction, "__hash__", lambda self: hashed.append(self) or real_hash(self))
+    first = hash(c)
+    assert len(hashed) == 5
+    assert hash(c) == first
+    assert len(hashed) == 5
+    with pytest.raises(AttributeError):
+        c._hash = 0
+
+
 def test_sigma_triple_closed_forms():
     rng = random.Random(41)
     target_by_partition = {}
