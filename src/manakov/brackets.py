@@ -15,8 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .radical import RadicalElement, check_axis
-from .ratfunc import MultiPoly, RationalFunction, TermMap, add_terms
-from .son import SkewMatrix, pair_list, signed_pair, structure_table
+from .ratfunc import MultiPoly, RationalFunction, TermMap, add_terms, integer_scaled
+from .son import SkewMatrix, pair_list, signed_pair, structure_rows
 
 
 class PhasePoly(TermMap):
@@ -264,37 +264,67 @@ class LiePoissonPoly:
 
 
 def lie_poisson_bracket(f: LiePoissonPoly, g: LiePoissonPoly) -> LiePoissonPoly:
-    """Derivation extension of the momentum structure constants.
+    """{f, g} = sum_u df/dP_u * X_u(g), with X_u(g) = {P_u, g} =
+    sum_v dg/dP_v * {P_u, P_v} read monomial by monomial off
+    ``son.structure_rows``: one polynomial product per momentum component.
+
+    Inside the kernel a monomial is one int with a bit field per variable,
+    (deg f + deg g).bit_length() bits wide.  No exponent of a partial, of
+    X_u(g) or of a product exceeds deg f + deg g, so multiplying monomials
+    is one integer addition that never carries into the next field.
+    Rational operands are scaled to integer coefficients (``integer_scaled``)
+    and the result divided once by both scales; symbolic coefficients take
+    the same loop with their own arithmetic.
 
     Brackets between a left- and a right-side polynomial vanish identically;
     right-with-right uses the opposite-sign constants.
     """
     if f.n != g.n:
         raise ValueError("mixed dimensions")
-    if f.side != g.side:
-        return LiePoissonPoly.zero(f.n, f.side)
     n = f.n
-    vars = momentum_vars(n)
-    df = {}
-    dg = {}
-    for u in range(len(vars)):
-        pf = f.poly.diff(u)
-        if not pf.is_zero():
-            df[u] = pf
-        pg = g.poly.diff(u)
-        if not pg.is_zero():
-            dg[u] = pg
-    acc = MultiPoly.zero(vars)
-    for (u, v), (w, s) in structure_table(n).items():
-        term = None
-        if u in df and v in dg:
-            term = df[u] * dg[v]
-        if v in df and u in dg:
-            t2 = df[v] * dg[u]
-            term = (term - t2) if term is not None else -t2
-        if term is None or term.is_zero():
+    deg_f, deg_g = f.total_degree(), g.total_degree()
+    if f.side != g.side or deg_f < 1 or deg_g < 1:
+        return LiePoissonPoly.zero(n, f.side)
+    width = (deg_f + deg_g).bit_length()
+    f_poly, f_scale = integer_scaled(f.poly)
+    g_poly, g_scale = integer_scaled(g.poly)
+    df = _packed_partials(f_poly, width)
+    dg = _packed_partials(g_poly, width)
+    acc = {}
+    for u, row in enumerate(structure_rows(n)):
+        if u not in df:
             continue
-        acc = acc + term * (MultiPoly.gen(vars, w) * s)
-    if f.side == "R":
-        acc = -acc
-    return LiePoissonPoly(n, acc, f.side)
+        xu = {}
+        for v, w, s in row:
+            bit = 1 << (width * w)
+            if s > 0:
+                add_terms(xu, ((m + bit, c) for m, c in dg.get(v, ())))
+            else:
+                add_terms(xu, ((m + bit, -c) for m, c in dg.get(v, ())))
+        for m1, c1 in df[u]:
+            add_terms(acc, ((m1 + m2, c1 * c2) for m2, c2 in xu.items()))
+    scale = Fraction(1 if f.side == "L" else -1, f_scale * g_scale)
+    mask = (1 << width) - 1
+    shifts = range(0, width * len(f.poly.vars), width)
+    terms = {}
+    for m, c in acc.items():
+        # a symbolic coefficient is only negated when it can be: a product
+        # would cancel again by trial division
+        if isinstance(c, int) or abs(scale) != 1:
+            c = c * scale
+        elif scale < 0:
+            c = -c
+        terms[tuple((m >> k) & mask for k in shifts)] = c
+    return LiePoissonPoly(n, MultiPoly(f.poly.vars, terms), f.side)
+
+
+def _packed_partials(poly: MultiPoly, width):
+    """{v: [(packed monomial, coefficient)] of d poly/dP_v} over the
+    variables v that occur, with ``width`` bits per exponent field."""
+    partials = {}
+    for mono, c in poly.terms.items():
+        packed = sum(e << (width * v) for v, e in enumerate(mono))
+        for v, e in enumerate(mono):
+            if e:
+                partials.setdefault(v, []).append((packed - (1 << (width * v)), c if e == 1 else c * e))
+    return partials

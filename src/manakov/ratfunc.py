@@ -366,11 +366,19 @@ def declare_factors(vars, factors):
     _DECLARED_FACTORS[tuple(vars)] = tuple(factors)
 
 
+def _lead_divides(mono, f: MultiPoly):
+    """Whether ``mono`` divides the leading monomial of ``f`` (true for a
+    zero ``f``, which every factor divides).  A factor p can divide f only if
+    LM(p) divides LM(f), since LM(p q) = LM(p) LM(q) in graded-lex order."""
+    return not f.terms or all(a >= b for a, b in zip(f.leading()[0], mono))
+
+
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Monic gcd of ``f`` and a nonzero denominator ``g``: the product of
     the factors declared for their variables, each to the highest power
-    that divides both, found by exact trial division.  A factor of ``g``
-    outside the declared ones raises ValueError.
+    that divides both, found by exact trial division.  A division is tried
+    only when the factor's leading monomial divides the dividend's.  A
+    factor of ``g`` outside the declared ones raises ValueError.
     """
     if f.vars != g.vars:
         raise ValueError("gcd of polynomials over different variables")
@@ -378,10 +386,11 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         raise ZeroDivisionError("gcd with a zero denominator")
     common = MultiPoly.const(g.vars, 1)
     for p in _DECLARED_FACTORS.get(g.vars, ()):
+        lead = p.leading()[0]
         shared = True
-        while not g.is_constant() and (q := g._try_div(p)) is not None:
+        while not g.is_constant() and _lead_divides(lead, g) and (q := g._try_div(p)) is not None:
             g = q
-            if shared and (q := f._try_div(p)) is not None:
+            if shared and _lead_divides(lead, f) and (q := f._try_div(p)) is not None:
                 f = q
                 common = common * p
             else:

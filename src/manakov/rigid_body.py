@@ -19,7 +19,7 @@ from itertools import product
 from .brackets import LiePoissonPoly, lie_poisson_bracket, momentum_vars
 from .charts import GroupChart, generic_full_rank
 from .linalg import ExactMatrix, IntegerEchelon, solve
-from .ratfunc import MultiPoly, integer_scaled
+from .ratfunc import MultiPoly
 from .report import VerificationReport
 from .son import (
     DegenerateSampleError,
@@ -441,17 +441,12 @@ def assemble_integrable_set(spec: MomentSpec, chart: GroupChart) -> RigidBodySet
 
 def verify_involution_family(n, spec: MomentSpec, report=None, include_hamiltonian=True):
     """{c, c'} = 0 for all integral pairs and {c, H} = 0, exact in the
-    coefficient field of ``spec``.
-
-    Zero checks are run on integer-rescaled polynomials when the moments are
-    explicit rationals; rescaling cannot change vanishing.
-    """
+    coefficient field of ``spec``."""
     report = report if report is not None else VerificationReport()
     anchor = "rigid-classical/involution"
     items = [(idx.label(), manakov_integral(idx, n, spec)) for idx in manakov_indices(n)]
     if include_hamiltonian:
         items.append(("H", hamiltonian(spec)))
-    items = [(label, LiePoissonPoly(n, integer_scaled(f.poly)[0])) for label, f in items]
     for a in range(len(items)):
         for b in range(a + 1, len(items)):
             br = lie_poisson_bracket(items[a][1], items[b][1])

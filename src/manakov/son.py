@@ -7,7 +7,8 @@ This module holds the so(n) conventions for the whole package.  Index pairs
 pair index.  An ordered pair with i > j names minus the basis element of
 (j, i) (``signed_pair``), and ``structure_table`` holds the bracket of every
 two basis elements; the matrix bracket, the Lie-Poisson bracket of the
-momenta and the PBW normal ordering all read their constants from it.
+momenta (through its rows, ``structure_rows``) and the PBW normal ordering
+all read their constants from it.
 """
 
 from __future__ import annotations
@@ -76,6 +77,17 @@ def structure_table(n):
                 ((w, s),) = acc.items()
                 table[(u, v)] = (w, s)
     return table
+
+
+@lru_cache(maxsize=None)
+def structure_rows(n):
+    """``structure_table`` by first index: entry u is the tuple of
+    (v, w, sign) over every v with [e_u, e_v] = sign * e_w, v < u included."""
+    rows = [[] for _ in pair_list(n)]
+    for (u, v), (w, s) in structure_table(n).items():
+        rows[u].append((v, w, s))
+        rows[v].append((u, w, -s))
+    return tuple(tuple(row) for row in rows)
 
 
 def gen_bracket(n, u, v):

@@ -286,10 +286,15 @@ def correction_weights(spec: MomentSpec):
     return [(lam[i - 1] ** 2) * (lam[j - 1] ** 2) * Fraction(5, 12) for (i, j) in pair_list(spec.n)]
 
 
+def c62_correction(spec: MomentSpec) -> PBWElement:
+    """C-hat_{6,2} - c-hat_{6,2}: the squared generators with their
+    correction weights."""
+    return PBWElement(spec.n, {(k, k): w for k, w in enumerate(correction_weights(spec))})
+
+
 def corrected_c62(spec: MomentSpec, base: PBWElement) -> PBWElement:
-    """C-hat_{6,2} from base = c-hat_{6,2}: the squared generators with their
-    correction weights added."""
-    return base + PBWElement(base.n, {(k, k): w for k, w in enumerate(correction_weights(spec))})
+    """C-hat_{6,2} from base = c-hat_{6,2}."""
+    return base + c62_correction(spec)
 
 
 def modified_c62(n, spec: MomentSpec) -> PBWElement:
@@ -470,8 +475,16 @@ def verify_quantum_rigid(n, spec: MomentSpec, heavy=True) -> VerificationReport:
         for bi in range(ai + 1, len(ls)):
             a, b = ls[ai], ls[bi]
             record_zero(f"[c{a},{a-2} , c{b},{b-2}]", uea_commutator(quad[a], quad[b]))
+    # each [(P-hat_ij)^2, x] serves two weightings: H-hat and, at n >= 6, the
+    # C-hat_{6,2} correction (5/12) sum l_i^2 l_j^2 (P-hat_ij)^2
+    weight_sets = [hamiltonian_weights(spec)]
+    if n >= 6:
+        weight_sets.append(correction_weights(spec))
+    corrections = {}
     for l in ls:
-        record_zero(f"[H , c{l},{l-2}]", hamiltonian_commutator(spec, quad[l]))
+        h_comm, *correction = weighted_square_commutators(n, weight_sets, quad[l])
+        corrections[l] = correction
+        record_zero(f"[H , c{l},{l-2}]", h_comm)
 
     # degree-2 against degree-4: obstruction expansions, each b^{[ijk]}_{l,h}
     # once per triple into a table that also feeds the coefficient checks
@@ -505,13 +518,9 @@ def verify_quantum_rigid(n, spec: MomentSpec, heavy=True) -> VerificationReport:
             )
             for l in ls:
                 record_zero(f"[c{l},{l-2} , c5,1]", comms[l])
-            # the correction identity of the heavy block commutes the same
-            # squared generators with c-hat_{5,1}, only with other weights:
-            # (5/12) sum l_i^2 l_j^2 [c-hat_{5,1}, (P-hat_ij)^2]
+            # the correction identity of the heavy block is the correction
+            # weighting of the same squared-generator commutators
             c51 = c4
-            weight_sets = [hamiltonian_weights(spec)]
-            if heavy and n >= 6:
-                weight_sets.append(correction_weights(spec))
             h_comm, *correction = weighted_square_commutators(n, weight_sets, c51)
             record_zero("[H , c5,1]", h_comm)
         if h == 6:
@@ -541,12 +550,14 @@ def verify_quantum_rigid(n, spec: MomentSpec, heavy=True) -> VerificationReport:
                 ok,
                 witness=f"b^123 = {spot}" if ok else "expansion mismatch",
             )
-            c62mod = corrected_c62(spec, c4)
-            record_zero("[H , C6,2]", hamiltonian_commutator(spec, c62mod))
+            # C-hat_{6,2} = c-hat_{6,2} + the weighted squared generators, so
+            # each commutator with it is the one with c-hat_{6,2}, formed
+            # above, plus a degree-2 by degree-2 correction
+            record_zero("[H , C6,2]", comm + hamiltonian_commutator(spec, c62_correction(spec)))
             for l in ls:
-                record_zero(f"[c{l},{l-2} , C6,2]", uea_commutator(quad[l], c62mod))
+                record_zero(f"[c{l},{l-2} , C6,2]", comms[l] - corrections[l][0])
             if heavy:
-                record_zero("[c5,1 , C6,2]", uea_commutator(c51, c62mod))
+                record_zero("[c5,1 , C6,2]", uea_commutator(c51, corrected_c62(spec, c4)))
                 lhs = -correction[0]
                 rhs = sym35_expansion(spec)
                 ok = (lhs - rhs.scale(EXPANSION_SIGN)).is_zero()

@@ -7,16 +7,18 @@ coefficients, dense or direct forms of the rigid-body operators, the
 walk-by-walk symmetrization of the Manakov integrals, the Sym_3/Sym_5
 expansions summed one symmetrized cycle at a time, word-by-word PBW normal
 ordering, greedy rank completions that re-rank the whole chosen set for
-every candidate, and the general multivariate gcd that reduces any quotient
-of polynomials.  The remaining helpers (standard quantization, the
-top p-degree part of a phase polynomial) are small maps only tests use.
+every candidate, the Lie-Poisson bracket summed over the structure table
+one pair of partial derivatives at a time, and the general multivariate
+gcd that reduces any quotient of polynomials.  The remaining helpers
+(standard quantization, the top p-degree part of a phase polynomial) are
+small maps only tests use.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd as int_gcd
 
-from manakov.brackets import LiePoissonPoly, PhasePoly
+from manakov.brackets import LiePoissonPoly, PhasePoly, momentum_vars
 from manakov.charts import GroupChart
 from manakov.linalg import ExactMatrix, invert
 from manakov.ratfunc import MultiPoly, add_terms
@@ -28,7 +30,7 @@ from manakov.rigid_body import (
     manakov_integral,
     z_lambda,
 )
-from manakov.son import MomentSpec, basis_element, dim_so, pair_list, signed_pair
+from manakov.son import MomentSpec, basis_element, dim_so, pair_list, signed_pair, structure_table
 from manakov.uea import PBWElement, correction_weights, pbw_mul, sym_word, weighted_square_commutators
 from manakov.weyl import WeylOperator
 
@@ -359,6 +361,22 @@ def top_p_part(f: PhasePoly) -> PhasePoly:
     """The terms of ``f`` of highest total degree in p."""
     d = f.p_degree()
     return f._new({m: c for m, c in f.terms.items() if sum(m) == d})
+
+
+def lie_poisson_bracket_by_table(f: LiePoissonPoly, g: LiePoissonPoly) -> LiePoissonPoly:
+    """{f, g} = sum over the structure table of (df/dP_u dg/dP_v -
+    df/dP_v dg/dP_u) * s P_w: up to two tuple-monomial products per table
+    entry."""
+    if f.side != g.side:
+        return LiePoissonPoly.zero(f.n, f.side)
+    vars = momentum_vars(f.n)
+    df = {u: f.poly.diff(u) for u in range(len(vars))}
+    dg = {u: g.poly.diff(u) for u in range(len(vars))}
+    acc = MultiPoly.zero(vars)
+    for (u, v), (w, s) in structure_table(f.n).items():
+        term = df[u] * dg[v] - df[v] * dg[u]
+        acc = acc + term * (MultiPoly.gen(vars, w) * s)
+    return LiePoissonPoly(f.n, acc if f.side == "L" else -acc, f.side)
 
 
 # -- the general multivariate gcd -------------------------------------------

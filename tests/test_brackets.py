@@ -8,11 +8,14 @@ from manakov.brackets import (
     PhasePoly,
     canonical_bracket,
     lie_poisson_bracket,
+    momentum_vars,
 )
 from manakov.central_force import kinetic, momenta, momentum, p_squared, r_squared, x_dot_p
 from manakov.charts import CotangentChart, GroupChart, involution_report, jacobian_rank
 from manakov.son import bracket as matrix_bracket
-from manakov.son import basis_element, pair_list, structure_table
+from manakov.ratfunc import MultiPoly, RationalFunction
+from manakov.son import basis_element, dim_so, lambda_vars, pair_list, structure_table
+from oracles import lie_poisson_bracket_by_table
 
 
 def test_bracket_sign_convention():
@@ -131,6 +134,65 @@ def test_lie_poisson_jacobi_and_antisymmetry():
         assert jac.is_zero()
         assert lie_poisson_bracket(f, f).is_zero()
         assert lie_poisson_bracket(f, g * h) == lie_poisson_bracket(f, g) * h + g * lie_poisson_bracket(f, h)
+
+
+def _random_momentum_poly(rng, n, kind, max_deg, side):
+    """A random polynomial in the momenta of so(n) with total degree at
+    most ``max_deg``; ``kind`` picks int, non-integer Fraction or
+    RationalFunction-over-lambda coefficients."""
+    lam = lambda_vars(n)
+    factors = [MultiPoly.gen(lam, i) + MultiPoly.gen(lam, j) for i in range(n) for j in range(i + 1, n)]
+
+    def coeff():
+        if kind == "int":
+            return rng.choice([-3, -2, -1, 1, 2, 5])
+        c = Fraction(rng.randint(-9, 9) or 1, rng.randint(2, 7))
+        if kind == "fraction":
+            return c
+        num = MultiPoly.const(lam, c) + MultiPoly.gen(lam, rng.randrange(n)) * rng.randint(-2, 2)
+        return RationalFunction(num, rng.choice(factors)) if rng.random() < 0.5 else RationalFunction(num)
+
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        mono = [0] * dim_so(n)
+        for _ in range(rng.randint(0, max_deg)):
+            mono[rng.randrange(dim_so(n))] += 1
+        terms[tuple(mono)] = coeff()
+    return LiePoissonPoly(n, MultiPoly(momentum_vars(n), terms), side)
+
+
+def test_lie_poisson_kernel_matches_table_oracle():
+    # the N-product packed kernel against the structure-table formula, on
+    # both sides, over int, Fraction and symbolic coefficients, with
+    # operands of total degree 0 and 1 among them
+    rng = random.Random(97)
+    kinds = ("int", "fraction", "symbolic")
+    nonzero = 0
+    for case in range(100):
+        n = 3 + case % 4
+        side = "LR"[case // 4 % 2]
+        kind_f, kind_g = kinds[case % 3], kinds[case // 3 % 3]
+        deg_f = (0, 1, 3, 3)[case % 4] if kind_f != "symbolic" else rng.randint(1, 2)
+        f = _random_momentum_poly(rng, n, kind_f, deg_f, side)
+        g = _random_momentum_poly(rng, n, kind_g, rng.randint(1, 3 if kind_g != "symbolic" else 2), side)
+        br = lie_poisson_bracket(f, g)
+        assert br.side == side
+        assert br == lie_poisson_bracket_by_table(f, g)
+        if "symbolic" not in (kind_f, kind_g):
+            assert all(isinstance(c, Fraction) for c in br.poly.terms.values())
+        nonzero += not br.is_zero()
+    assert nonzero > 50
+
+
+def test_lie_poisson_kernel_high_exponents():
+    # exponents past 255: the packed fields widen with the degrees
+    n = 4
+    vars = momentum_vars(n)
+    f = LiePoissonPoly(n, MultiPoly(vars, {(300, 1, 0, 0, 0, 2): Fraction(3, 2), (0, 0, 256, 0, 0, 0): Fraction(1)}))
+    g = LiePoissonPoly(n, MultiPoly(vars, {(0, 255, 0, 1, 0, 0): Fraction(-5, 7), (1, 0, 0, 0, 1, 0): Fraction(2)}))
+    br = lie_poisson_bracket(f, g)
+    assert max(max(m) for m in br.poly.terms) >= 256
+    assert br == lie_poisson_bracket_by_table(f, g)
 
 
 def test_left_right_momenta_commute_and_right_sign():

@@ -83,6 +83,17 @@ def test_verify_quantum_rigid_small():
     assert any("[H , c3,1]" in i for i in ids)
 
 
+def test_verify_classical_rigid_n6():
+    # the full n = 6 classical scope, assembled set and central brackets included
+    r = run_cli("verify", "classical-rigid", "--n", "6", "--seed", "0", "--format", "json")
+    assert r.returncode == 0
+    report = json.loads(r.stdout)
+    jsonschema.validate(report, SCHEMA)
+    assert {c["status"] for c in report["checks"]} <= {"pass", "generic-point-certificate"}
+    ids = {c["id"] for c in report["checks"]}
+    assert {"rigid/assembled set", "rigid/assembled central brackets", "rigid/{c6,4,c6,2}"} <= ids
+
+
 def test_simulate_roundtrip(tmp_path):
     out = tmp_path / "run"
     r = run_cli(

@@ -206,17 +206,30 @@ def test_declared_factor_sum_identity():
         assert (lhs - rhs).is_zero()
 
 
-def test_declared_factor_ring_matches_general_gcd_and_sympy():
-    # a random numerator times declared factors, over declared factors: the
-    # shipped pair is the one the general gcd gives, and sympy.cancel's
-    # pair scaled to a monic (graded-lex) denominator
-    sympy = pytest.importorskip("sympy")
+def _declared_factor_cases():
+    """100 seeded (vars, num, den): a random numerator times declared
+    factors, over declared factors, alternately over the moments and over x."""
     from manakov.radical import x_square_poly
 
     rings = [(lambda_vars(4), _moment_factors(lambda_vars(4))), (x_vars(3), [x_square_poly(3)])]
     rng = random.Random(41)
     for case in range(100):
         vars, factors = rings[case % 2]
+        r = MultiPoly.zero(vars)
+        while r.is_zero():
+            r = MultiPoly(vars, {
+                tuple(rng.randint(0, 2) for _ in vars): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                for _ in range(rng.randint(1, 4))
+            })
+        yield vars, r * _declared_product(rng, factors), _declared_product(rng, factors)
+
+
+def test_declared_factor_ring_matches_general_gcd_and_sympy():
+    # the shipped pair is the one the general gcd gives, and sympy.cancel's
+    # pair scaled to a monic (graded-lex) denominator
+    sympy = pytest.importorskip("sympy")
+
+    for vars, num, den in _declared_factor_cases():
         gens = sympy.symbols(vars)
 
         def to_sympy(p):
@@ -226,20 +239,30 @@ def test_declared_factor_ring_matches_general_gcd_and_sympy():
                 sympy.Integer(0),
             )
 
-        r = MultiPoly.zero(vars)
-        while r.is_zero():
-            r = MultiPoly(vars, {
-                tuple(rng.randint(0, 2) for _ in vars): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                for _ in range(rng.randint(1, 4))
-            })
-        num = r * _declared_product(rng, factors)
-        den = _declared_product(rng, factors)
         f = RationalFunction(num, den)
         assert (f.num, f.den) == reduced_pair(num, den)
         p, q = sympy.fraction(sympy.cancel(to_sympy(num) / to_sympy(den)))
         lc = sympy.Poly(q, *gens).LC(order="grlex")
         assert sympy.expand(to_sympy(f.num) - p / lc) == 0
         assert sympy.expand(to_sympy(f.den) - q / lc) == 0
+
+
+def test_gcd_tries_only_divisions_the_leading_monomials_allow(monkeypatch):
+    # a declared factor is tried only when its leading monomial divides the
+    # dividend's: fewer trial divisions than trying every one, same pairs
+    from manakov import ratfunc
+
+    calls = []
+    real_try_div = MultiPoly._try_div
+    monkeypatch.setattr(MultiPoly, "_try_div", lambda self, other: calls.append(1) or real_try_div(self, other))
+    cases = list(_declared_factor_cases())
+    filtered = [RationalFunction(num, den) for _, num, den in cases]
+    filtered_calls = len(calls)
+    calls.clear()
+    monkeypatch.setattr(ratfunc, "_lead_divides", lambda mono, f: True)
+    unfiltered = [RationalFunction(num, den) for _, num, den in cases]
+    assert len(calls) > filtered_calls
+    assert [(f.num, f.den) for f in filtered] == [(f.num, f.den) for f in unfiltered]
 
 
 def test_rational_function_arithmetic():

@@ -13,7 +13,10 @@ from manakov.son import MomentSpec, SkewMatrix, dim_so, gen_bracket, pair_index,
 from manakov.uea import (
     EXPANSION_SIGN,
     PBWElement,
+    c62_correction,
     clear_caches,
+    corrected_c62,
+    correction_weights,
     hamiltonian_commutator,
     hamiltonian_obstruction_b,
     manakov_operator,
@@ -30,6 +33,7 @@ from manakov.uea import (
     verify_quantum_central_set,
     verify_quantum_flat_cases,
     verify_quantum_rigid,
+    weighted_square_commutators,
 )
 from oracles import (
     correction_commutator_expansion,
@@ -439,6 +443,31 @@ def test_correction_identity_n6():
     lhs = correction_commutator_expansion(spec, c51)
     rhs = sym35_expansion(spec)
     assert (lhs - rhs.scale(EXPANSION_SIGN)).is_zero()
+
+
+def test_corrected_commutators_reuse_the_uncorrected_ones():
+    # the battery forms [c-hat_l, C-hat_{6,2}] as [c-hat_l, c-hat_{6,2}] minus
+    # the weighted [(P-hat_ij)^2, c-hat_l], and [H-hat, C-hat_{6,2}] as
+    # [H-hat, c-hat_{6,2}] plus [H-hat, correction]; each equals the direct
+    # commutator, and the uncorrected one it starts from is nonzero (except
+    # for the Casimir c-hat_{2,1})
+    clear_caches()
+    n = 6
+    rng = random.Random(61)
+    for _ in range(2):
+        spec = MomentSpec.from_lambdas(tuple(Fraction(rng.randint(1, 40), rng.randint(1, 9)) for _ in range(n)))
+        c62 = manakov_operator(ManakovIndex(6, 2), n, spec)
+        c62mod = corrected_c62(spec, c62)
+        h_comm = hamiltonian_commutator(spec, c62)
+        assert not h_comm.is_zero()
+        reused = h_comm + hamiltonian_commutator(spec, c62_correction(spec))
+        assert reused == uea_commutator(hamiltonian_operator(spec), c62mod)
+        for l in range(2, n + 1):
+            quad = manakov_operator(ManakovIndex(l, 1), n, spec)
+            comm = uea_commutator(quad, c62)
+            assert comm.is_zero() == (l == 2)
+            reused = comm - weighted_square_commutators(n, [correction_weights(spec)], quad)[0]
+            assert reused == uea_commutator(quad, c62mod)
 
 
 def test_modified_operator_commutes_symbolically_n6():
