@@ -22,9 +22,9 @@ from .son import SkewMatrix, pair_list, signed_pair, structure_rows
 class PhasePoly(TermMap):
     """Polynomial on T*R^n: sum of coefficient(x, r) * p-monomial terms.
 
-    Coefficients are elements of the radical extension (rational functions
-    in x adjoined r = sqrt(x^2)); the exponent tuples index powers of
-    p_1..p_n.
+    Coefficients are elements of the radical extension ((a + b*r)/q^e with
+    a, b polynomials in x, r = sqrt(q) and q = x^2); the exponent tuples
+    index powers of p_1..p_n.
     """
 
     __slots__ = ()
@@ -62,8 +62,6 @@ class PhasePoly(TermMap):
         if isinstance(other, (int, Fraction)):
             return PhasePoly.const(self.n, RadicalElement.const(self.n, other))
         if isinstance(other, MultiPoly):
-            other = RationalFunction(other, reduce=False)
-        if isinstance(other, RationalFunction):
             other = RadicalElement(self.n, other)
         if isinstance(other, RadicalElement):
             return PhasePoly.const(self.n, other)

@@ -1,8 +1,11 @@
 """Quadratic radical extension adjoining r = sqrt(x1^2 + ... + xn^2).
 
-Elements are pairs a + b*r with a, b rational functions in x1..xn and the
-reduction r^2 -> x1^2+...+xn^2 applied on every product, so the (a, b)
-representation is unique.
+Every x-coefficient the package forms is (a + b*r)/q^e with a, b
+polynomials in x1..xn and q = x1^2 + ... + xn^2 = r^2: 1/r = r/q and
+dr/dx_i = x_i r/q, so a power of q is the only denominator that occurs and
+no rational function over x is needed.  The stored triple (a, b, e) takes
+the least e >= 0 that makes a and b polynomials, so it is unique and
+equality is structural.
 """
 
 from __future__ import annotations
@@ -10,21 +13,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .ratfunc import MultiPoly, RationalFunction, declare_factors
+from .ratfunc import MultiPoly
 
 
 @lru_cache(maxsize=None)
 def x_vars(n):
-    """The coordinates x1..xn; |x|^2 is the one denominator factor over them
-    (x1 itself at n = 1, where |x|^2 = x1^2 is not irreducible)."""
-    vars = tuple(f"x{i}" for i in range(1, n + 1))
-    declare_factors(vars, [_sum_of_squares(vars) if n > 1 else MultiPoly.gen(vars, 0)])
-    return vars
-
-
-def _sum_of_squares(vars):
-    n = len(vars)
-    return MultiPoly(vars, {tuple(2 * (k == i) for k in range(n)): Fraction(1) for i in range(n)})
+    return tuple(f"x{i}" for i in range(1, n + 1))
 
 
 def check_axis(n, i):
@@ -35,46 +29,48 @@ def check_axis(n, i):
 
 @lru_cache(maxsize=None)
 def x_square_poly(n) -> MultiPoly:
-    return _sum_of_squares(x_vars(n))
-
-
-@lru_cache(maxsize=None)
-def _log_radius_derivative(n, i):
-    """d(log r)/dx_i = x_i / x^2, formed once per axis."""
-    return RationalFunction(MultiPoly.gen(x_vars(n), i - 1), x_square_poly(n))
+    """q = x1^2 + ... + xn^2."""
+    return MultiPoly(x_vars(n), {tuple(2 * (k == i) for k in range(n)): Fraction(1) for i in range(n)})
 
 
 class RadicalElement:
-    """Value a + b*r over the x-variables, with r^2 = x1^2+...+xn^2."""
+    """Value (a + b*r)/q^e with a, b polynomials over the x-variables and
+    r^2 = q; construction cancels q from a and b while e > 0 and q divides
+    both."""
 
-    __slots__ = ("n", "a", "b")
+    __slots__ = ("n", "a", "b", "e")
 
-    def __init__(self, n, a: RationalFunction, b: RationalFunction | None = None):
-        self.n = n
-        self.a = a
-        self.b = b if b is not None else RationalFunction.const(x_vars(n), 0)
+    def __init__(self, n, a: MultiPoly, b: MultiPoly | None = None, e=0):
+        q = x_square_poly(n)
+        b = b if b is not None else MultiPoly.zero(q.vars)
+        while e and (qa := a._try_div(q) if a else a) is not None:
+            qb = b._try_div(q) if b else b
+            if qb is None:
+                break
+            a, b, e = qa, qb, e - 1
+        self.n, self.a, self.b, self.e = n, a, b, e
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def const(cls, n, c):
-        return cls(n, RationalFunction.const(x_vars(n), c))
+        return cls(n, MultiPoly.const(x_vars(n), c))
 
     @classmethod
     def coordinate(cls, n, i):
         """The coordinate function x_i (1-based)."""
         check_axis(n, i)
-        return cls(n, RationalFunction.gen(x_vars(n), i - 1))
+        return cls(n, MultiPoly.gen(x_vars(n), i - 1))
 
     @classmethod
     def radius(cls, n):
-        return cls(n, RationalFunction.const(x_vars(n), 0), RationalFunction.const(x_vars(n), 1))
+        return cls(n, MultiPoly.zero(x_vars(n)), MultiPoly.const(x_vars(n), 1))
 
     def is_zero(self):
-        return self.a.is_zero() and self.b.is_zero()
+        return not self.a and not self.b
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.a) or bool(self.b)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -83,10 +79,8 @@ class RadicalElement:
             if other.n != self.n:
                 raise ValueError("mixed dimensions in radical arithmetic")
             return other
-        if isinstance(other, RationalFunction):
-            return RadicalElement(self.n, other)
         if isinstance(other, MultiPoly):
-            return RadicalElement(self.n, RationalFunction(other, reduce=False))
+            return RadicalElement(self.n, other)
         if isinstance(other, (int, Fraction)):
             return RadicalElement.const(self.n, other)
         return None
@@ -95,12 +89,16 @@ class RadicalElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RadicalElement(self.n, self.a + other.a, self.b + other.b)
+        if self.e == other.e:
+            return RadicalElement(self.n, self.a + other.a, self.b + other.b, self.e)
+        low, high = (self, other) if self.e < other.e else (other, self)
+        lift = x_square_poly(self.n) ** (high.e - low.e)
+        return RadicalElement(self.n, low.a * lift + high.a, low.b * lift + high.b, high.e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RadicalElement(self.n, -self.a, -self.b)
+        return RadicalElement(self.n, -self.a, -self.b, self.e)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -112,60 +110,74 @@ class RadicalElement:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)) and other:
+            return RadicalElement(self.n, self.a * other, self.b * other, self.e)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        x2 = x_square_poly(self.n)
-        a = self.a * other.a + self.b * other.b * x2
-        b = self.a * other.b + self.b * other.a
-        return RadicalElement(self.n, a, b)
+        a = self.a * other.a
+        if self.b and other.b:
+            a = a + self.b * other.b * x_square_poly(self.n)
+        b = self.a * other.b + self.b * other.a if self.b or other.b else self.b
+        return RadicalElement(self.n, a, b, self.e + other.e)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """(a + b r)^-1 = (a - b r) / (a^2 - b^2 x^2)."""
-        x2 = x_square_poly(self.n)
-        norm = self.a * self.a - self.b * self.b * x2
-        if norm.is_zero():
+        """q^e (a - b r)/(a^2 - b^2 q), for a norm a^2 - b^2 q = c q^k with c
+        a nonzero constant; any other norm raises ValueError."""
+        q = x_square_poly(self.n)
+        norm = self.a * self.a - self.b * self.b * q
+        if not norm:
             raise ZeroDivisionError("radical element with zero norm")
-        return RadicalElement(self.n, self.a / norm, -self.b / norm)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
+        k = 0
+        while not norm.is_constant() and (quot := norm._try_div(q)) is not None:
+            norm, k = quot, k + 1
+        if not norm.is_constant():
+            raise ValueError(f"norm factor {norm} is not a power of {q}")
+        lift = q ** max(self.e - k, 0) * (1 / norm.constant_value())
+        return RadicalElement(self.n, self.a * lift, -self.b * lift, max(k - self.e, 0))
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.a == other.a and self.b == other.b
+        return self.e == other.e and self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        return hash((self.n, self.a, self.b))
+        return hash((self.n, self.a, self.b, self.e))
 
     # -- calculus -------------------------------------------------------------
 
     def diff(self, i):
-        """d/dx_i (1-based), using dr/dx_i = x_i * r / x^2."""
+        """d/dx_i (1-based): ((a_i q - 2e x_i a) + (b_i q + (1 - 2e) x_i b) r)/q^(e+1)."""
         check_axis(self.n, i)
-        da = self.a.diff(i - 1)
-        db = self.b.diff(i - 1) + self.b * _log_radius_derivative(self.n, i)
-        return RadicalElement(self.n, da, db)
+        a, b, e = self.a, self.b, self.e
+        if not b and not e:
+            return RadicalElement(self.n, a.diff(i - 1), b)
+        q = x_square_poly(self.n)
+        xi = MultiPoly.gen(q.vars, i - 1)
+        da = a.diff(i - 1) * q - xi * a * (2 * e)
+        db = b.diff(i - 1) * q + xi * b * (1 - 2 * e)
+        return RadicalElement(self.n, da, db, e + 1)
 
     def eval(self, x_values, r_value):
         """Evaluate at a rational point with r known exactly."""
-        return self.a.eval(x_values) + self.b.eval(x_values) * r_value
+        value = self.a.eval(x_values) + self.b.eval(x_values) * r_value
+        if not self.e:
+            return value
+        q = sum(v * v for v in x_values)
+        if q == 0:
+            raise ZeroDivisionError("evaluation at a pole")
+        return value / q**self.e
 
     def __str__(self):
-        if self.b.is_zero():
-            return str(self.a)
-        if self.a.is_zero():
-            return f"({self.b})*r"
-        return f"{self.a} + ({self.b})*r"
+        parts = [str(self.a)] if self.a or not self.b else []
+        if self.b:
+            parts.append(f"({self.b})*r")
+        num = " + ".join(parts)
+        if not self.e:
+            return num
+        return f"({num})/({x_square_poly(self.n)})" + (f"^{self.e}" if self.e > 1 else "")
 
     __repr__ = __str__

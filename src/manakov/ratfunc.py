@@ -8,10 +8,10 @@ with itself and with small integers.  All values are treated as immutable:
 no method mutates ``self`` after construction.
 
 Rational functions cancel only the denominator factors declared for their
-variables (``declare_factors``): every denominator the package forms is a
-product of |x|^2 over the coordinates, or of v_i + v_j and v_i over the
-moments, so exact trial division by those factors takes the place of a
-general multivariate gcd.
+variables (``declare_factors``): every denominator the package forms over
+the moments is a product of v_i + v_j and v_i, so exact trial division by
+those factors takes the place of a general multivariate gcd.  (Coefficients
+over the coordinates x never need one: see ``radical``.)
 
 The monomial order used everywhere is graded lexicographic.
 """
@@ -353,9 +353,9 @@ class MultiPoly:
 
 # The irreducible polynomials that may divide a denominator, per variable
 # tuple.  The module that names a variable tuple declares them once:
-# ``radical.x_vars`` declares |x|^2, ``son.lambda_vars`` and ``son.mu_vars``
-# declare v_i + v_j and v_i.  Every denominator the package forms is a
-# product of these, so cancelling a quotient is exact trial division by them.
+# ``son.lambda_vars`` and ``son.mu_vars`` declare v_i + v_j and v_i.  Every
+# denominator the package forms is a product of these, so cancelling a
+# quotient is exact trial division by them.
 # A polynomial carries only its variable tuple, so the tuple is the key.
 _DECLARED_FACTORS = {}
 
@@ -451,9 +451,6 @@ class RationalFunction:
     def is_zero(self):
         return self.num.is_zero()
 
-    def is_polynomial(self):
-        return self.den.is_constant()
-
     def __bool__(self):
         return not self.num.is_zero()
 
@@ -531,16 +528,6 @@ class RationalFunction:
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def diff(self, i):
-        num = self.num.diff(i) * self.den - self.num * self.den.diff(i)
-        return RationalFunction(num, self.den * self.den)
-
-    def eval(self, values):
-        den = self.den.eval(values)
-        if den == 0:
-            raise ZeroDivisionError("evaluation at a pole")
-        return self.num.eval(values) / den
 
     def __str__(self):
         if self.den.is_constant() and self.den.constant_value() == 1:

@@ -417,7 +417,7 @@ def hamiltonian_commutator(spec: MomentSpec, x: PBWElement) -> PBWElement:
 
 def sym35_expansion(spec: MomentSpec) -> PBWElement:
     """The triple-sum Sym_3/Sym_5 side of the degree-4 correction identity:
-    -(5/6) sum_{h,l,m} l_l^4 l_m^2 [ (5/3) Sym_3(P_hl,P_lm,P_mh)
+    -(5/6) sum_{h,l,m} l_l^4 l_m^2 [ ((n-1)/3) Sym_3(P_hl,P_lm,P_mh)
                                      + sum_{i,j} Sym_5(P_ij,P_jh,P_hl,P_lm,P_mi) ],
     the symmetrization of the same sum of classical cycles."""
     n = spec.n
@@ -428,7 +428,7 @@ def sym35_expansion(spec: MomentSpec) -> PBWElement:
         for l in idx:
             for m in idx:
                 w = (lam[l - 1] ** 4) * (lam[m - 1] ** 2) * Fraction(-5, 6)
-                w3 = w * Fraction(5, 3)
+                w3 = w * Fraction(n - 1, 3)
                 for h in idx:
                     yield w3, (h, l, m)
                     for i in idx:

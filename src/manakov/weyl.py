@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import comb, prod
 
 from .brackets import PhasePoly
-from .radical import RadicalElement
+from .radical import RadicalElement, x_square_poly
 from .ratfunc import TermMap, add_terms
 from .report import VerificationReport
 
@@ -179,22 +179,22 @@ def _sym_monomial(n, xmono, pmono) -> WeylOperator:
 def symmetrize(f: PhasePoly) -> WeylOperator:
     """Weyl-ordered quantization with respect to (x, phat).
 
-    The rational part a of a coefficient a + b*r, when it is a polynomial,
-    is split into x-monomials, each averaged jointly with the p-factors.
-    The rest of the coefficient (b*r, or all of it when a is not a
-    polynomial, for instance x_i/r) acts multiplicatively from the left,
-    which matches its use in the conserved-vector construction where it
-    multiplies p-free terms.  The map is linear on symbols whose rational
-    parts are polynomials.
+    The rational part a/q^e of a coefficient (a + b*r)/q^e, when it is a
+    polynomial, is split into x-monomials, each averaged jointly with the
+    p-factors.  The rest of the coefficient (b*r/q^e, or all of it when the
+    rational part is not a polynomial, for instance x_i/r) acts
+    multiplicatively from the left, which matches its use in the
+    conserved-vector construction where it multiplies p-free terms.  The
+    map is linear on symbols whose rational parts are polynomials.
     """
     n = f.n
     acc = WeylOperator.zero(n)
     for pmono, coef in f.terms.items():
-        if coef.a.is_polynomial():
-            poly = coef.a.num * (1 / coef.a.den.constant_value())
-            for xmono, q in poly.terms.items():
+        rational = RadicalElement(n, coef.a, e=coef.e)
+        if rational.e == 0:
+            for xmono, q in rational.a.terms.items():
                 acc = acc + _sym_monomial(n, xmono, pmono).scale(q)
-            coef = coef - coef.a
+            coef = coef - rational
         if coef:
             acc = acc + compose(WeylOperator.const(n, coef), _sym_monomial(n, (0,) * n, pmono))
     return acc
@@ -228,10 +228,7 @@ def laplace_operator(n) -> WeylOperator:
 
 
 def multiplication_by_r_squared(n) -> WeylOperator:
-    from .radical import x_square_poly
-    from .ratfunc import RationalFunction
-
-    return WeylOperator.const(n, RadicalElement(n, RationalFunction(x_square_poly(n), reduce=False)))
+    return WeylOperator.const(n, RadicalElement(n, x_square_poly(n)))
 
 
 def x_dot_p_operator(n) -> WeylOperator:

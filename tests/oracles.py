@@ -9,7 +9,8 @@ expansions summed one symmetrized cycle at a time, word-by-word PBW normal
 ordering, greedy rank completions that re-rank the whole chosen set for
 every candidate, the Lie-Poisson bracket summed over the structure table
 one pair of partial derivatives at a time, and the general multivariate
-gcd that reduces any quotient of polynomials.  The remaining helpers
+gcd that reduces any quotient of polynomials, and the radical coefficients
+as a pair of rational functions.  The remaining helpers
 (standard quantization, the top p-degree part of a phase polynomial) are
 small maps only tests use.
 """
@@ -21,7 +22,8 @@ from math import gcd as int_gcd
 from manakov.brackets import LiePoissonPoly, PhasePoly, momentum_vars
 from manakov.charts import GroupChart
 from manakov.linalg import ExactMatrix, invert
-from manakov.ratfunc import MultiPoly, add_terms
+from manakov.radical import RadicalElement, x_square_poly, x_vars
+from manakov.ratfunc import MultiPoly, RationalFunction, add_terms
 from manakov.rigid_body import (
     centrality_defect,
     closed_walks,
@@ -316,7 +318,7 @@ def sym3_expansion_by_cycles(n, coeff_fn) -> PBWElement:
 
 
 def sym35_expansion_by_cycles(spec: MomentSpec) -> PBWElement:
-    """-(5/6) sum_{h,l,m} l_l^4 l_m^2 [ (5/3) Sym_3(P_hl,P_lm,P_mh)
+    """-(5/6) sum_{h,l,m} l_l^4 l_m^2 [ ((n-1)/3) Sym_3(P_hl,P_lm,P_mh)
     + sum_{i,j} Sym_5(P_ij,P_jh,P_hl,P_lm,P_mi) ], one Sym_k per index tuple."""
     n = spec.n
     acc = {}
@@ -325,7 +327,7 @@ def sym35_expansion_by_cycles(spec: MomentSpec) -> PBWElement:
             for m in range(1, n + 1):
                 w = (spec.lambdas[l - 1] ** 4) * (spec.lambdas[m - 1] ** 2) * Fraction(-5, 6)
                 s3 = sym_k(n, [(h, l), (l, m), (m, h)])
-                add_terms(acc, s3.scale(w * Fraction(5, 3)).terms.items())
+                add_terms(acc, s3.scale(w * Fraction(n - 1, 3)).terms.items())
                 for i in range(1, n + 1):
                     for j in range(1, n + 1):
                         s5 = sym_k(n, [(i, j), (j, h), (h, l), (l, m), (m, i)])
@@ -377,6 +379,77 @@ def lie_poisson_bracket_by_table(f: LiePoissonPoly, g: LiePoissonPoly) -> LiePoi
         term = df[u] * dg[v] - df[v] * dg[u]
         acc = acc + term * (MultiPoly.gen(vars, w) * s)
     return LiePoissonPoly(f.n, acc if f.side == "L" else -acc, f.side)
+
+
+# -- the radical coefficients as a pair of rational functions ----------------
+
+
+def rf_diff(f: RationalFunction, i) -> RationalFunction:
+    """d f/d v_i (0-based) by the quotient rule."""
+    return RationalFunction(f.num.diff(i) * f.den - f.num * f.den.diff(i), f.den * f.den)
+
+
+def rf_eval(f: RationalFunction, values):
+    den = f.den.eval(values)
+    if den == 0:
+        raise ZeroDivisionError("evaluation at a pole")
+    return f.num.eval(values) / den
+
+
+class PairRadical:
+    """a + b*r with a, b ``RationalFunction``s over x1..xn and r^2 = |x|^2,
+    reduced r^2 -> |x|^2 on every product: the field of ``RadicalElement``
+    with each part reduced by its own gcd instead of both sharing one power
+    of |x|^2.  Reducing a quotient over x takes a gcd, so it runs under the
+    ``general_gcd_ring`` fixture."""
+
+    __slots__ = ("n", "a", "b")
+
+    def __init__(self, n, a: RationalFunction, b: RationalFunction | None = None):
+        self.n = n
+        self.a = a
+        self.b = b if b is not None else RationalFunction.const(x_vars(n), 0)
+
+    @classmethod
+    def of(cls, u: RadicalElement):
+        den = x_square_poly(u.n) ** u.e
+        return cls(u.n, RationalFunction(u.a, den), RationalFunction(u.b, den))
+
+    @classmethod
+    def radius(cls, n):
+        return cls(n, RationalFunction.const(x_vars(n), 0), RationalFunction.const(x_vars(n), 1))
+
+    def __add__(self, other):
+        return PairRadical(self.n, self.a + other.a, self.b + other.b)
+
+    def __neg__(self):
+        return PairRadical(self.n, -self.a, -self.b)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        x2 = x_square_poly(self.n)
+        return PairRadical(self.n, self.a * other.a + self.b * other.b * x2, self.a * other.b + self.b * other.a)
+
+    def inverse(self):
+        """(a + b r)^-1 = (a - b r) / (a^2 - b^2 x^2)."""
+        norm = self.a * self.a - self.b * self.b * x_square_poly(self.n)
+        return PairRadical(self.n, self.a / norm, -self.b / norm)
+
+    def __eq__(self, other):
+        return self.a == other.a and self.b == other.b
+
+    def diff(self, i):
+        """d/dx_i (1-based), using dr/dx_i = x_i * r / x^2."""
+        x_i_over_x2 = RationalFunction(MultiPoly.gen(x_vars(self.n), i - 1), x_square_poly(self.n))
+        return PairRadical(self.n, rf_diff(self.a, i - 1), rf_diff(self.b, i - 1) + self.b * x_i_over_x2)
+
+    def eval(self, x_values, r_value):
+        return rf_eval(self.a, x_values) + rf_eval(self.b, x_values) * r_value
+
+    def __repr__(self):
+        return f"{self.a} + ({self.b})*r"
 
 
 # -- the general multivariate gcd -------------------------------------------

@@ -94,6 +94,12 @@ def test_verify_classical_rigid_n6():
     assert {"rigid/assembled set", "rigid/assembled central brackets", "rigid/{c6,4,c6,2}"} <= ids
 
 
+def test_verify_quantum_central_n5():
+    from manakov.cli import main
+
+    assert main(["verify", "quantum-central", "--n", "5"]) == 0
+
+
 def test_simulate_roundtrip(tmp_path):
     out = tmp_path / "run"
     r = run_cli(

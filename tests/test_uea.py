@@ -445,6 +445,16 @@ def test_correction_identity_n6():
     assert (lhs - rhs.scale(EXPANSION_SIGN)).is_zero()
 
 
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_correction_identity_holds_with_the_n_dependent_sym3_weight(n):
+    # the Sym_3 weight of the expansion is (n - 1)/3, which is 5/3 only at
+    # n = 6: the identity holds at every n once it follows n
+    spec = MomentSpec.from_lambdas(tuple(Fraction(v) for v in (1, 2, 3, 5, 7, 11, 13)[:n]))
+    c51 = manakov_operator(ManakovIndex(5, 2), n, spec)
+    lhs = -weighted_square_commutators(n, [correction_weights(spec)], c51)[0]
+    assert lhs == sym35_expansion(spec).scale(EXPANSION_SIGN)
+
+
 def test_corrected_commutators_reuse_the_uncorrected_ones():
     # the battery forms [c-hat_l, C-hat_{6,2}] as [c-hat_l, c-hat_{6,2}] minus
     # the weighted [(P-hat_ij)^2, c-hat_l], and [H-hat, C-hat_{6,2}] as

@@ -111,12 +111,12 @@ def test_symmetrization_shift_all_n():
 
 def _random_x_poly(rng, n):
     from manakov.radical import x_vars
-    from manakov.ratfunc import MultiPoly, RationalFunction
+    from manakov.ratfunc import MultiPoly
 
     terms = {}
     for _ in range(rng.randint(1, 3)):
         terms[tuple(rng.randint(0, 2) for _ in range(n))] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-    return RationalFunction(MultiPoly(x_vars(n), terms))
+    return MultiPoly(x_vars(n), terms)
 
 
 def test_symmetrize_is_additive():
