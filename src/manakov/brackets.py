@@ -135,15 +135,15 @@ def canonical_bracket(f: PhasePoly, g: PhasePoly) -> PhasePoly:
     """{f, g} = sum_i df/dp_i dg/dx_i - df/dx_i dg/dp_i."""
     if f.n != g.n:
         raise ValueError("mixed dimensions")
-    acc = PhasePoly.zero(f.n)
+    acc = {}
     for i in range(1, f.n + 1):
         fp = f.dp(i)
         if fp.terms:
-            acc = acc + fp * g.dx(i)
+            add_terms(acc, (fp * g.dx(i)).terms.items())
         fx = f.dx(i)
         if fx.terms:
-            acc = acc - fx * g.dp(i)
-    return acc
+            add_terms(acc, (-fx * g.dp(i)).terms.items())
+    return f._new(acc)
 
 
 # -- Lie-Poisson side ---------------------------------------------------------
@@ -306,13 +306,7 @@ def lie_poisson_bracket(f: LiePoissonPoly, g: LiePoissonPoly) -> LiePoissonPoly:
     shifts = range(0, width * len(f.poly.vars), width)
     terms = {}
     for m, c in acc.items():
-        # a symbolic coefficient is only negated when it can be: a product
-        # would cancel again by trial division
-        if isinstance(c, int) or abs(scale) != 1:
-            c = c * scale
-        elif scale < 0:
-            c = -c
-        terms[tuple((m >> k) & mask for k in shifts)] = c
+        terms[tuple((m >> k) & mask for k in shifts)] = c * scale
     return LiePoissonPoly(n, MultiPoly(f.poly.vars, terms), f.side)
 
 

@@ -5,7 +5,9 @@ polynomials in x1..xn and q = x1^2 + ... + xn^2 = r^2: 1/r = r/q and
 dr/dx_i = x_i r/q, so a power of q is the only denominator that occurs and
 no rational function over x is needed.  The stored triple (a, b, e) takes
 the least e >= 0 that makes a and b polynomials, so it is unique and
-equality is structural.
+equality is structural.  It is the x-side twin of the (num, e) pairs of
+``ratfunc.RationalFunction`` and cancels q with the same
+``ratfunc.divide_out``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .ratfunc import MultiPoly
+from .ratfunc import MultiPoly, RingElement, divide_out
 
 
 @lru_cache(maxsize=None)
@@ -33,7 +35,7 @@ def x_square_poly(n) -> MultiPoly:
     return MultiPoly(x_vars(n), {tuple(2 * (k == i) for k in range(n)): Fraction(1) for i in range(n)})
 
 
-class RadicalElement:
+class RadicalElement(RingElement):
     """Value (a + b*r)/q^e with a, b polynomials over the x-variables and
     r^2 = q; construction cancels q from a and b while e > 0 and q divides
     both."""
@@ -41,13 +43,10 @@ class RadicalElement:
     __slots__ = ("n", "a", "b", "e")
 
     def __init__(self, n, a: MultiPoly, b: MultiPoly | None = None, e=0):
-        q = x_square_poly(n)
-        b = b if b is not None else MultiPoly.zero(q.vars)
-        while e and (qa := a._try_div(q) if a else a) is not None:
-            qb = b._try_div(q) if b else b
-            if qb is None:
-                break
-            a, b, e = qa, qb, e - 1
+        b = b if b is not None else MultiPoly.zero(x_vars(n))
+        if e:
+            (a, b), (k,) = divide_out((a, b), (x_square_poly(n),), (e,))
+            e -= k
         self.n, self.a, self.b, self.e = n, a, b, e
 
     # -- constructors ------------------------------------------------------
@@ -65,9 +64,6 @@ class RadicalElement:
     @classmethod
     def radius(cls, n):
         return cls(n, MultiPoly.zero(x_vars(n)), MultiPoly.const(x_vars(n), 1))
-
-    def is_zero(self):
-        return not self.a and not self.b
 
     def __bool__(self):
         return bool(self.a) or bool(self.b)
@@ -100,15 +96,6 @@ class RadicalElement:
     def __neg__(self):
         return RadicalElement(self.n, -self.a, -self.b, self.e)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)) and other:
             return RadicalElement(self.n, self.a * other, self.b * other, self.e)
@@ -130,9 +117,7 @@ class RadicalElement:
         norm = self.a * self.a - self.b * self.b * q
         if not norm:
             raise ZeroDivisionError("radical element with zero norm")
-        k = 0
-        while not norm.is_constant() and (quot := norm._try_div(q)) is not None:
-            norm, k = quot, k + 1
+        (norm,), (k,) = divide_out((norm,), (q,), (norm.total_degree(),))
         if not norm.is_constant():
             raise ValueError(f"norm factor {norm} is not a power of {q}")
         lift = q ** max(self.e - k, 0) * (1 / norm.constant_value())

@@ -7,11 +7,12 @@ functions in the inertia moments) as long as the domain supports ``+ - * ==``
 with itself and with small integers.  All values are treated as immutable:
 no method mutates ``self`` after construction.
 
-Rational functions cancel only the denominator factors declared for their
-variables (``declare_factors``): every denominator the package forms over
-the moments is a product of v_i + v_j and v_i, so exact trial division by
-those factors takes the place of a general multivariate gcd.  (Coefficients
-over the coordinates x never need one: see ``radical``.)
+A rational function is a pair (num, e): a polynomial numerator over the
+exponent vector e of the denominator factors declared for its variables
+(``declare_factors``: v_i + v_j and v_i over the moments).  Every
+denominator the package forms is a product of these, so cancelling is exact
+trial division by them (``divide_out``), not a gcd.  (Coefficients over the
+coordinates x never need a quotient: see ``radical``.)
 
 The monomial order used everywhere is graded lexicographic.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
+from operator import add
 
 
 def rational(text) -> Fraction:
@@ -67,13 +69,31 @@ def integer_scaled(x):
     return x.map_coeffs(lambda c: int(c * denom)), denom
 
 
-class TermMap:
+class RingElement:
+    """Subtraction and the zero test, from a subclass's ``+``, unary ``-``,
+    ``__bool__`` and ``_coerce(other)`` (an element of the same class, or
+    None for an unsupported operand)."""
+
+    __slots__ = ()
+
+    def is_zero(self):
+        return not self
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+
+class TermMap(RingElement):
     """Sparse element ``{key: nonzero coefficient}`` of a free module over
     the coefficients, in dimension ``n``; the linear structure shared by
-    phase polynomials, Weyl operators and PBW elements.
-
-    A subclass supplies ``_coerce(other)`` (an element of the same class, or
-    None for an unsupported operand) and its own products and printing.
+    phase polynomials, Weyl operators and PBW elements.  A subclass supplies
+    ``_coerce`` and its own products and printing.
     """
 
     __slots__ = ("n", "terms")
@@ -92,9 +112,6 @@ class TermMap:
         out.terms = terms
         return out
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -108,15 +125,6 @@ class TermMap:
 
     def __neg__(self):
         return self._new({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -132,7 +140,7 @@ def grlex_key(mono):
     return (sum(mono), mono)
 
 
-class MultiPoly:
+class MultiPoly(RingElement):
     """Polynomial in a fixed ordered tuple of variables.
 
     ``vars`` is a tuple of variable names; ``terms`` maps exponent tuples of
@@ -167,9 +175,6 @@ class MultiPoly:
 
     # -- predicates ----------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
     def is_constant(self):
         return all(sum(m) == 0 for m in self.terms)
 
@@ -186,9 +191,11 @@ class MultiPoly:
         if self.vars != other.vars:
             raise ValueError(f"mixed variable sets {self.vars} vs {other.vars}")
 
+    def _coerce(self, other):
+        return other if isinstance(other, MultiPoly) else MultiPoly.const(self.vars, other)
+
     def __add__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.const(self.vars, other)
+        other = self._coerce(other)
         self._check(other)
         return MultiPoly(self.vars, add_terms(dict(self.terms), other.terms.items()))
 
@@ -196,14 +203,6 @@ class MultiPoly:
 
     def __neg__(self):
         return MultiPoly(self.vars, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.const(self.vars, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
@@ -227,12 +226,8 @@ class MultiPoly:
         if k < 0:
             raise ValueError("negative power of a polynomial")
         result = MultiPoly.const(self.vars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
+        for _ in range(k):
+            result = result * self
         return result
 
     def __eq__(self, other):
@@ -249,9 +244,6 @@ class MultiPoly:
 
     def total_degree(self):
         return max((sum(m) for m in self.terms), default=-1)
-
-    def degree_in(self, i):
-        return max((m[i] for m in self.terms), default=-1)
 
     def leading(self):
         """(monomial, coefficient) maximal in graded lex order."""
@@ -289,20 +281,12 @@ class MultiPoly:
 
     # -- division ----------------------------------------------------------
 
-    def divexact(self, other):
-        """Exact quotient ``self / other``; raises ValueError if not divisible."""
-        q = self._try_div(other)
-        if q is None:
-            raise ValueError("inexact polynomial division")
-        return q
-
     def _try_div(self, other):
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if other.is_constant():
-            inv = 1 / other.constant_value()
-            return self * inv
+            return self * (1 / other.constant_value())
         rem = dict(self.terms)
         quot = {}
         gm, gc = other.leading()
@@ -354,8 +338,8 @@ class MultiPoly:
 # The irreducible polynomials that may divide a denominator, per variable
 # tuple.  The module that names a variable tuple declares them once:
 # ``son.lambda_vars`` and ``son.mu_vars`` declare v_i + v_j and v_i.  Every
-# denominator the package forms is a product of these, so cancelling a
-# quotient is exact trial division by them.
+# denominator the package forms is a product of these, so a quotient stores
+# the exponent of each one and cancelling is exact trial division by them.
 # A polynomial carries only its variable tuple, so the tuple is the key.
 _DECLARED_FACTORS = {}
 
@@ -373,133 +357,157 @@ def _lead_divides(mono, f: MultiPoly):
     return not f.terms or all(a >= b for a, b in zip(f.leading()[0], mono))
 
 
+def divide_out(parts, factors, limits):
+    """Divide each of ``factors`` out of all the polynomials ``parts``, as
+    often as it divides every one of them and at most ``limits[k]`` times;
+    return the quotients and the count for each factor.  A division is
+    tried only when the factor's leading monomial divides the part's."""
+    counts = []
+    for p, limit in zip(factors, limits):
+        lead, k = p.leading()[0], 0
+        while k < limit:
+            quotients = [f._try_div(p) if _lead_divides(lead, f) else None for f in parts]
+            if any(q is None for q in quotients):
+                break
+            parts, k = quotients, k + 1
+        counts.append(k)
+    return parts, counts
+
+
+def factor_declared(g: MultiPoly):
+    """(c, e) with g = c * prod p_k^e_k over the factors p_k declared for
+    the variables of ``g``; any other factor raises ValueError."""
+    if g.is_zero():
+        raise ZeroDivisionError("zero denominator")
+    factors = _DECLARED_FACTORS.get(g.vars, ())
+    (rest,), e = divide_out((g,), factors, [g.total_degree()] * len(factors))
+    if not rest.is_constant():
+        raise ValueError(f"denominator factor {rest} is none of those declared for {g.vars}")
+    return rest.constant_value(), tuple(e)
+
+
+def _power_product(vars, e):
+    """prod p_k^e_k over the factors declared for ``vars``."""
+    out = MultiPoly.const(vars, 1)
+    for p, k in zip(_DECLARED_FACTORS.get(vars, ()), e):
+        if k:
+            out = out * p**k
+    return out
+
+
+def _cancel(num, e, limits):
+    """(num, e) with each declared factor p_k divided out of ``num`` as
+    often as it divides, at most ``limits[k]`` times."""
+    if not any(limits):
+        return num, e
+    (num,), k = divide_out((num,), _DECLARED_FACTORS[num.vars], limits)
+    return num, tuple(a - b for a, b in zip(e, k))
+
+
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Monic gcd of ``f`` and a nonzero denominator ``g``: the product of
-    the factors declared for their variables, each to the highest power
-    that divides both, found by exact trial division.  A division is tried
-    only when the factor's leading monomial divides the dividend's.  A
-    factor of ``g`` outside the declared ones raises ValueError.
-    """
+    the declared factors, each to the highest power that divides both.  A
+    factor of ``g`` outside the declared ones raises ValueError."""
     if f.vars != g.vars:
         raise ValueError("gcd of polynomials over different variables")
-    if g.is_zero():
-        raise ZeroDivisionError("gcd with a zero denominator")
-    common = MultiPoly.const(g.vars, 1)
-    for p in _DECLARED_FACTORS.get(g.vars, ()):
-        lead = p.leading()[0]
-        shared = True
-        while not g.is_constant() and _lead_divides(lead, g) and (q := g._try_div(p)) is not None:
-            g = q
-            if shared and _lead_divides(lead, f) and (q := f._try_div(p)) is not None:
-                f = q
-                common = common * p
-            else:
-                shared = False
-    if not g.is_constant():
-        raise ValueError(f"denominator factor {g} is none of those declared for {g.vars}")
-    return common
+    _, e = factor_declared(g)
+    _, common = divide_out((f,), _DECLARED_FACTORS.get(g.vars, ()), e)
+    return _power_product(g.vars, common)
 
 
-class RationalFunction:
-    """Quotient num/den of polynomials over the same variables.
-
-    The stored pair is unique: gcd(num, den) = 1 and the denominator is monic
-    in graded-lex order.  A denominator factor that is not declared for the
-    variables raises ValueError (see ``poly_gcd``).
-    Supports arithmetic with itself, MultiPoly, int and Fraction operands.
+class RationalFunction(RingElement):
+    """Quotient num / prod p_k^e_k over the factors p_k declared for the
+    variables of num, stored as (num, e): unique, since no p_k with e_k > 0
+    divides num and zero has e = 0.  Products add exponents and sums lift
+    both numerators to the larger ones; only the constructor, ``/`` and
+    negative powers factor a polynomial, and an undeclared factor raises
+    ValueError.  Operands may also be MultiPoly, int and Fraction.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "e")
 
-    def __init__(self, num: MultiPoly, den: MultiPoly | None = None, reduce=True):
+    def __init__(self, num: MultiPoly, den: MultiPoly | None = None):
         if den is None:
-            den = MultiPoly.const(num.vars, 1)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
+            self.num, self.e = num, (0,) * len(_DECLARED_FACTORS.get(num.vars, ()))
+            return
         if num.vars != den.vars:
             raise ValueError("numerator and denominator over different variables")
-        if reduce and not num.is_zero() and not den.is_constant():
-            g = poly_gcd(num, den)
-            if not g.is_constant():
-                num = num.divexact(g)
-                den = den.divexact(g)
-        if num.is_zero():
-            den = MultiPoly.const(num.vars, 1)
-        else:
-            _, lc = den.leading()
-            if lc != 1:
-                inv = 1 / lc
-                num = num * inv
-                den = den * inv
-        self.num = num
-        self.den = den
+        c, e = factor_declared(den)
+        self.num, self.e = _cancel(num * (1 / c), e, e)
+
+    @classmethod
+    def _of(cls, num, e):
+        """The element (num, e), already canonical."""
+        out = cls.__new__(cls)
+        out.num, out.e = num, e
+        return out
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def const(cls, vars, c):
-        return cls(MultiPoly.const(vars, c), reduce=False)
+        return cls(MultiPoly.const(vars, c))
 
     @classmethod
     def gen(cls, vars, i):
-        return cls(MultiPoly.gen(vars, i), reduce=False)
+        return cls(MultiPoly.gen(vars, i))
 
     @property
     def vars(self):
         return self.num.vars
 
-    def is_zero(self):
-        return self.num.is_zero()
+    @property
+    def den(self):
+        return _power_product(self.num.vars, self.e)
 
     def __bool__(self):
-        return not self.num.is_zero()
+        return bool(self.num.terms)
 
     # -- arithmetic -------------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, RationalFunction):
             return other
-        if isinstance(other, MultiPoly):
-            return RationalFunction(other, reduce=False)
         if isinstance(other, (int, Fraction)):
-            return RationalFunction.const(self.vars, other)
-        return None
+            other = MultiPoly.const(self.vars, other)
+        return RationalFunction(other) if isinstance(other, MultiPoly) else None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        e1, e2 = self.e, other.e
+        if e1 == e2:
+            num, e, limits = self.num + other.num, e1, e1
+        else:
+            # where e1_k != e2_k, p_k divides one lifted term and not the
+            # other, so it cannot divide the sum
+            e = tuple(map(max, e1, e2))
+            num = (self.num * _power_product(self.vars, [a - b for a, b in zip(e, e1)])
+                   + other.num * _power_product(self.vars, [a - b for a, b in zip(e, e2)]))
+            limits = [a if a == b else 0 for a, b in zip(e1, e2)]
+        if not num:
+            return RationalFunction(num)
+        return RationalFunction._of(*_cancel(num, e, limits))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den, reduce=False)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return RationalFunction._of(-self.num, self.e)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)) and other:
+            return RationalFunction._of(self.num * other, self.e)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.num.is_zero() or other.num.is_zero():
-            return RationalFunction.const(self.vars, 0)
-        if self.den.is_constant() and other.den.is_constant():
-            return RationalFunction(
-                self.num * other.num, self.den * other.den, reduce=False
-            )
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        if not self.num or not other.num:
+            return RationalFunction(self.num * 0)
+        # p_k can divide the product only through a numerator whose own
+        # exponent is 0, so only where just one of e1_k, e2_k is positive
+        e = tuple(map(add, self.e, other.e))
+        limits = [a if not (x and y) else 0 for a, x, y in zip(e, self.e, other.e)]
+        return RationalFunction._of(*_cancel(self.num * other.num, e, limits))
 
     __rmul__ = __mul__
 
@@ -507,30 +515,30 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return self * other**-1
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
         return other / self
 
     def __pow__(self, k):
-        if k < 0:
-            return RationalFunction(self.den ** (-k), self.num ** (-k))
-        return RationalFunction(self.num**k, self.den**k, reduce=False)
+        if k >= 0:
+            return RationalFunction._of(self.num**k, tuple(k * a for a in self.e))
+        # den/num is canonical: no p_k with e_k > 0 divides num
+        c, e = factor_declared(self.num)
+        return RationalFunction._of(self.den * (1 / c), e) ** -k
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.num == other.num and self.e == other.e
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.num, self.e))
 
     def __str__(self):
-        if self.den.is_constant() and self.den.constant_value() == 1:
+        if not any(self.e):
             return str(self.num)
         return f"({self.num})/({self.den})"
 

@@ -8,9 +8,9 @@ walk-by-walk symmetrization of the Manakov integrals, the Sym_3/Sym_5
 expansions summed one symmetrized cycle at a time, word-by-word PBW normal
 ordering, greedy rank completions that re-rank the whole chosen set for
 every candidate, the Lie-Poisson bracket summed over the structure table
-one pair of partial derivatives at a time, and the general multivariate
-gcd that reduces any quotient of polynomials, and the radical coefficients
-as a pair of rational functions.  The remaining helpers
+one pair of partial derivatives at a time, the general multivariate gcd,
+the ring of quotients of polynomials it reduces, and the radical
+coefficients as a pair of such quotients.  The remaining helpers
 (standard quantization, the top p-degree part of a phase polynomial) are
 small maps only tests use.
 """
@@ -23,7 +23,7 @@ from manakov.brackets import LiePoissonPoly, PhasePoly, momentum_vars
 from manakov.charts import GroupChart
 from manakov.linalg import ExactMatrix, invert
 from manakov.radical import RadicalElement, x_square_poly, x_vars
-from manakov.ratfunc import MultiPoly, RationalFunction, add_terms
+from manakov.ratfunc import MultiPoly, add_terms
 from manakov.rigid_body import (
     centrality_defect,
     closed_walks,
@@ -105,8 +105,8 @@ def bareiss_det(m: ExactMatrix):
 
 
 def _exact_div(val, d):
-    if hasattr(val, "divexact"):
-        return val.divexact(d)
+    if isinstance(val, MultiPoly):
+        return divexact(val, d)
     return val / d
 
 
@@ -381,15 +381,102 @@ def lie_poisson_bracket_by_table(f: LiePoissonPoly, g: LiePoissonPoly) -> LiePoi
     return LiePoissonPoly(f.n, acc if f.side == "L" else -acc, f.side)
 
 
-# -- the radical coefficients as a pair of rational functions ----------------
+# -- the general quotient ring -------------------------------------------------
 
 
-def rf_diff(f: RationalFunction, i) -> RationalFunction:
+def divexact(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """Exact quotient ``f / g``; raises ValueError if not divisible."""
+    q = f._try_div(g)
+    if q is None:
+        raise ValueError("inexact polynomial division")
+    return q
+
+
+class GeneralQuotient:
+    """Quotient num/den of arbitrary polynomials over the same variables,
+    divided by their ``general_gcd`` and with a monic (graded-lex)
+    denominator: the differential oracle for ``ratfunc.RationalFunction``,
+    whose pairs it must equal wherever the declared factors are the only
+    ones."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: MultiPoly, den: MultiPoly | None = None):
+        if den is None:
+            den = MultiPoly.const(num.vars, 1)
+        if den.is_zero():
+            raise ZeroDivisionError("quotient with zero denominator")
+        if num.vars != den.vars:
+            raise ValueError("numerator and denominator over different variables")
+        if num.is_zero():
+            den = MultiPoly.const(num.vars, 1)
+        elif not den.is_constant():
+            g = general_gcd(num, den)
+            num, den = divexact(num, g), divexact(den, g)
+        inv = 1 / den.leading()[1]
+        self.num, self.den = num * inv, den * inv
+
+    @classmethod
+    def const(cls, vars, c):
+        return cls(MultiPoly.const(vars, c))
+
+    def is_zero(self):
+        return self.num.is_zero()
+
+    def _coerce(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = MultiPoly.const(self.num.vars, other)
+        if isinstance(other, MultiPoly):
+            other = GeneralQuotient(other)
+        return other
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return GeneralQuotient(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return GeneralQuotient(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        return GeneralQuotient(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other.is_zero():
+            raise ZeroDivisionError("division by a zero quotient")
+        return GeneralQuotient(self.num * other.den, self.den * other.num)
+
+    def __pow__(self, k):
+        if k < 0:
+            return GeneralQuotient(self.den ** -k, self.num ** -k)
+        return GeneralQuotient(self.num**k, self.den**k)
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        return self.num == other.num and self.den == other.den
+
+    def __str__(self):
+        if self.den.is_constant():
+            return str(self.num)
+        return f"({self.num})/({self.den})"
+
+    __repr__ = __str__
+
+
+def rf_diff(f: GeneralQuotient, i) -> GeneralQuotient:
     """d f/d v_i (0-based) by the quotient rule."""
-    return RationalFunction(f.num.diff(i) * f.den - f.num * f.den.diff(i), f.den * f.den)
+    return GeneralQuotient(f.num.diff(i) * f.den - f.num * f.den.diff(i), f.den * f.den)
 
 
-def rf_eval(f: RationalFunction, values):
+def rf_eval(f: GeneralQuotient, values):
     den = f.den.eval(values)
     if den == 0:
         raise ZeroDivisionError("evaluation at a pole")
@@ -397,27 +484,26 @@ def rf_eval(f: RationalFunction, values):
 
 
 class PairRadical:
-    """a + b*r with a, b ``RationalFunction``s over x1..xn and r^2 = |x|^2,
+    """a + b*r with a, b ``GeneralQuotient``s over x1..xn and r^2 = |x|^2,
     reduced r^2 -> |x|^2 on every product: the field of ``RadicalElement``
     with each part reduced by its own gcd instead of both sharing one power
-    of |x|^2.  Reducing a quotient over x takes a gcd, so it runs under the
-    ``general_gcd_ring`` fixture."""
+    of |x|^2."""
 
     __slots__ = ("n", "a", "b")
 
-    def __init__(self, n, a: RationalFunction, b: RationalFunction | None = None):
+    def __init__(self, n, a: GeneralQuotient, b: GeneralQuotient | None = None):
         self.n = n
         self.a = a
-        self.b = b if b is not None else RationalFunction.const(x_vars(n), 0)
+        self.b = b if b is not None else GeneralQuotient.const(x_vars(n), 0)
 
     @classmethod
     def of(cls, u: RadicalElement):
         den = x_square_poly(u.n) ** u.e
-        return cls(u.n, RationalFunction(u.a, den), RationalFunction(u.b, den))
+        return cls(u.n, GeneralQuotient(u.a, den), GeneralQuotient(u.b, den))
 
     @classmethod
     def radius(cls, n):
-        return cls(n, RationalFunction.const(x_vars(n), 0), RationalFunction.const(x_vars(n), 1))
+        return cls(n, GeneralQuotient.const(x_vars(n), 0), GeneralQuotient.const(x_vars(n), 1))
 
     def __add__(self, other):
         return PairRadical(self.n, self.a + other.a, self.b + other.b)
@@ -442,7 +528,7 @@ class PairRadical:
 
     def diff(self, i):
         """d/dx_i (1-based), using dr/dx_i = x_i * r / x^2."""
-        x_i_over_x2 = RationalFunction(MultiPoly.gen(x_vars(self.n), i - 1), x_square_poly(self.n))
+        x_i_over_x2 = GeneralQuotient(MultiPoly.gen(x_vars(self.n), i - 1), x_square_poly(self.n))
         return PairRadical(self.n, rf_diff(self.a, i - 1), rf_diff(self.b, i - 1) + self.b * x_i_over_x2)
 
     def eval(self, x_values, r_value):
@@ -455,7 +541,7 @@ class PairRadical:
 # -- the general multivariate gcd -------------------------------------------
 #
 # The package cancels only the denominator factors declared for a variable
-# tuple (``ratfunc.poly_gcd``).  This is the general gcd it replaced: an
+# tuple (``ratfunc.divide_out``).  This is the general gcd it replaced: an
 # evaluation-point heuristic verified by exact division, with a primitive
 # polynomial-remainder-sequence fallback.  It reduces any quotient, so the
 # tests use it as a differential oracle for the declared-factor ring.
@@ -486,19 +572,12 @@ def primitive(f: MultiPoly) -> MultiPoly:
     return MultiPoly(f.vars, {m: c * inv for m, c in f.terms.items()})
 
 
+def degree_in(f: MultiPoly, i):
+    return max((m[i] for m in f.terms), default=-1)
+
+
 def divides(f: MultiPoly, g: MultiPoly) -> bool:
     return g._try_div(f) is not None
-
-
-def reduced_pair(num: MultiPoly, den: MultiPoly):
-    """(num, den) divided by their general gcd, the denominator monic: the
-    canonical pair a ``RationalFunction`` stores."""
-    if num.is_zero():
-        return num, MultiPoly.const(num.vars, 1)
-    g = general_gcd(num, den)
-    num, den = num.divexact(g), den.divexact(g)
-    inv = 1 / den.leading()[1]
-    return num * inv, den * inv
 
 
 def _to_univariate(f: MultiPoly, i):
@@ -580,9 +659,9 @@ def general_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 def _prs_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     # main variable: smallest combined degree among variables present in both
     cand = [
-        (f.degree_in(i) + g.degree_in(i), i)
+        (degree_in(f, i) + degree_in(g, i), i)
         for i in range(len(f.vars))
-        if f.degree_in(i) > 0 and g.degree_in(i) > 0
+        if degree_in(f, i) > 0 and degree_in(g, i) > 0
     ]
     if not cand:
         return MultiPoly.const(f.vars, 1)
@@ -592,8 +671,8 @@ def _prs_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     f_cont = _list_gcd(list(fu.values()))
     g_cont = _list_gcd(list(gu.values()))
     cont = general_gcd(f_cont, g_cont)
-    fu = {e: p.divexact(f_cont) for e, p in fu.items()}
-    gu = {e: p.divexact(g_cont) for e, p in gu.items()}
+    fu = {e: divexact(p, f_cont) for e, p in fu.items()}
+    gu = {e: divexact(p, g_cont) for e, p in gu.items()}
     if max(fu) < max(gu):
         fu, gu = gu, fu
     while True:
@@ -605,7 +684,7 @@ def _prs_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
             h = MultiPoly.const(f.vars, 1)
             break
         rc = _list_gcd(list(r.values()))
-        fu, gu = gu, {e: p.divexact(rc) for e, p in r.items()}
+        fu, gu = gu, {e: divexact(p, rc) for e, p in r.items()}
     h = primitive(h) * cont
     return primitive(h)
 
@@ -659,7 +738,7 @@ def _heuristic_gcd(f: MultiPoly, g: MultiPoly, depth=0):
     mv = None
     best = None
     for i in range(len(f.vars)):
-        df, dg = f.degree_in(i), g.degree_in(i)
+        df, dg = degree_in(f, i), degree_in(g, i)
         if df > 0 and dg > 0 and (best is None or df + dg < best):
             best = df + dg
             mv = i
@@ -688,7 +767,7 @@ def _heuristic_gcd(f: MultiPoly, g: MultiPoly, depth=0):
         digits = {}
         rest = himg
         power = 0
-        while not rest.is_zero() and power <= f.degree_in(mv) + g.degree_in(mv):
+        while not rest.is_zero() and power <= degree_in(f, mv) + degree_in(g, mv):
             digit = _sym_mod(rest, xi)
             if not digit.is_zero():
                 digits[power] = digit

@@ -136,6 +136,27 @@ def test_lie_poisson_jacobi_and_antisymmetry():
         assert lie_poisson_bracket(f, g * h) == lie_poisson_bracket(f, g) * h + g * lie_poisson_bracket(f, h)
 
 
+def test_symbolic_lie_poisson_bracket_factors_no_polynomial(monkeypatch):
+    # symbolic coefficients multiply by adding exponents and add by lifting
+    # them: the bracket never factors a denominator or takes a gcd
+    from manakov import ratfunc
+    from manakov.rigid_body import ManakovIndex, hamiltonian, manakov_integral
+    from manakov.son import MomentSpec
+
+    spec = MomentSpec.symbolic(4)
+    h, c = hamiltonian(spec), manakov_integral(ManakovIndex(4, 1), 4, spec)
+    calls = []
+    for name in ("poly_gcd", "factor_declared"):
+        real = getattr(ratfunc, name)
+        monkeypatch.setattr(ratfunc, name, lambda *args, real=real: calls.append(1) or real(*args))
+    assert lie_poisson_bracket(h, c).is_zero()
+    assert len(calls) == 0
+    # the counter does see a denominator being factored
+    lam = lambda_vars(4)
+    RationalFunction(MultiPoly.const(lam, 1), MultiPoly.gen(lam, 0))
+    assert len(calls) == 1
+
+
 def _random_momentum_poly(rng, n, kind, max_deg, side):
     """A random polynomial in the momenta of so(n) with total degree at
     most ``max_deg``; ``kind`` picks int, non-integer Fraction or

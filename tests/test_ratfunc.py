@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 
@@ -5,9 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from manakov.radical import RadicalElement, x_square_poly, x_vars
-from manakov.ratfunc import MultiPoly, RationalFunction, add_terms, declare_factors, poly_gcd, rational
+from manakov.ratfunc import (
+    MultiPoly,
+    RationalFunction,
+    add_terms,
+    declare_factors,
+    divide_out,
+    factor_declared,
+    poly_gcd,
+    rational,
+)
 from manakov.son import lambda_vars
-from oracles import general_gcd, reduced_pair
+from oracles import GeneralQuotient, divexact, general_gcd
 
 V = ("a", "b", "c")
 
@@ -75,10 +85,10 @@ def test_diff_and_eval():
 def test_divexact():
     a, b = gen(0), gen(1)
     p = (a + b) ** 3
-    q = p.divexact(a + b)
+    q = divexact(p, a + b)
     assert q == (a + b) ** 2
     with pytest.raises(ValueError):
-        (a * a + b).divexact(a + b)
+        divexact(a * a + b, a + b)
 
 
 def test_gcd_examples():
@@ -142,13 +152,14 @@ def test_ring_axioms_randomized(s1, s2, s3):
     assert p * q == q * p
 
 
-def test_rational_function_normalization(general_gcd_ring):
+def test_rational_function_normalization():
+    # the general-quotient oracle reduces any denominator
     a, b, c = gen(0), gen(1), gen(2)
-    f = RationalFunction((a + b) ** 2, (a + b) * (a - c))
+    f = GeneralQuotient((a + b) ** 2, (a + b) * (a - c))
     assert f.num == a + b
     assert f.den == a - c
     # monic denominator
-    g = RationalFunction(a, 2 * b)
+    g = GeneralQuotient(a, 2 * b)
     assert g.den == b
     assert g.num == Fraction(1, 2) * a
 
@@ -175,15 +186,16 @@ def test_cancels_every_shared_moment_factor():
     assert f == RationalFunction(f.num * l1, f.den * l1)
 
 
-def test_rational_function_sum_identity(general_gcd_ring):
+def test_rational_function_sum_identity():
+    # the general-quotient oracle, over arbitrary denominators
     rng = random.Random(7)
     for _ in range(25):
         a = random_poly(rng) + const(1)
         b = random_poly(rng) + gen(0) + const(2)
         c = random_poly(rng)
         d = random_poly(rng) + gen(1) ** 2 + const(3)
-        lhs = RationalFunction(a, b) + RationalFunction(c, d)
-        rhs = RationalFunction(a * d + c * b, b * d)
+        lhs = GeneralQuotient(a, b) + GeneralQuotient(c, d)
+        rhs = GeneralQuotient(a * d + c * b, b * d)
         assert lhs == rhs
         assert (lhs - rhs).is_zero()
 
@@ -237,7 +249,7 @@ def _reduced(vars, num, den):
     x2 = x_square_poly(3)
     # den = c * (|x|^2)^k
     k = den.total_degree() // 2
-    c = den.divexact(x2**k).constant_value()
+    c = divexact(den, x2**k).constant_value()
     u = RadicalElement(3, num * (1 / c), e=k)
     assert u.b.is_zero()
     return u.a, x2**u.e
@@ -259,11 +271,69 @@ def test_declared_factor_ring_matches_general_gcd_and_sympy():
             )
 
         f_num, f_den = _reduced(vars, num, den)
-        assert (f_num, f_den) == reduced_pair(num, den)
+        oracle = GeneralQuotient(num, den)
+        assert (f_num, f_den) == (oracle.num, oracle.den)
         p, q = sympy.fraction(sympy.cancel(to_sympy(num) / to_sympy(den)))
         lc = sympy.Poly(q, *gens).LC(order="grlex")
         assert sympy.expand(to_sympy(f_num) - p / lc) == 0
         assert sympy.expand(to_sympy(f_den) - q / lc) == 0
+
+
+def test_exponent_pairs_match_general_quotients():
+    # 100 seeded cases: +, -, *, /, ** (negative too), ==, den and str of
+    # the (num, e) pairs against the general-quotient oracle, on operands
+    # drawn from the moment half of the cases above and from random sums
+    # and products of them
+    cases = [(num, den) for vars, num, den in _declared_factor_cases() if vars == lambda_vars(4)]
+    factors = _moment_factors(lambda_vars(4))
+    rng = random.Random(59)
+
+    def operand():
+        (n1, d1), (n2, d2) = rng.sample(cases, 2)
+        x, y = RationalFunction(n1, d1), RationalFunction(n2, d2)
+        gx, gy = GeneralQuotient(n1, d1), GeneralQuotient(n2, d2)
+        return rng.choice([(x, gx), (x + y, gx + gy), (x * y, gx * gy)])
+
+    for _ in range(100):
+        (x, gx), (y, gy) = operand(), operand()
+        # a quotient of declared products, which ``/`` and negative powers invert
+        p, q = _declared_product(rng, factors), _declared_product(rng, factors)
+        d, gd = RationalFunction(p, q), GeneralQuotient(p, q)
+        k = rng.randint(1, 3)
+        pairs = [
+            (x, gx), (x + y, gx + gy), (x - y, gx - gy), (x * y, gx * gy), (2 * x - 1, 2 * gx - 1),
+            (x / d, gx / gd), (x**k, gx**k), (d**-k, gd**-k), (x * d**-k - y, gx * gd**-k - gy),
+        ]
+        for f, oracle in pairs:
+            assert (f.num, f.den, str(f)) == (oracle.num, oracle.den, str(oracle))
+        assert (x == y) == (gx == gy)
+        assert (x + y) - y == x and x * y == y * x
+        assert x == RationalFunction(gx.num, gx.den)
+
+
+def test_factor_declared_and_divide_out():
+    a, b, c = gen(0), gen(1), gen(2)
+    # the factors over V are a+b, a+c, b+c, a, b, c in that order
+    assert factor_declared(-2 * (a + b) ** 2 * c) == (-2, (2, 0, 0, 0, 0, 1))
+    assert factor_declared(const(3)) == (3, (0,) * 6)
+    with pytest.raises(ValueError, match="declared"):
+        factor_declared((a + b) * (a - b))
+    with pytest.raises(ZeroDivisionError):
+        factor_declared(MultiPoly.zero(V))
+    # a factor comes out of every part while it divides them all (zero
+    # included), at most its limit of times
+    parts, counts = divide_out([(a + b) ** 2 * c, (a + b) * c * c, MultiPoly.zero(V)], [a + b, c], [5, 1])
+    assert (parts, counts) == ([a + b, c, MultiPoly.zero(V)], [1, 1])
+
+
+def test_rational_function_stores_exponents():
+    a, b, c = gen(0), gen(1), gen(2)
+    assert RationalFunction.__slots__ == ("num", "e")
+    assert list(inspect.signature(RationalFunction).parameters) == ["num", "den"]
+    f = RationalFunction(3 * a, (a + b) * c * c)
+    assert (f.num, f.e, f.den) == (3 * a, (1, 0, 0, 0, 0, 2), (a + b) * c * c)
+    assert str(f) == f"({3 * a})/({(a + b) * c * c})"
+    assert (f * 0).e == (0,) * 6 and (f - f).e == (0,) * 6
 
 
 def test_gcd_tries_only_divisions_the_leading_monomials_allow(monkeypatch):
