@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .radical import RadicalElement, check_axis
-from .ratfunc import MultiPoly, RationalFunction, TermMap, add_terms, integer_scaled
+from .ratfunc import MultiPoly, RationalFunction, RingElement, TermMap, add_terms, integer_scaled
 from .son import SkewMatrix, pair_list, signed_pair, structure_rows
 
 
@@ -154,7 +154,7 @@ def momentum_vars(n):
     return tuple(f"P{i}_{j}" for (i, j) in pair_list(n))
 
 
-class LiePoissonPoly:
+class LiePoissonPoly(RingElement):
     """Polynomial in the N = n(n-1)/2 invariant momentum components.
 
     ``side`` records whether the variables are the left- or right-invariant
@@ -211,12 +211,6 @@ class LiePoissonPoly:
     def __neg__(self):
         return LiePoissonPoly(self.n, -self.poly, self.side)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, RationalFunction)):
             return LiePoissonPoly(self.n, self.poly * other, self.side)
@@ -239,8 +233,8 @@ class LiePoissonPoly:
     def __hash__(self):
         return hash((self.n, self.side, self.poly))
 
-    def is_zero(self):
-        return self.poly.is_zero()
+    def __bool__(self):
+        return bool(self.poly)
 
     def total_degree(self):
         return self.poly.total_degree()

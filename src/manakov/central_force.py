@@ -212,14 +212,14 @@ def recursive_set_structure(n, tree: SplitTree):
     return z_items, l_items
 
 
-def _item_label(n, item):
+def item_label(n, item):
     kind, data = item
     if kind == "pair":
         return pair_label(*data)
     return "P2" if len(data) == n else subset_label(data)
 
 
-def _item_function(n, item) -> PhasePoly:
+def item_function(n, item) -> PhasePoly:
     kind, data = item
     if kind == "pair":
         return momentum(n, *data)
@@ -233,10 +233,10 @@ def build_recursive_sets(n, tree: SplitTree):
     construction rules.
     """
     z_items, l_items = recursive_set_structure(n, tree)
-    z = [_item_function(n, it) for it in z_items]
-    l = [_item_function(n, it) for it in l_items]
-    zl = [_item_label(n, it) for it in z_items]
-    ll = [_item_label(n, it) for it in l_items]
+    z = [item_function(n, it) for it in z_items]
+    l = [item_function(n, it) for it in l_items]
+    zl = [item_label(n, it) for it in z_items]
+    ll = [item_label(n, it) for it in l_items]
     return z, l, zl, ll
 
 
@@ -365,22 +365,11 @@ def runge_lenz_check(n, alpha) -> VerificationReport:
     h = kepler_hamiltonian(n, alpha)
     a = runge_lenz_vector(n, alpha)
     report = VerificationReport()
+    anchor = "central-force/conserved-vector"
     for i, ai in enumerate(a, start=1):
-        br = canonical_bracket(h, ai)
-        report.add(
-            f"runge-lenz/{{H,A{i}}}",
-            "central-force/conserved-vector",
-            br.is_zero(),
-            witness="0" if br.is_zero() else str(br),
-        )
+        report.add_zero(f"runge-lenz/{{H,A{i}}}", anchor, canonical_bracket(h, ai))
     a2 = sum((ai * ai for ai in a), PhasePoly.zero(n))
-    residual = a2 - (2 * p_squared(n) * h + alpha * alpha)
-    report.add(
-        "runge-lenz/square-identity",
-        "central-force/conserved-vector",
-        residual.is_zero(),
-        witness="0" if residual.is_zero() else str(residual),
-    )
+    report.add_zero("runge-lenz/square-identity", anchor, a2 - (2 * p_squared(n) * h + alpha * alpha))
     return report
 
 

@@ -212,12 +212,5 @@ def involution_report(
     report = VerificationReport()
     for i, f in enumerate(a):
         for j, g in enumerate(b):
-            br = canonical_bracket(f, g)
-            ok = br.is_zero()
-            report.add(
-                f"{id_prefix}/{{{labels_a[i]},{labels_b[j]}}}",
-                anchor,
-                ok,
-                witness="0" if ok else str(br),
-            )
+            report.add_zero(f"{id_prefix}/{{{labels_a[i]},{labels_b[j]}}}", anchor, canonical_bracket(f, g))
     return report

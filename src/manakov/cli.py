@@ -136,13 +136,7 @@ def cmd_verify(args):
         )
     elif scope == "quantum-rigid":
         report = suites.suite_quantum_rigid(
-            n,
-            lambdas=lambdas,
-            partition=partition,
-            mode=args.mode,
-            samples=args.samples,
-            heavy=not args.skip_heavy,
-            **common,
+            n, lambdas=lambdas, partition=partition, mode=args.mode, samples=args.samples, **common
         )
     elif scope == "all":
         report = suites.suite_all(n, alpha=rational(args.alpha), seed=args.seed)
@@ -244,7 +238,6 @@ def build_parser():
     v.add_argument("--format", choices=["json", "markdown"], default="json")
     v.add_argument("--output", default=None)
     v.add_argument("--timings", action="store_true", help="include elapsed times (breaks byte-stability)")
-    v.add_argument("--skip-heavy", action="store_true", help="skip the degree-4 by degree-4 commutator")
     v.add_argument("--exploratory", action="store_true", help="allow quantum-rigid beyond n=6")
     v.set_defaults(fn=cmd_verify)
 

@@ -49,6 +49,11 @@ class VerificationReport:
         self.checks.append(check)
         return check
 
+    def add_zero(self, id, anchor, value):
+        """Pass when ``value`` is exactly zero; a nonzero value is the witness."""
+        ok = value.is_zero()
+        return self.add(id, anchor, ok, witness="0" if ok else str(value))
+
     def extend(self, other: "VerificationReport"):
         # the merged checks carry their own times
         self.checks.extend(other.checks)

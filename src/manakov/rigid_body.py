@@ -450,13 +450,7 @@ def verify_involution_family(n, spec: MomentSpec, report=None, include_hamiltoni
     for a in range(len(items)):
         for b in range(a + 1, len(items)):
             br = lie_poisson_bracket(items[a][1], items[b][1])
-            ok = br.is_zero()
-            report.add(
-                f"rigid/{{{items[a][0]},{items[b][0]}}}",
-                anchor,
-                ok,
-                witness="0" if ok else str(br),
-            )
+            report.add_zero(f"rigid/{{{items[a][0]},{items[b][0]}}}", anchor, br)
     return report
 
 

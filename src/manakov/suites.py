@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .brackets import LiePoissonPoly, lie_poisson_bracket
 from .central_force import (
     all_split_trees,
     catalog,
@@ -187,8 +188,6 @@ def suite_classical_rigid(
 
 
 def _central_brackets_vanish(rb):
-    from .brackets import LiePoissonPoly, lie_poisson_bracket
-
     n = rb.spec.n
     extra = [LiePoissonPoly.gen(n, p, side=side) for side, p in rb.noncentral_pairs]
     for c in rb.central:
@@ -199,14 +198,7 @@ def _central_brackets_vanish(rb):
 
 
 def suite_quantum_rigid(
-    n,
-    lambdas=None,
-    partition=None,
-    seed=0,
-    mode=None,
-    samples=3,
-    heavy=True,
-    chart_bound=30,
+    n, lambdas=None, partition=None, seed=0, mode=None, samples=3, chart_bound=30
 ) -> VerificationReport:
     """Quantum rigid-body battery: commutator identities per moment sample,
     quantized central sets, and the zero-defect families."""
@@ -232,7 +224,7 @@ def suite_quantum_rigid(
             if (lambdas or partition)
             else MomentSpec.symbolic(n)
         )
-        sub = verify_quantum_rigid(n, spec, heavy=heavy)
+        sub = verify_quantum_rigid(n, spec)
         _tag_and_extend(report, sub, "symbolic")
     else:
         sample_specs = []
@@ -242,7 +234,7 @@ def suite_quantum_rigid(
             vals = _distinct_rationals(n, rng)
             sample_specs.append(MomentSpec.from_lambdas(tuple(vals)))
         for k, spec in enumerate(sample_specs):
-            _tag_and_extend(report, verify_quantum_rigid(n, spec, heavy=heavy), f"sample{k}")
+            _tag_and_extend(report, verify_quantum_rigid(n, spec), f"sample{k}")
     part = tuple(partition) if partition else None
     if part and part != (1,) * n:
         qspec = (
@@ -261,15 +253,15 @@ def _tag_and_extend(report, sub, tag):
     report.extend(sub)
 
 
-def suite_all(n, alpha=1, seed=0, **kwargs) -> VerificationReport:
-    _check_rigid_args(n, kwargs.get("samples", 1))
+def suite_all(n, alpha=1, seed=0) -> VerificationReport:
+    _check_rigid_args(n, 1)
     report = VerificationReport()
     report.config.update({"scope": "all", "n": n, "seed": seed})
     for sub in (
         suite_classical_central(min(n, 5), alpha=alpha, seed=seed),
         suite_quantum_central(min(n, 5), alpha=alpha, seed=seed),
         suite_classical_rigid(n, seed=seed),
-        suite_quantum_rigid(n, seed=seed, **kwargs),
+        suite_quantum_rigid(n, seed=seed),
     ):
         report.extend(sub)
     return report

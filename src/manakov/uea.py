@@ -359,21 +359,14 @@ def obstruction_b(l, h, spec: MomentSpec, i, j, k):
 
 
 def obstruction_b_closed_h6(l, spec: MomentSpec, i, j, k):
-    """Closed form: b^{[ijk]}_{l,6} = 5/6 [l_i^{2(l-1)}(l_j^2 - l_k^2) + cyclic]."""
+    """Closed form: b^{[ijk]}_{l,6} = 5/6 [l_i^{2(l-1)}(l_j^2 - l_k^2) + cyclic].
+
+    H-hat is minus the l = 3/2 quadratic integral (``quadratic_coefficient``),
+    so minus the l = 3/2 value is the coefficient of [H-hat, c-hat_{6,2}]."""
     li, lj, lk = (spec.lambdas[t - 1] for t in (i, j, k))
-    e = l - 1
-    body = li ** (2 * e) * (lj**2 - lk**2) + lj ** (2 * e) * (lk**2 - li**2) + lk ** (
-        2 * e
-    ) * (li**2 - lj**2)
+    e = int(2 * (l - 1))
+    body = li**e * (lj**2 - lk**2) + lj**e * (lk**2 - li**2) + lk**e * (li**2 - lj**2)
     return body * Fraction(5, 6)
-
-
-def hamiltonian_obstruction_b(spec: MomentSpec, i, j, k):
-    """b^{ijk} for [H-hat, c-hat_{6,2}] = sum b^{ijk} Sym_3:
-    -5/6 [l_i (l_j^2 - l_k^2) + cyclic]."""
-    li, lj, lk = (spec.lambdas[t - 1] for t in (i, j, k))
-    body = li * (lj**2 - lk**2) + lj * (lk**2 - li**2) + lk * (li**2 - lj**2)
-    return body * Fraction(-5, 6)
 
 
 def sym3_expansion(n, coeff_fn) -> PBWElement:
@@ -451,13 +444,12 @@ def sym35_expansion(spec: MomentSpec) -> PBWElement:
 EXPANSION_SIGN = -1
 
 
-def verify_quantum_rigid(n, spec: MomentSpec, heavy=True) -> VerificationReport:
+def verify_quantum_rigid(n, spec: MomentSpec) -> VerificationReport:
     """The full commutator battery for the quantum free rigid body.
 
-    Exact zeros of PBW canonical forms throughout; ``heavy`` gates the
-    degree-4 by degree-4 commutator.  Sampled-moment specs make every
-    coefficient a plain rational; symbolic specs verify identities in the
-    moment field.
+    Exact zeros of PBW canonical forms throughout.  Sampled-moment specs
+    make every coefficient a plain rational; symbolic specs verify
+    identities in the moment field.
     """
     report = VerificationReport()
     anchor = "rigid-quantum"
@@ -465,16 +457,12 @@ def verify_quantum_rigid(n, spec: MomentSpec, heavy=True) -> VerificationReport:
     report.config.update({"n": n, "mode": mode, "lambdas": [str(v) for v in spec.lambdas]})
     quad = {l: manakov_operator(ManakovIndex(l, 1), n, spec) for l in range(2, n + 1)}
 
-    def record_zero(id_, comm):
-        ok = comm.is_zero()
-        report.add(id_, anchor, ok, witness="0" if ok else str(comm))
-
     # quadratic family and the Hamiltonian
     ls = sorted(quad)
     for ai in range(len(ls)):
         for bi in range(ai + 1, len(ls)):
             a, b = ls[ai], ls[bi]
-            record_zero(f"[c{a},{a-2} , c{b},{b-2}]", uea_commutator(quad[a], quad[b]))
+            report.add_zero(f"[c{a},{a-2} , c{b},{b-2}]", anchor, uea_commutator(quad[a], quad[b]))
     # each [(P-hat_ij)^2, x] serves two weightings: H-hat and, at n >= 6, the
     # C-hat_{6,2} correction (5/12) sum l_i^2 l_j^2 (P-hat_ij)^2
     weight_sets = [hamiltonian_weights(spec)]
@@ -484,7 +472,7 @@ def verify_quantum_rigid(n, spec: MomentSpec, heavy=True) -> VerificationReport:
     for l in ls:
         h_comm, *correction = weighted_square_commutators(n, weight_sets, quad[l])
         corrections[l] = correction
-        record_zero(f"[H , c{l},{l-2}]", h_comm)
+        report.add_zero(f"[H , c{l},{l-2}]", anchor, h_comm)
 
     # degree-2 against degree-4: obstruction expansions, each b^{[ijk]}_{l,h}
     # once per triple into a table that also feeds the coefficient checks
@@ -517,12 +505,12 @@ def verify_quantum_rigid(n, spec: MomentSpec, heavy=True) -> VerificationReport:
                 witness="antisymmetrized coefficients vanish" if ok else "nonzero obstruction",
             )
             for l in ls:
-                record_zero(f"[c{l},{l-2} , c5,1]", comms[l])
-            # the correction identity of the heavy block is the correction
-            # weighting of the same squared-generator commutators
+                report.add_zero(f"[c{l},{l-2} , c5,1]", anchor, comms[l])
+            # the correction identity of the degree-4 by degree-4 block is the
+            # correction weighting of the same squared-generator commutators
             c51 = c4
             h_comm, *correction = weighted_square_commutators(n, weight_sets, c51)
-            record_zero("[H , c5,1]", h_comm)
+            report.add_zero("[H , c5,1]", anchor, h_comm)
         if h == 6:
             ok = all(
                 b == obstruction_b_closed_h6(l, spec, *t) for l in ls for t, b in tables[l].items()
@@ -541,9 +529,10 @@ def verify_quantum_rigid(n, spec: MomentSpec, heavy=True) -> VerificationReport:
                 nonzero,
                 witness=f"{len(comm.terms)} canonical terms" if nonzero else "unexpected zero",
             )
-            rhs = sym3_expansion(n, lambda i, j, k: hamiltonian_obstruction_b(spec, i, j, k))
+            # H-hat is minus the l = 3/2 quadratic integral
+            rhs = sym3_expansion(n, lambda *t: -obstruction_b_closed_h6(Fraction(3, 2), spec, *t))
             ok = (comm - rhs.scale(EXPANSION_SIGN)).is_zero()
-            spot = hamiltonian_obstruction_b(spec, 1, 2, 3)
+            spot = -obstruction_b_closed_h6(Fraction(3, 2), spec, 1, 2, 3)
             report.add(
                 "[H , c6,2] == Sym3 expansion",
                 anchor,
@@ -553,22 +542,19 @@ def verify_quantum_rigid(n, spec: MomentSpec, heavy=True) -> VerificationReport:
             # C-hat_{6,2} = c-hat_{6,2} + the weighted squared generators, so
             # each commutator with it is the one with c-hat_{6,2}, formed
             # above, plus a degree-2 by degree-2 correction
-            record_zero("[H , C6,2]", comm + hamiltonian_commutator(spec, c62_correction(spec)))
+            report.add_zero("[H , C6,2]", anchor, comm + hamiltonian_commutator(spec, c62_correction(spec)))
             for l in ls:
-                record_zero(f"[c{l},{l-2} , C6,2]", comms[l] - corrections[l][0])
-            if heavy:
-                record_zero("[c5,1 , C6,2]", uea_commutator(c51, corrected_c62(spec, c4)))
-                lhs = -correction[0]
-                rhs = sym35_expansion(spec)
-                ok = (lhs - rhs.scale(EXPANSION_SIGN)).is_zero()
-                report.add(
-                    "correction commutator == Sym3/Sym5 expansion",
-                    anchor,
-                    ok,
-                    witness="matches (same orientation as the Sym3 expansions)"
-                    if ok
-                    else "expansion mismatch",
-                )
+                report.add_zero(f"[c{l},{l-2} , C6,2]", anchor, comms[l] - corrections[l][0])
+            report.add_zero("[c5,1 , C6,2]", anchor, uea_commutator(c51, corrected_c62(spec, c4)))
+            lhs = -correction[0]
+            rhs = sym35_expansion(spec)
+            ok = (lhs - rhs.scale(EXPANSION_SIGN)).is_zero()
+            report.add(
+                "correction commutator == Sym3/Sym5 expansion",
+                anchor,
+                ok,
+                witness="matches (same orientation as the Sym3 expansions)" if ok else "expansion mismatch",
+            )
     return report
 
 

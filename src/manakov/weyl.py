@@ -4,6 +4,13 @@ Operators are sums coefficient(x, r) * phat^mono with all coefficients to the
 left of the derivatives phat_i = d/dx_i.  There is no factor of i or hbar
 anywhere: [phat_i, x_j] = delta_ij over the rationals, which is the
 convention every verified identity below is stated in.
+
+The central-force system is quantized by symmetrization once: every quantum
+operator of the suite (the Kepler Hamiltonian, the Laplacian, r^2, P-hat_ij,
+the conserved vector A-hat_i and the splitting-tree items) is ``symmetrize``
+of its classical function from ``central_force``.  Only P-hat^2, composed
+from the P-hat_ij, and the normal-ordered x.phat are built otherwise: the
+identities are stated in them.
 """
 
 from __future__ import annotations
@@ -13,7 +20,19 @@ from functools import lru_cache
 from math import comb, prod
 
 from .brackets import PhasePoly
-from .radical import RadicalElement, x_square_poly
+from .central_force import (
+    item_function,
+    kepler_hamiltonian,
+    kinetic,
+    momenta,
+    momentum,
+    p_squared,
+    r_squared,
+    recursive_set_structure,
+    runge_lenz_vector,
+)
+from .charts import CotangentChart, Differentiated, generic_full_rank
+from .radical import RadicalElement
 from .ratfunc import TermMap, add_terms
 from .report import VerificationReport
 
@@ -138,11 +157,6 @@ def commutator(a: WeylOperator, b: WeylOperator) -> WeylOperator:
     return compose(a, b) - compose(b, a)
 
 
-def diamond(a: WeylOperator, b: WeylOperator) -> WeylOperator:
-    """Symmetrized product (ab + ba)/2."""
-    return (compose(a, b) + compose(b, a)).scale(Fraction(1, 2))
-
-
 # -- symmetrized (Weyl) quantization ------------------------------------------
 
 _sym_cache = {}
@@ -182,10 +196,12 @@ def symmetrize(f: PhasePoly) -> WeylOperator:
     The rational part a/q^e of a coefficient (a + b*r)/q^e, when it is a
     polynomial, is split into x-monomials, each averaged jointly with the
     p-factors.  The rest of the coefficient (b*r/q^e, or all of it when the
-    rational part is not a polynomial, for instance x_i/r) acts
-    multiplicatively from the left, which matches its use in the
-    conserved-vector construction where it multiplies p-free terms.  The
-    map is linear on symbols whose rational parts are polynomials.
+    rational part is not a polynomial) acts multiplicatively from the left.
+    In the central-force functions such a rest only multiplies p-free
+    terms: the potential -alpha/r of the Kepler Hamiltonian and the
+    -alpha x_i/r of the conserved vector A_i, whose quantizations are
+    therefore the symmetrizations themselves.  The map is linear on symbols
+    whose rational parts are polynomials.
     """
     n = f.n
     acc = WeylOperator.zero(n)
@@ -200,152 +216,85 @@ def symmetrize(f: PhasePoly) -> WeylOperator:
     return acc
 
 
-# -- named operators -----------------------------------------------------------
+# -- the quantum central-force system ------------------------------------------
 
 
-def momentum_operator(n, i, j) -> WeylOperator:
-    """Phat_ij = x_i phat_j - x_j phat_i."""
-    xi = WeylOperator.position(n, i)
-    xj = WeylOperator.position(n, j)
-    return compose(xi, WeylOperator.momentum(n, j)) - compose(xj, WeylOperator.momentum(n, i))
-
-
-def momentum_square_operator(n, subset=None) -> WeylOperator:
-    subset = sorted(subset) if subset is not None else list(range(1, n + 1))
-    acc = WeylOperator.zero(n)
-    for a in range(len(subset)):
-        for b in range(a + 1, len(subset)):
-            pij = momentum_operator(n, subset[a], subset[b])
-            acc = acc + compose(pij, pij)
-    return acc
-
-
-def laplace_operator(n) -> WeylOperator:
-    return sum(
-        (compose(WeylOperator.momentum(n, i), WeylOperator.momentum(n, i)) for i in range(1, n + 1)),
-        WeylOperator.zero(n),
-    )
-
-
-def multiplication_by_r_squared(n) -> WeylOperator:
-    return WeylOperator.const(n, RadicalElement(n, x_square_poly(n)))
+def momentum_square_operator(n) -> WeylOperator:
+    """P-hat^2 = sum_{i<j} P-hat_ij o P-hat_ij: composed, not symmetrized,
+    so that its shift from the symmetrization of P^2 compares two
+    independent constructions."""
+    return sum((compose(p, p) for p in map(symmetrize, momenta(n))), WeylOperator.zero(n))
 
 
 def x_dot_p_operator(n) -> WeylOperator:
+    """Normal-ordered x.phat = sum_i x_i phat_i, in which the identities are stated."""
     return sum(
         (compose(WeylOperator.position(n, i), WeylOperator.momentum(n, i)) for i in range(1, n + 1)),
         WeylOperator.zero(n),
     )
 
 
-def kepler_operator(n, alpha) -> WeylOperator:
-    pot = RadicalElement.radius(n).inverse() * Fraction(alpha)
-    return laplace_operator(n).scale(Fraction(1, 2)) - WeylOperator.const(n, pot)
-
-
-def conserved_vector_operators(n, alpha):
-    """A_i-hat = sum_j Phat_ij <> phat_j - alpha x_i / r."""
-    alpha = Fraction(alpha)
-    rinv = RadicalElement.radius(n).inverse()
-    out = []
-    for i in range(1, n + 1):
-        acc = WeylOperator.zero(n)
-        for j in range(1, n + 1):
-            if j == i:
-                continue
-            acc = acc + diamond(momentum_operator(n, i, j), WeylOperator.momentum(n, j))
-        acc = acc - WeylOperator.const(n, rinv * alpha * RadicalElement.coordinate(n, i))
-        out.append(acc)
-    return out
-
-
-# -- verification suite ---------------------------------------------------------
-
-
 def quantum_central_force_suite(n, alpha, rng=None, trees=None, rank_points=2) -> VerificationReport:
     """Exact operator identities for the quantum rotation-invariant system."""
-    from .central_force import p_squared
-
     report = VerificationReport()
     anchor = "quantum-central-force"
-    pij_ops = [momentum_operator(n, i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-    pair_names = [f"P{i}{j}" for i in range(1, n) for j in range(i + 1, n + 1)]
-    h = kepler_operator(n, alpha)
-    for name, op in zip(pair_names, pij_ops):
-        c = commutator(h, op)
-        report.add(f"[H,{name}]", anchor, c.is_zero(), witness="0" if c.is_zero() else str(c))
+    h = symmetrize(kepler_hamiltonian(n, alpha))
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            report.add_zero(f"[H,P{i}{j}]", anchor, commutator(h, symmetrize(momentum(n, i, j))))
 
     p2hat = momentum_square_operator(n)
-    lap = laplace_operator(n)
-    r2 = multiplication_by_r_squared(n)
+    lap = symmetrize(kinetic(n))
+    r2 = symmetrize(r_squared(n))
     xp = x_dot_p_operator(n)
 
     c = commutator(lap, r2) - (xp.scale(4) + WeylOperator.const(n, 2 * n))
-    report.add("[p^2,r^2]=4x.p+2n", anchor, c.is_zero(), witness="0" if c.is_zero() else str(c))
+    report.add_zero("[p^2,r^2]=4x.p+2n", anchor, c)
 
     rhs = compose(r2, lap) - compose(xp, xp) - xp.scale(n - 2)
-    c = p2hat - rhs
-    report.add("P2hat=r2 p2-(x.p)^2-(n-2)x.p", anchor, c.is_zero(), witness="0" if c.is_zero() else str(c))
+    report.add_zero("P2hat=r2 p2-(x.p)^2-(n-2)x.p", anchor, p2hat - rhs)
 
     rhs = (compose(lap, r2) - compose(r2, lap)).scale(Fraction(1, 4)) - WeylOperator.const(n, Fraction(n, 2))
-    c = xp - rhs
-    report.add("x.p=(p2 r2-r2 p2)/4-n/2", anchor, c.is_zero(), witness="0" if c.is_zero() else str(c))
+    report.add_zero("x.p=(p2 r2-r2 p2)/4-n/2", anchor, xp - rhs)
 
-    shift = p2hat - symmetrize(p_squared(n))
-    expected = WeylOperator.const(n, Fraction(n * (n - 1), 4))
-    c = shift - expected
-    report.add("P2hat-(P2)^sym=n(n-1)/4", anchor, c.is_zero(), witness="0" if c.is_zero() else str(c))
+    c = p2hat - symmetrize(p_squared(n)) - WeylOperator.const(n, Fraction(n * (n - 1), 4))
+    report.add_zero("P2hat-(P2)^sym=n(n-1)/4", anchor, c)
 
-    a_ops = conserved_vector_operators(n, alpha)
+    a_ops = [symmetrize(a) for a in runge_lenz_vector(n, alpha)]
     for i, ai in enumerate(a_ops, start=1):
-        c = commutator(h, ai)
-        report.add(f"[H,A{i}]", anchor, c.is_zero(), witness="0" if c.is_zero() else str(c))
+        report.add_zero(f"[H,A{i}]", anchor, commutator(h, ai))
     a2 = sum((compose(ai, ai) for ai in a_ops), WeylOperator.zero(n))
     alpha = Fraction(alpha)
     bracket_term = p2hat - WeylOperator.const(n, Fraction((n - 1) ** 2, 4))
     rhs = compose(h, bracket_term).scale(2) + WeylOperator.const(n, alpha * alpha)
-    c = a2 - rhs
-    report.add("A^2=2H[P2-((n-1)/2)^2]+a^2", anchor, c.is_zero(), witness="0" if c.is_zero() else str(c))
+    report.add_zero("A^2=2H[P2-((n-1)/2)^2]+a^2", anchor, a2 - rhs)
 
-    if trees:
-        from .central_force import recursive_set_structure
-        from .charts import CotangentChart, Differentiated, generic_full_rank
-
-        for tree in trees:
-            z_items, l_items = recursive_set_structure(n, tree)
-            items = z_items + l_items
-            ok = True
-            witness = "all commutators zero"
-            for zi in z_items:
-                for it in items:
-                    if not items_commute(n, zi, it):
-                        ok = False
-                        witness = f"[{zi},{it}] != 0"
-                        break
-                if not ok:
-                    break
-            report.add(f"recursive/{tree.describe()}/commute", anchor, ok, witness=witness)
-            if rng is not None:
-                ops, labels, symbols = quantum_recursive_set(n, tree)
-                symbols = [Differentiated(f) for f in symbols]
-                for s in range(rank_points):
-                    ok, witness = generic_full_rank(symbols, lambda r: CotangentChart.random(n, r), rng)
-                    report.add(
-                        f"recursive/{tree.describe()}/symbol-rank/sample{s}",
-                        anchor,
-                        ok,
-                        witness=witness,
-                        generic=True,
-                    )
+    for tree in trees or ():
+        z_items, l_items = recursive_set_structure(n, tree)
+        items = z_items + l_items
+        bad = next(((zi, it) for zi in z_items for it in items if not items_commute(n, zi, it)), None)
+        witness = "all commutators zero" if bad is None else f"[{bad[0]},{bad[1]}] != 0"
+        report.add(f"recursive/{tree.describe()}/commute", anchor, bad is None, witness=witness)
+        if rng is not None:
+            # the symbols of the item operators are the classical items
+            symbols = [Differentiated(item_function(n, it)) for it in items]
+            for s in range(rank_points):
+                ok, witness = generic_full_rank(symbols, lambda r: CotangentChart.random(n, r), rng)
+                report.add(
+                    f"recursive/{tree.describe()}/symbol-rank/sample{s}",
+                    anchor,
+                    ok,
+                    witness=witness,
+                    generic=True,
+                )
     return report
 
 
 @lru_cache(maxsize=None)
 def _item_operator(n, item):
-    kind, data = item
-    if kind == "pair":
-        return momentum_operator(n, *data)
-    return momentum_square_operator(n, data)
+    """The symmetrized item: P-hat_ij for a pair, and for a square a
+    constant away from the sum of the P-hat_ij^2, which commutes alike."""
+    return symmetrize(item_function(n, item))
 
 
 @lru_cache(maxsize=None)
@@ -356,19 +305,3 @@ def items_commute(n, a, b) -> bool:
     if b < a:
         a, b = b, a
     return commutator(_item_operator(n, a), _item_operator(n, b)).is_zero()
-
-
-def quantum_recursive_set(n, tree):
-    """Operators (Z-hat, L-hat) for a splitting tree, plus their symbols.
-
-    Degree-2 entries are sums of squares of momentum operators, so plain
-    substitution of operators for momenta needs no symmetrization.
-    """
-    from .central_force import recursive_set_structure, _item_label
-
-    z_items, l_items = recursive_set_structure(n, tree)
-    ops = [_item_operator(n, it) for it in z_items + l_items]
-    labels = [f"Z:{_item_label(n, it)}" for it in z_items]
-    labels += [f"L:{_item_label(n, it)}" for it in l_items]
-    symbols = [op.principal_symbol() for op in ops]
-    return ops, labels, symbols

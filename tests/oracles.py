@@ -10,9 +10,13 @@ ordering, greedy rank completions that re-rank the whole chosen set for
 every candidate, the Lie-Poisson bracket summed over the structure table
 one pair of partial derivatives at a time, the general multivariate gcd,
 the ring of quotients of polynomials it reduces, and the radical
-coefficients as a pair of such quotients.  The remaining helpers
-(standard quantization, the top p-degree part of a phase polynomial) are
-small maps only tests use.
+coefficients as a pair of such quotients, the quantum central-force
+operators composed by hand (P-hat_ij, the Laplacian, r^2, the Kepler
+Hamiltonian and the conserved vector through symmetrized products) where the
+package symmetrizes the classical functions, and the Hamiltonian obstruction
+coefficient written out where the package reads it off the h = 6 closed
+form.  The remaining helpers (standard quantization, the top p-degree part
+of a phase polynomial) are small maps only tests use.
 """
 
 from fractions import Fraction
@@ -34,7 +38,7 @@ from manakov.rigid_body import (
 )
 from manakov.son import MomentSpec, basis_element, dim_so, pair_list, signed_pair, structure_table
 from manakov.uea import PBWElement, correction_weights, pbw_mul, sym_word, weighted_square_commutators
-from manakov.weyl import WeylOperator
+from manakov.weyl import WeylOperator, compose
 
 
 def minor_expansion_det(m: ExactMatrix):
@@ -363,6 +367,59 @@ def top_p_part(f: PhasePoly) -> PhasePoly:
     """The terms of ``f`` of highest total degree in p."""
     d = f.p_degree()
     return f._new({m: c for m, c in f.terms.items() if sum(m) == d})
+
+
+def hamiltonian_obstruction_b(spec: MomentSpec, i, j, k):
+    """b^{ijk} for [H-hat, c-hat_{6,2}] = sum b^{ijk} Sym_3, written out:
+    -5/6 [l_i (l_j^2 - l_k^2) + cyclic]."""
+    li, lj, lk = (spec.lambdas[t - 1] for t in (i, j, k))
+    body = li * (lj**2 - lk**2) + lj * (lk**2 - li**2) + lk * (li**2 - lj**2)
+    return body * Fraction(-5, 6)
+
+
+# -- hand-built quantum central-force operators ---------------------------------
+
+
+def momentum_operator(n, i, j) -> WeylOperator:
+    """P-hat_ij = x_i phat_j - x_j phat_i, composed."""
+    xi = WeylOperator.position(n, i)
+    xj = WeylOperator.position(n, j)
+    return compose(xi, WeylOperator.momentum(n, j)) - compose(xj, WeylOperator.momentum(n, i))
+
+
+def laplace_operator(n) -> WeylOperator:
+    return sum(
+        (compose(WeylOperator.momentum(n, i), WeylOperator.momentum(n, i)) for i in range(1, n + 1)),
+        WeylOperator.zero(n),
+    )
+
+
+def multiplication_by_r_squared(n) -> WeylOperator:
+    return WeylOperator.const(n, RadicalElement(n, x_square_poly(n)))
+
+
+def kepler_operator(n, alpha) -> WeylOperator:
+    pot = RadicalElement.radius(n).inverse() * Fraction(alpha)
+    return laplace_operator(n).scale(Fraction(1, 2)) - WeylOperator.const(n, pot)
+
+
+def diamond(a: WeylOperator, b: WeylOperator) -> WeylOperator:
+    """Symmetrized product (ab + ba)/2."""
+    return (compose(a, b) + compose(b, a)).scale(Fraction(1, 2))
+
+
+def conserved_vector_operators(n, alpha):
+    """A_i-hat = sum_j Phat_ij <> phat_j - alpha x_i / r."""
+    alpha = Fraction(alpha)
+    rinv = RadicalElement.radius(n).inverse()
+    out = []
+    for i in range(1, n + 1):
+        acc = WeylOperator.zero(n)
+        for j in range(1, n + 1):
+            if j != i:
+                acc = acc + diamond(momentum_operator(n, i, j), WeylOperator.momentum(n, j))
+        out.append(acc - WeylOperator.const(n, rinv * alpha * RadicalElement.coordinate(n, i)))
+    return out
 
 
 def lie_poisson_bracket_by_table(f: LiePoissonPoly, g: LiePoissonPoly) -> LiePoissonPoly:

@@ -11,6 +11,7 @@ from manakov.central_force import (
     catalog,
     generic_hamiltonian,
     inverse_radius,
+    kepler_hamiltonian,
     kinetic,
     momenta,
     momentum,
@@ -24,6 +25,7 @@ from manakov.central_force import (
     x_dot_p,
 )
 from manakov.charts import CotangentChart, generic_full_rank, jacobian_rank
+from manakov.report import VerificationReport
 
 
 def test_momenta_basics():
@@ -134,6 +136,20 @@ def test_runge_lenz_identities():
         assert rep.ok, (n, alpha, [c.witness for c in rep.failures])
 
 
+def test_zero_check_records_the_nonzero_value():
+    # an exact-zero check passes with witness "0" and fails with the value
+    # itself: here {H, A_1} with the sign of the alpha term flipped
+    n, alpha = 3, Fraction(2)
+    h = kepler_hamiltonian(n, alpha)
+    good = runge_lenz_vector(n, alpha)[0]
+    bad = good + 2 * alpha * inverse_radius(n) * PhasePoly.coordinate(n, 1)
+    rep = VerificationReport()
+    rep.add_zero("good", "a", canonical_bracket(h, good))
+    rep.add_zero("bad", "a", canonical_bracket(h, bad))
+    assert [(c.status, c.witness) for c in rep.checks] == [("pass", "0"), ("fail", str(canonical_bracket(h, bad)))]
+    assert not canonical_bracket(h, bad).is_zero()
+
+
 def test_runge_lenz_closed_form():
     # A_i = (p^2 - a/r) x_i - (x.p) p_i
     n = 3
@@ -202,7 +218,6 @@ def test_classical_central_resamples_deficient_points(monkeypatch, seed, check_i
     # The exact brackets draw no random numbers, so skipping them keeps the
     # suite's chart draws unchanged and the test fast.
     from manakov import central_force, suites
-    from manakov.report import VerificationReport
 
     monkeypatch.setattr(central_force, "involution_report", lambda *a, **k: VerificationReport())
     monkeypatch.setattr(suites, "runge_lenz_check", lambda n, alpha: VerificationReport())

@@ -4,25 +4,44 @@ from fractions import Fraction
 import pytest
 
 from manakov.brackets import PhasePoly, canonical_bracket
-from manakov.central_force import SplitTree, momentum, p_squared
+from manakov.central_force import (
+    SplitTree,
+    item_function,
+    item_label,
+    kepler_hamiltonian,
+    kinetic,
+    momentum,
+    p_squared,
+    r_squared,
+    recursive_set_structure,
+    runge_lenz_vector,
+    x_dot_p,
+)
 from manakov.radical import RadicalElement
 from manakov.weyl import (
     WeylOperator,
+    _item_operator,
     commutator,
     compose,
-    conserved_vector_operators,
-    diamond,
-    kepler_operator,
-    laplace_operator,
-    momentum_operator,
+    items_commute,
     momentum_square_operator,
-    multiplication_by_r_squared,
     quantum_central_force_suite,
-    quantum_recursive_set,
     symmetrize,
     x_dot_p_operator,
 )
-from oracles import standard_quantize, top_p_part
+from oracles import (
+    conserved_vector_operators,
+    kepler_operator,
+    laplace_operator,
+    momentum_operator,
+    multiplication_by_r_squared,
+    standard_quantize,
+    top_p_part,
+)
+
+
+def pij_op(n, i, j):
+    return symmetrize(momentum(n, i, j))
 
 
 def test_canonical_commutation():
@@ -81,15 +100,29 @@ def test_compose_associative_randomized():
 
 def test_momentum_operator_brackets_match_classical():
     n = 3
-    assert commutator(momentum_operator(n, 1, 2), momentum_operator(n, 1, 3)) == -momentum_operator(
-        n, 2, 3
-    )
+    assert commutator(pij_op(n, 1, 2), pij_op(n, 1, 3)) == -pij_op(n, 2, 3)
 
 
 def test_laplace_r2_commutator():
     for n in (2, 3, 4, 5, 6):
-        c = commutator(laplace_operator(n), multiplication_by_r_squared(n))
+        c = commutator(symmetrize(kinetic(n)), symmetrize(r_squared(n)))
         assert c == x_dot_p_operator(n).scale(4) + WeylOperator.const(n, 2 * n)
+
+
+@pytest.mark.parametrize("alpha", [1, Fraction(3, 2), -2])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_symmetrized_operators_match_hand_built(n, alpha):
+    # the suite quantizes each classical function by symmetrization; the
+    # oracles compose the same operators factor by factor
+    assert symmetrize(kepler_hamiltonian(n, alpha)) == kepler_operator(n, alpha)
+    assert symmetrize(kinetic(n)) == laplace_operator(n)
+    assert symmetrize(r_squared(n)) == multiplication_by_r_squared(n)
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            assert pij_op(n, i, j) == momentum_operator(n, i, j)
+    a_ops = [symmetrize(a) for a in runge_lenz_vector(n, alpha)]
+    assert a_ops == conserved_vector_operators(n, alpha)
+    assert x_dot_p_operator(n) == symmetrize(x_dot_p(n)) - WeylOperator.const(n, Fraction(n, 2))
 
 
 def test_symmetrize_examples():
@@ -201,7 +234,7 @@ def test_standard_quantize_isomorphism_randomized():
 def test_principal_symbol_homomorphism():
     n = 3
     a = momentum_square_operator(n)
-    b = compose(momentum_operator(n, 1, 2), momentum_operator(n, 1, 3))
+    b = compose(pij_op(n, 1, 2), pij_op(n, 1, 3))
     prod = compose(a, b)
     sym = prod.principal_symbol()
     expected = top_p_part(a.principal_symbol() * b.principal_symbol())
@@ -214,17 +247,17 @@ def test_principal_symbol_homomorphism():
 def test_momentum_square_identity():
     for n in (2, 3, 4):
         lhs = momentum_square_operator(n)
-        r2 = multiplication_by_r_squared(n)
+        r2 = symmetrize(r_squared(n))
         xp = x_dot_p_operator(n)
-        rhs = compose(r2, laplace_operator(n)) - compose(xp, xp) - xp.scale(n - 2)
+        rhs = compose(r2, symmetrize(kinetic(n))) - compose(xp, xp) - xp.scale(n - 2)
         assert lhs == rhs
 
 
 def test_quantum_kepler_vector():
     n = 3
     alpha = Fraction(2)
-    h = kepler_operator(n, alpha)
-    a_ops = conserved_vector_operators(n, alpha)
+    h = symmetrize(kepler_hamiltonian(n, alpha))
+    a_ops = [symmetrize(a) for a in runge_lenz_vector(n, alpha)]
     for ai in a_ops:
         assert commutator(h, ai).is_zero()
     a2 = sum((compose(ai, ai) for ai in a_ops), WeylOperator.zero(n))
@@ -234,31 +267,25 @@ def test_quantum_kepler_vector():
     assert a2 == rhs
 
 
-def test_diamond_is_symmetrized_product():
-    n = 2
-    a = momentum_operator(n, 1, 2)
-    b = WeylOperator.momentum(n, 2)
-    assert diamond(a, b) == (compose(a, b) + compose(b, a)).scale(Fraction(1, 2))
-
-
 def test_quantum_recursive_sets_small():
-    n = 4
-    tree = SplitTree.split(SplitTree.leaf([1, 2, 3]), [4])
-    ops, labels, symbols = quantum_recursive_set(n, tree)
-    z_count = sum(1 for lb in labels if lb.startswith("Z"))
-    for zi in range(z_count):
-        for op in ops:
-            assert commutator(ops[zi], op).is_zero()
+    # the item operators quantize the classical items: each principal symbol
+    # is the item, and every Z item commutes with the whole set
+    for n, tree in ((4, SplitTree.split(SplitTree.leaf([1, 2, 3]), [4])), (2, SplitTree.leaf([1, 2]))):
+        z_items, l_items = recursive_set_structure(n, tree)
+        for it in z_items + l_items:
+            assert _item_operator(n, it).principal_symbol() == item_function(n, it)
+        for zi in z_items:
+            assert all(items_commute(n, zi, it) for it in z_items + l_items)
     # degenerate n=2 case: a single momentum operator
-    ops2, labels2, _ = quantum_recursive_set(2, SplitTree.leaf([1, 2]))
-    assert len(ops2) == 1 and labels2 == ["Z:P12"]
+    assert recursive_set_structure(2, SplitTree.leaf([1, 2])) == ([("pair", (1, 2))], [])
+    assert item_label(2, ("pair", (1, 2))) == "P12"
 
 
 def test_quantum_suite_n2_degenerates():
     rep = quantum_central_force_suite(2, 1)
     assert rep.ok
     # P-hat^2 equals the square of the single momentum operator
-    assert momentum_square_operator(2) == compose(momentum_operator(2, 1, 2), momentum_operator(2, 1, 2))
+    assert momentum_square_operator(2) == compose(pij_op(2, 1, 2), pij_op(2, 1, 2))
 
 
 def test_quantum_suite_n3():
