@@ -154,6 +154,13 @@ class MultiPoly(RingElement):
         self.vars = tuple(vars)
         self.terms = {m: c for m, c in terms.items() if c}
 
+    def _new(self, terms):
+        """A polynomial over the same variables holding ``terms``, already
+        free of zeros (not re-filtered)."""
+        out = MultiPoly.__new__(MultiPoly)
+        out.vars, out.terms = self.vars, terms
+        return out
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -197,18 +204,18 @@ class MultiPoly(RingElement):
     def __add__(self, other):
         other = self._coerce(other)
         self._check(other)
-        return MultiPoly(self.vars, add_terms(dict(self.terms), other.terms.items()))
+        return self._new(add_terms(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {m: -c for m, c in self.terms.items()})
+        return self._new({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             if not other:
                 return MultiPoly.zero(self.vars)
-            return MultiPoly(self.vars, {m: c * other for m, c in self.terms.items()})
+            return self._new({m: c * other for m, c in self.terms.items()})
         self._check(other)
         terms = {}
         if len(self.terms) > len(other.terms):
@@ -218,7 +225,7 @@ class MultiPoly(RingElement):
         for m1, c1 in a.terms.items():
             products = ((tuple(e1 + e2 for e1, e2 in zip(m1, m2)), c1 * c2) for m2, c2 in b.terms.items())
             add_terms(terms, products)
-        return MultiPoly(self.vars, terms)
+        return self._new(terms)
 
     __rmul__ = __mul__
 
@@ -261,7 +268,7 @@ class MultiPoly(RingElement):
             e = dm[i]
             dm[i] = e - 1
             terms[tuple(dm)] = c * e
-        return MultiPoly(self.vars, terms)
+        return self._new(terms)
 
     def eval(self, values):
         """Evaluate at a full assignment (sequence parallel to ``vars``)."""
@@ -300,7 +307,7 @@ class MultiPoly(RingElement):
             quot[qm] = qc
             products = ((tuple(a + b for a, b in zip(qm, m2)), -qc * c2) for m2, c2 in other.terms.items())
             add_terms(rem, products)
-        return MultiPoly(self.vars, quot)
+        return self._new(quot)
 
     # -- printing ---------------------------------------------------------
 

@@ -7,32 +7,35 @@ e_b e_a -> e_a e_b + [e_b, e_a] using the momentum structure constants; the
 rewriting is confluent, so the stored form is canonical and zero tests are
 structural.
 
-Products are computed by folding single-generator left-multiplications over
-a suffix trie of the left factor, with the generator-into-sorted-word
-insertion memoized; this keeps the degree-4 by degree-4 commutators at
-n = 6 tractable.
+Products fold single-generator left-multiplications over a suffix trie of
+the left factor, with the generator-into-sorted-word insertion memoized.
+Commutators with a generator apply the derivation ad_u = [e_u, .] word by
+word (``ad``), and [e_k^2, x] = 2 e_k [e_k, x] - [e_k, [e_k, x]]
+(``square_commutator``), so the top-degree terms that cancel in ab - ba are
+never formed; ``uea_commutator`` (ab - ba) is left for higher degrees.
 
 Every quantum rigid-body operator is the symmetrization beta(f) of its
-classical function (``symmetrize_momentum_poly``); the only modification is
-the (5/12) squared-generator correction of the n = 6 degree-4 operator.
-Symmetrization is an so(n)-module isomorphism, so beta({P_u, f}) =
-[P-hat_u, beta(f)].  Every commutator goes through ``uea_commutator``.
-The Sym_3 and Sym_5 expansions are symmetrizations too: Sym_k of a cycle
-depends only on its letter multiset, so each expansion is one classical
-cycle sum whose coinciding monomials collapse before any PBW work.
+classical function (``symmetrize_momentum_poly``, over the k!-scaled integer
+words of ``sym_word``); the only modification is the (5/12) squared-generator
+correction of the n = 6 degree-4 operator.  Symmetrization is an so(n)-module
+isomorphism, so beta({P_u, f}) = [P-hat_u, beta(f)].  The Sym_3 and Sym_5
+expansions are symmetrizations too: Sym_k of a cycle depends only on its
+letter multiset, so each expansion is one classical cycle sum whose
+coinciding monomials collapse before any PBW work.
 
 The commutator battery builds each operator once (C-hat_{6,2} is the
-h = 6 degree-4 operator plus its correction), forms each commutator once
-(the h = 5 commutators serve both the expansion and the zero checks, and
-one pass over the squared generators serves both [H-hat, c-hat_{5,1}] and
-the correction identity), and tabulates each antisymmetrized obstruction
-coefficient once per triple from memoized Manakov coefficients.
+h = 6 degree-4 operator plus its correction) and forms each
+[(P-hat_ij)^2, x] once per right operand x: every quadratic left operand
+(c-hat_{l,l-2}, H-hat, the correction) is a weighting of those, so the only
+product is [c-hat_{5,1}, C-hat_{6,2}].  Each antisymmetrized obstruction
+coefficient is tabulated once per triple from memoized coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 from .brackets import LiePoissonPoly, momentum_vars
 from .charts import GroupChart, generic_full_rank
@@ -50,13 +53,27 @@ from .rigid_body import (
 from .son import DegenerateSampleError, MomentSpec, gen_bracket, pair_list, retry_generic, signed_pair
 
 _INSERT_CACHE = {}
+_AD_CACHE = {}
 _SYM_CACHE = {}
 _MEMO_WORD_LIMIT = 6
+# [e_u, w] recurs across operands for short words only; memoizing longer
+# ones cost the n = 6 battery 4 MB of peak memory for no measurable time
+_AD_WORD_LIMIT = 2
 
 
 def clear_caches():
     _INSERT_CACHE.clear()
+    _AD_CACHE.clear()
     _SYM_CACHE.clear()
+
+
+def _extend(word_map, n, g, terms):
+    """Extend ``word_map(n, g, w)`` -> {word: integer coefficient}, a map on
+    sorted words, linearly to a {word: coef} map."""
+    out = {}
+    for w, c in terms.items():
+        add_terms(out, ((word, c if k == 1 else c * k) for word, k in word_map(n, g, w).items()))
+    return out
 
 
 def _insert(n, g, w):
@@ -74,7 +91,7 @@ def _insert(n, g, w):
         # degree dropped or the subword is the plain sorted merge)
         a = w[0]
         rest = w[1:]
-        result = _gen_mul_terms(n, a, _insert(n, g, rest))
+        result = _extend(_insert, n, a, _insert(n, g, rest))
         br = gen_bracket(n, g, a)
         if br is not None:
             h, s = br
@@ -84,12 +101,26 @@ def _insert(n, g, w):
     return result
 
 
-def _gen_mul_terms(n, g, terms):
-    """e_g * element, elementwise on a {word: coef} map."""
-    out = {}
-    for w, c in terms.items():
-        add_terms(out, ((word, c if k == 1 else c * k) for word, k in _insert(n, g, w).items()))
-    return out
+def _ad_word(n, u, w):
+    """Normal ordering of [e_u, (sorted word w)] as {word: integer
+    coefficient}, by the derivation rule [e_u, e_a w'] = [e_u, e_a] w' +
+    e_a [e_u, w']: no degree-(len(w) + 1) term is formed."""
+    key = (n, u, w)
+    cached = _AD_CACHE.get(key)
+    if cached is not None:
+        return cached
+    result = {}
+    if w:
+        a = w[0]
+        rest = w[1:]
+        result = _extend(_insert, n, a, _ad_word(n, u, rest))
+        br = gen_bracket(n, u, a)
+        if br is not None:
+            h, s = br
+            add_terms(result, ((word, s * c) for word, c in _insert(n, h, rest).items()))
+    if len(w) <= _AD_WORD_LIMIT:
+        _AD_CACHE[key] = result
+    return result
 
 
 class PBWElement(TermMap):
@@ -100,14 +131,6 @@ class PBWElement(TermMap):
     @classmethod
     def const(cls, n, c):
         return cls(n, {(): c})
-
-    @classmethod
-    def generator(cls, n, pair):
-        sp = signed_pair(n, *pair)
-        if sp is None:
-            return cls.zero(n)
-        k, sign = sp
-        return cls(n, {(k,): Fraction(sign)})
 
     def degree(self):
         return max((len(w) for w in self.terms), default=-1)
@@ -188,7 +211,7 @@ def pbw_mul(a: PBWElement, b: PBWElement) -> PBWElement:
                 for c in sub:
                     add_terms(result, ((w, c * v) for w, v in terms.items()))
             else:
-                dfs(sub, _gen_mul_terms(n, key, terms))
+                dfs(sub, _extend(_insert, n, key, terms))
 
     dfs(root, b.terms)
     return a._new(result)
@@ -207,50 +230,72 @@ def uea_commutator(a: PBWElement, b: PBWElement) -> PBWElement:
     return c if da * db == 1 else c.scale(Fraction(1, da * db))
 
 
+def ad(u, x: PBWElement) -> PBWElement:
+    """[e_u, x] for the generator of index u, applied word by word."""
+    return x._new(_extend(_ad_word, x.n, u, x.terms))
+
+
+def square_commutator(k, x: PBWElement) -> PBWElement:
+    """[(e_k)^2, x] = e_k y + y e_k = 2 e_k y - [e_k, y] with y = [e_k, x]:
+    no degree-(deg x + 2) product is formed."""
+    n = x.n
+    y = _extend(_ad_word, n, k, x.terms)
+    out = {w: 2 * c for w, c in _extend(_insert, n, k, y).items()}
+    return x._new(add_terms(out, ((w, -c) for w, c in _extend(_ad_word, n, k, y).items())))
+
+
+def square_weights(x: PBWElement):
+    """The weights w_k of x = sum_k w_k (e_k)^2, in pair order; a word that
+    is not a squared generator raises ValueError."""
+    for w in x.terms:
+        if len(w) != 2 or w[0] != w[1]:
+            raise ValueError(f"word {w} is not a squared generator")
+    return [x.terms.get((k, k), 0) for k in range(len(pair_list(x.n)))]
+
+
 # -- symmetrization ------------------------------------------------------------
 
 
 def sym_word(n, letters):
-    """Average over all orderings of the generator multiset, canonical form.
+    """k! times the symmetrization of the generator multiset ``letters`` of
+    size k (the sum of its products in all k! orders), in canonical form.
 
-    Returned map has Fraction coefficients; it only depends on the multiset,
-    so the cache key is the sorted letter tuple.
+    The returned map has integer coefficients; it only depends on the
+    multiset, so the cache key is the sorted letter tuple.
     """
     letters = tuple(sorted(letters))
     key = (n, letters)
     cached = _SYM_CACHE.get(key)
     if cached is not None:
         return cached
-    if not letters:
-        result = {(): Fraction(1)}
-    else:
-        k = len(letters)
-        acc = {}
-        seen = set()
-        for idx, g in enumerate(letters):
-            if g in seen:
-                continue
-            seen.add(g)
-            mult = letters.count(g)
-            rest = letters[:idx] + letters[idx + 1 :]
-            sub = sym_word(n, rest)
-            w_mult = Fraction(mult, k)
-            add_terms(acc, ((w, c * w_mult) for w, c in _gen_mul_terms(n, g, sub).items()))
-        result = acc
+    result = {} if letters else {(): 1}
+    for idx, g in enumerate(letters):
+        if idx and letters[idx - 1] == g:
+            continue
+        # the orders that start with g: one per copy of g
+        mult = letters.count(g)
+        sub = _extend(_insert, n, g, sym_word(n, letters[:idx] + letters[idx + 1 :]))
+        add_terms(result, ((w, c * mult) for w, c in sub.items()))
     _SYM_CACHE[key] = result
     return result
 
 
 def symmetrize_momentum_poly(f: LiePoissonPoly) -> PBWElement:
-    """Weyl symmetrization with respect to the momentum generators."""
+    """Weyl symmetrization with respect to the momentum generators: the
+    k!-scaled words of the integer-scaled f, summed per degree k and each
+    sum divided once by k! and the scale."""
     n = f.n
-    acc = {}
-    for mono, coef in f.poly.terms.items():
-        letters = []
-        for g, e in enumerate(mono):
-            letters.extend([g] * e)
-        add_terms(acc, ((w, coef * c) for w, c in sym_word(n, tuple(letters)).items()))
-    return PBWElement(n, acc)
+    poly, d = integer_scaled(f.poly)
+    by_degree = {}
+    for mono, coef in poly.terms.items():
+        letters = tuple(g for g, e in enumerate(mono) for _ in range(e))
+        acc = by_degree.setdefault(len(letters), {})
+        add_terms(acc, ((w, coef * c) for w, c in sym_word(n, letters).items()))
+    out = {}
+    for k, acc in by_degree.items():
+        q = Fraction(1, factorial(k) * d)
+        add_terms(out, ((w, c * q) for w, c in acc.items()))
+    return PBWElement(n, out)
 
 
 def cycle_sum(n, weighted_cycles) -> LiePoissonPoly:
@@ -290,21 +335,6 @@ def c62_correction(spec: MomentSpec) -> PBWElement:
     """C-hat_{6,2} - c-hat_{6,2}: the squared generators with their
     correction weights."""
     return PBWElement(spec.n, {(k, k): w for k, w in enumerate(correction_weights(spec))})
-
-
-def corrected_c62(spec: MomentSpec, base: PBWElement) -> PBWElement:
-    """C-hat_{6,2} from base = c-hat_{6,2}."""
-    return base + c62_correction(spec)
-
-
-def modified_c62(n, spec: MomentSpec) -> PBWElement:
-    """The corrected degree-4 operator:
-    C-hat_{6,2} = c-hat_{6,2} + (5/12) sum_{i<j} l_i^2 l_j^2 (P-hat_ij)^2.
-
-    Defined for n >= 4 (the correction needs k = 6 <= n only for the base
-    operator; the quantum claims fixed here are stated at n = 6).
-    """
-    return corrected_c62(spec, manakov_operator(ManakovIndex(6, 2), n, spec))
 
 
 # -- obstruction coefficients ----------------------------------------------------
@@ -380,14 +410,16 @@ def sym3_expansion(n, coeff_fn) -> PBWElement:
 def weighted_square_commutators(n, weight_sets, x: PBWElement):
     """[sum_{i<j} w_ij (P-hat_ij)^2, x] for each weight list in
     ``weight_sets`` (weights in pair order), forming each [(P-hat_ij)^2, x]
-    once.  The weights enter only the accumulation, so with symbolic moments
-    the commutators stay in the polynomial coefficient subring (no gcd
-    work)."""
+    once, on x scaled to integers.  The weights (over that scale) enter only
+    the accumulation, so symbolic commutators need no gcd work."""
+    x, d = integer_scaled(x)
     accs = [{} for _ in weight_sets]
     for k in range(len(pair_list(n))):
-        comm = uea_commutator(PBWElement(n, {(k, k): Fraction(1)}), x)
+        comm = square_commutator(k, x).terms
         for acc, weights in zip(accs, weight_sets):
-            add_terms(acc, comm.scale(weights[k]).terms.items())
+            w = weights[k] if d == 1 else weights[k] * Fraction(1, d)
+            if w:
+                add_terms(acc, ((word, c * w) for word, c in comm.items()))
     return [PBWElement(n, acc) for acc in accs]
 
 
@@ -400,11 +432,9 @@ def hamiltonian_weights(spec: MomentSpec):
 
 
 def hamiltonian_commutator(spec: MomentSpec, x: PBWElement) -> PBWElement:
-    """[H-hat, x] with H-hat = 1/2 sum_{i<j} (P-hat_ij)^2/(l_i + l_j).
-
-    Equivalent to uea_commutator(H-hat, x) but much faster for symbolic
-    moments.
-    """
+    """[H-hat, x] with H-hat = 1/2 sum_{i<j} (P-hat_ij)^2/(l_i + l_j): the
+    Hamiltonian weighting of the squared-generator commutators of x, so no
+    product with H-hat is formed."""
     return weighted_square_commutators(spec.n, [hamiltonian_weights(spec)], x)[0]
 
 
@@ -456,23 +486,24 @@ def verify_quantum_rigid(n, spec: MomentSpec) -> VerificationReport:
     mode = "symbolic" if spec.is_symbolic else "sampled"
     report.config.update({"n": n, "mode": mode, "lambdas": [str(v) for v in spec.lambdas]})
     quad = {l: manakov_operator(ManakovIndex(l, 1), n, spec) for l in range(2, n + 1)}
+    ls = sorted(quad)
+    weights = {l: square_weights(quad[l]) for l in ls}
+    # the quadratic left operands besides the c-hat_{l,l-2}: H-hat and, at
+    # n >= 6, the C-hat_{6,2} correction (5/12) sum l_i^2 l_j^2 (P-hat_ij)^2
+    extra = [hamiltonian_weights(spec)] + ([correction_weights(spec)] if n >= 6 else [])
 
     # quadratic family and the Hamiltonian
-    ls = sorted(quad)
-    for ai in range(len(ls)):
-        for bi in range(ai + 1, len(ls)):
-            a, b = ls[ai], ls[bi]
-            report.add_zero(f"[c{a},{a-2} , c{b},{b-2}]", anchor, uea_commutator(quad[a], quad[b]))
-    # each [(P-hat_ij)^2, x] serves two weightings: H-hat and, at n >= 6, the
-    # C-hat_{6,2} correction (5/12) sum l_i^2 l_j^2 (P-hat_ij)^2
-    weight_sets = [hamiltonian_weights(spec)]
-    if n >= 6:
-        weight_sets.append(correction_weights(spec))
-    corrections = {}
+    pair_comms, h_comms, corrections = {}, {}, {}
+    for i, b in enumerate(ls):
+        lower = ls[:i]
+        comms = weighted_square_commutators(n, [weights[a] for a in lower] + extra, quad[b])
+        pair_comms.update(((a, b), c) for a, c in zip(lower, comms))
+        h_comms[b] = comms[len(lower)]
+        corrections[b] = comms[len(lower) + 1 :]
+    for a, b in combinations(ls, 2):
+        report.add_zero(f"[c{a},{a-2} , c{b},{b-2}]", anchor, pair_comms[a, b])
     for l in ls:
-        h_comm, *correction = weighted_square_commutators(n, weight_sets, quad[l])
-        corrections[l] = correction
-        report.add_zero(f"[H , c{l},{l-2}]", anchor, h_comm)
+        report.add_zero(f"[H , c{l},{l-2}]", anchor, h_comms[l])
 
     # degree-2 against degree-4: obstruction expansions, each b^{[ijk]}_{l,h}
     # once per triple into a table that also feeds the coefficient checks
@@ -481,13 +512,14 @@ def verify_quantum_rigid(n, spec: MomentSpec) -> VerificationReport:
         if h > n:
             continue
         c4 = manakov_operator(ManakovIndex(h, 2), n, spec)
+        sets = [weights[l] for l in ls] + (extra if h == 5 else extra[:1])
+        found = weighted_square_commutators(n, sets, c4)
+        comms, h_comm = dict(zip(ls, found)), found[len(ls)]
         tables = {}
-        comms = {}
         for l in ls:
             table = tables[l] = {t: obstruction_b(l, h, spec, *t) for t in triples}
-            comm = comms[l] = uea_commutator(quad[l], c4)
             rhs = sym3_expansion(n, lambda *t: table[t])
-            ok = (comm - rhs.scale(EXPANSION_SIGN)).is_zero()
+            ok = (comms[l] - rhs.scale(EXPANSION_SIGN)).is_zero()
             report.add(
                 f"[c{l},{l-2} , c{h},{h-4}] == Sym3 expansion",
                 anchor,
@@ -506,11 +538,10 @@ def verify_quantum_rigid(n, spec: MomentSpec) -> VerificationReport:
             )
             for l in ls:
                 report.add_zero(f"[c{l},{l-2} , c5,1]", anchor, comms[l])
+            report.add_zero("[H , c5,1]", anchor, h_comm)
             # the correction identity of the degree-4 by degree-4 block is the
             # correction weighting of the same squared-generator commutators
-            c51 = c4
-            h_comm, *correction = weighted_square_commutators(n, weight_sets, c51)
-            report.add_zero("[H , c5,1]", anchor, h_comm)
+            c51, c51_correction = c4, found[len(ls) + 1 :]
         if h == 6:
             ok = all(
                 b == obstruction_b_closed_h6(l, spec, *t) for l in ls for t, b in tables[l].items()
@@ -521,17 +552,16 @@ def verify_quantum_rigid(n, spec: MomentSpec) -> VerificationReport:
                 ok,
                 witness="raw antisymmetrization equals closed form" if ok else "mismatch",
             )
-            comm = hamiltonian_commutator(spec, c4)
-            nonzero = not comm.is_zero()
+            nonzero = not h_comm.is_zero()
             report.add(
                 "[H , c6,2] != 0",
                 anchor,
                 nonzero,
-                witness=f"{len(comm.terms)} canonical terms" if nonzero else "unexpected zero",
+                witness=f"{len(h_comm.terms)} canonical terms" if nonzero else "unexpected zero",
             )
             # H-hat is minus the l = 3/2 quadratic integral
             rhs = sym3_expansion(n, lambda *t: -obstruction_b_closed_h6(Fraction(3, 2), spec, *t))
-            ok = (comm - rhs.scale(EXPANSION_SIGN)).is_zero()
+            ok = (h_comm - rhs.scale(EXPANSION_SIGN)).is_zero()
             spot = -obstruction_b_closed_h6(Fraction(3, 2), spec, 1, 2, 3)
             report.add(
                 "[H , c6,2] == Sym3 expansion",
@@ -542,11 +572,12 @@ def verify_quantum_rigid(n, spec: MomentSpec) -> VerificationReport:
             # C-hat_{6,2} = c-hat_{6,2} + the weighted squared generators, so
             # each commutator with it is the one with c-hat_{6,2}, formed
             # above, plus a degree-2 by degree-2 correction
-            report.add_zero("[H , C6,2]", anchor, comm + hamiltonian_commutator(spec, c62_correction(spec)))
+            correction_op = c62_correction(spec)
+            report.add_zero("[H , C6,2]", anchor, h_comm + hamiltonian_commutator(spec, correction_op))
             for l in ls:
                 report.add_zero(f"[c{l},{l-2} , C6,2]", anchor, comms[l] - corrections[l][0])
-            report.add_zero("[c5,1 , C6,2]", anchor, uea_commutator(c51, corrected_c62(spec, c4)))
-            lhs = -correction[0]
+            report.add_zero("[c5,1 , C6,2]", anchor, uea_commutator(c51, c4 + correction_op))
+            lhs = -c51_correction[0]
             rhs = sym35_expansion(spec)
             ok = (lhs - rhs.scale(EXPANSION_SIGN)).is_zero()
             report.add(
@@ -560,11 +591,14 @@ def verify_quantum_rigid(n, spec: MomentSpec) -> VerificationReport:
 
 def _first_noncommuting(op: PBWElement, pairs):
     """(pair, commutator) for the first P-hat_pair that does not commute with
-    ``op``, or None."""
+    ``op``, or None; [op, P-hat_pair] is minus ad of the signed generator,
+    applied to ``op`` scaled to integer coefficients."""
+    x, d = integer_scaled(op)
     for p in pairs:
-        c = uea_commutator(op, PBWElement.generator(op.n, p))
+        k, sign = signed_pair(op.n, *p)
+        c = ad(k, x)
         if not c.is_zero():
-            return p, c
+            return p, c.scale(Fraction(-sign, d))
     return None
 
 

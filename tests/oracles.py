@@ -4,22 +4,24 @@ Each one computes a quantity the package also computes, by a different and
 slower route: Laplace expansion and fraction-free elimination for
 determinants and ranks, exhaustive exponent enumeration for the Manakov
 coefficients, dense or direct forms of the rigid-body operators, the
-walk-by-walk symmetrization of the Manakov integrals, the Sym_3/Sym_5
-expansions summed one symmetrized cycle at a time, word-by-word PBW normal
-ordering, greedy rank completions that re-rank the whole chosen set for
-every candidate, the Lie-Poisson bracket summed over the structure table
-one pair of partial derivatives at a time, the general multivariate gcd,
-the ring of quotients of polynomials it reduces, and the radical
+average of a generator multiset over its orderings with Fraction
+coefficients, the walk-by-walk symmetrization of the Manakov integrals, the
+Sym_3/Sym_5 expansions summed one symmetrized cycle at a time, word-by-word
+PBW normal ordering, greedy rank completions that re-rank the whole chosen
+set for every candidate, the Lie-Poisson bracket summed over the structure
+table one pair of partial derivatives at a time, the general multivariate
+gcd, the ring of quotients of polynomials it reduces, and the radical
 coefficients as a pair of such quotients, the quantum central-force
 operators composed by hand (P-hat_ij, the Laplacian, r^2, the Kepler
-Hamiltonian and the conserved vector through symmetrized products) where the
-package symmetrizes the classical functions, and the Hamiltonian obstruction
-coefficient written out where the package reads it off the h = 6 closed
-form.  The remaining helpers (standard quantization, the top p-degree part
-of a phase polynomial) are small maps only tests use.
+Hamiltonian and the conserved vector through symmetrized products) where
+the package symmetrizes the classical functions, and the Hamiltonian
+obstruction coefficient written out where the package reads it off the
+h = 6 closed form.  The remaining helpers (standard quantization, the top
+p-degree part of a phase polynomial) are small maps only tests use.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd as int_gcd
 
@@ -37,7 +39,7 @@ from manakov.rigid_body import (
     z_lambda,
 )
 from manakov.son import MomentSpec, basis_element, dim_so, pair_list, signed_pair, structure_table
-from manakov.uea import PBWElement, correction_weights, pbw_mul, sym_word, weighted_square_commutators
+from manakov.uea import PBWElement, correction_weights, pbw_mul, weighted_square_commutators
 from manakov.weyl import WeylOperator, compose
 
 
@@ -271,6 +273,25 @@ def flat_case_completion_witnesses(n, rng, chart_bound=30):
         _, rank = _complete_by_reranking(n, chosen, _rerank(chosen, chart), candidates, target, chart)
         witnesses.append(f"rank {rank} with {len(chosen)} of {target} functions")
     return witnesses
+
+
+@lru_cache(maxsize=None)
+def sym_word(n, letters):
+    """Average over all orderings of the generator multiset ``letters``, in
+    canonical form with Fraction coefficients: (1/k) sum over the first
+    letter g of e_g times the average of the rest, one generator product at
+    a time."""
+    letters = tuple(sorted(letters))
+    if not letters:
+        return {(): Fraction(1)}
+    acc = {}
+    for g in sorted(set(letters)):
+        rest = list(letters)
+        rest.remove(g)
+        sub = pbw_mul(PBWElement(n, {(g,): Fraction(1)}), PBWElement(n, sym_word(n, tuple(rest))))
+        w_mult = Fraction(letters.count(g), len(letters))
+        add_terms(acc, ((w, c * w_mult) for w, c in sub.terms.items()))
+    return acc
 
 
 def manakov_operator_by_walks(idx, n, spec: MomentSpec) -> PBWElement:

@@ -56,7 +56,6 @@ from manakov.uea import (
     PBWElement,
     hamiltonian_commutator,
     manakov_operator,
-    modified_c62,
     pbw_mul,
     sym3_expansion,
     uea_commutator,

@@ -40,17 +40,23 @@ def test_probe_target_resolves(probe):
 def test_worker_empties_the_memos():
     from fractions import Fraction
 
-    from manakov import rigid_body
+    from manakov import rigid_body, uea
     from manakov.rigid_body import ManakovIndex, casimir_polynomials, manakov_coefficient
     from manakov.son import MomentSpec
+    from manakov.uea import PBWElement, square_commutator, sym_word
 
     clear_caches = _load_benchmark_module("worker").clear_caches
     for spec in (MomentSpec.symbolic(4), MomentSpec.from_lambdas((Fraction(1), Fraction(2), Fraction(3)))):
         manakov_coefficient(ManakovIndex(3, 1), (1, 2), spec)
     casimir_polynomials(4)
     casimir_polynomials(4, (1, 2, 3))
+    square_commutator(0, PBWElement(4, {(1, 2): 1}))
+    sym_word(4, (3, 1, 2))
+    memos = (uea._INSERT_CACHE, uea._AD_CACHE, uea._SYM_CACHE)
     assert len(rigid_body._COEFFICIENT_CACHE) >= 2
     assert rigid_body._casimir_polynomials.cache_info().currsize >= 2
+    assert all(memos)
     clear_caches()
     assert not rigid_body._COEFFICIENT_CACHE
+    assert not any(memos)
     assert rigid_body._casimir_polynomials.cache_info().currsize == 0

@@ -74,6 +74,27 @@ def test_no_zero_terms_stored():
     assert q.terms == {}
 
 
+def test_arithmetic_results_hold_no_zero_coefficient():
+    # +, -, *, diff and division build their results without the
+    # constructor's zero filter, so each must leave no zero behind itself;
+    # small coefficients over few monomials make sums cancel often
+    rng = random.Random(71)
+
+    def zero_free(p):
+        assert isinstance(p, MultiPoly) and p.vars == V
+        assert all(c for c in p.terms.values()), p.terms
+        return p
+
+    for _ in range(100):
+        p, q = random_poly(rng, max_deg=1, bound=2), random_poly(rng, max_deg=1, bound=2)
+        for r in (p + q, p - q, p - p, -p, p * q, p * 0, p * Fraction(-2, 3), 3 * p, p.diff(rng.randrange(3))):
+            zero_free(r)
+        if q:
+            zero_free((p * q)._try_div(q))
+            zero_free(p._try_div(q.leading()[1] * const(1)))
+        zero_free(p - p.constant_value())
+
+
 def test_diff_and_eval():
     a, b, c = gen(0), gen(1), gen(2)
     p = a * a * b + 3 * c

@@ -1,32 +1,37 @@
 import itertools
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from manakov.brackets import LiePoissonPoly, lie_poisson_bracket, momentum_vars
-from manakov.ratfunc import MultiPoly
+from manakov.ratfunc import MultiPoly, add_terms
 from manakov.charts import GroupChart
 from manakov.linalg import ExactMatrix, exact_rank, solve
 from manakov.rigid_body import ManakovIndex, centrality_defect, manakov_indices, manakov_integral, verify_z_lambda
-from manakov.son import MomentSpec, SkewMatrix, dim_so, gen_bracket, pair_index, pair_list
+from manakov.son import MomentSpec, SkewMatrix, dim_so, gen_bracket, pair_index, pair_list, signed_pair
 from manakov.uea import (
+    _AD_CACHE,
+    _AD_WORD_LIMIT,
     EXPANSION_SIGN,
     PBWElement,
+    ad,
     c62_correction,
     clear_caches,
-    corrected_c62,
     correction_weights,
     hamiltonian_commutator,
     manakov_operator,
-    modified_c62,
     obstruction_b,
     obstruction_b_closed_h6,
     obstruction_b_raw,
     pbw_mul,
     quadratic_coefficient,
+    square_commutator,
+    square_weights,
     sym3_expansion,
     sym35_expansion,
+    sym_word,
     symmetrize_momentum_poly,
     uea_commutator,
     verify_quantum_central_set,
@@ -47,10 +52,18 @@ from oracles import (
     sym35_expansion_by_cycles,
     sym_k,
 )
+from oracles import sym_word as averaged_sym_word
 
 
 def gen(n, pair):
-    return PBWElement.generator(n, pair)
+    """P-hat_pair: the signed generator of the pair, zero when i = j."""
+    sp = signed_pair(n, *pair)
+    return PBWElement.zero(n) if sp is None else PBWElement(n, {(sp[0],): Fraction(sp[1])})
+
+
+def modified_c62(n, spec):
+    """C-hat_{6,2} = c-hat_{6,2} + (5/12) sum_{i<j} l_i^2 l_j^2 (P-hat_ij)^2."""
+    return manakov_operator(ManakovIndex(6, 2), n, spec) + c62_correction(spec)
 
 
 def test_pbw_normalize_examples():
@@ -175,6 +188,95 @@ def test_uea_commutator_matches_products():
     a = manakov_operator(ManakovIndex(3, 1), 4, spec)
     b = _random_pbw(rng, 4, (1, 4))
     assert uea_commutator(a, b) == pbw_mul(a, b) - pbw_mul(b, a)
+
+
+def _random_operand(rng, n, kind):
+    """A PBW element over words of degree at most 4 with ``kind``
+    coefficients (int, non-integer Fraction or rational functions of the
+    moments); one draw in eight is zero and one in eight a constant."""
+    lam = MomentSpec.symbolic(n).lambdas
+
+    def coef():
+        if kind == "int":
+            return rng.choice((-3, -2, -1, 1, 2, 5))
+        if kind == "fraction":
+            return Fraction(rng.choice((-7, -1, 1, 5, 11)), rng.choice((2, 3, 6, 9)))
+        i, j, k = rng.sample(range(n), 3)
+        return lam[i] * rng.randint(1, 3) / (lam[j] + lam[k]) + rng.randint(-2, 2)
+
+    shape = rng.randrange(8)
+    if shape == 0:
+        return PBWElement.zero(n)
+    if shape == 1:
+        return PBWElement.const(n, coef())
+    words = len(pair_list(n))
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        terms[tuple(sorted(rng.randrange(words) for _ in range(rng.randint(0, 4))))] = coef()
+    return PBWElement(n, terms)
+
+
+def test_derivation_kernels_match_products():
+    # ad_u and the squared-generator kernel never form the top-degree terms
+    # that cancel in the difference of the two products; they must equal it
+    rng = random.Random(97)
+    for case in range(100):
+        n = 3 + case % 4
+        kind = ("int", "fraction", "ratfunc")[case % 3]
+        x = _random_operand(rng, n, kind)
+        u = rng.randrange(len(pair_list(n)))
+        e = PBWElement(n, {(u,): 1})
+        sq = PBWElement(n, {(u, u): 1})
+        assert ad(u, x) == pbw_mul(e, x) - pbw_mul(x, e), (n, kind, x)
+        assert square_commutator(u, x) == pbw_mul(sq, x) - pbw_mul(x, sq), (n, kind, x)
+        if case % 5 == 0:
+            # the weighting runs on x scaled to integers and divides once
+            weights = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in pair_list(n)]
+            quad = PBWElement(n, {(k, k): w for k, w in enumerate(weights)})
+            got = weighted_square_commutators(n, [weights], x)[0]
+            assert got == pbw_mul(quad, x) - pbw_mul(x, quad), (n, kind, x)
+    # words above the memo limit are commuted but not memoized
+    long_word = PBWElement(4, {(1,) * (_AD_WORD_LIMIT + 3): 1})
+    assert ad(0, long_word) == pbw_mul(gen(4, (1, 2)), long_word) - pbw_mul(long_word, gen(4, (1, 2)))
+    assert _AD_CACHE and all(len(w) <= _AD_WORD_LIMIT for (_, _, w) in _AD_CACHE)
+
+
+def test_square_weights_reads_squares_and_rejects_other_words():
+    n = 4
+    assert square_weights(PBWElement(n, {(2, 2): Fraction(3, 4), (5, 5): 7})) == [0, 0, Fraction(3, 4), 0, 0, 7]
+    for word in ((), (1,), (1, 2), (1, 1, 1)):
+        with pytest.raises(ValueError, match="not a squared generator"):
+            square_weights(PBWElement(n, {(0, 0): 1, word: 1}))
+
+
+def test_integer_sym_word_is_k_factorial_times_the_average():
+    # every multiset up to degree 4 at n = 4, and seeded degree-5 and -6
+    # multisets at n = 6, against the Fraction average over orderings
+    rng = random.Random(53)
+    cases = [(4, m) for k in range(5) for m in itertools.combinations_with_replacement(range(dim_so(4)), k)]
+    cases += [(6, tuple(rng.randrange(dim_so(6)) for _ in range(k))) for k in (5, 6) for _ in range(3)]
+    for n, letters in cases:
+        got = sym_word(n, letters)
+        assert all(type(c) is int for c in got.values())
+        want = averaged_sym_word(n, tuple(sorted(letters)))
+        assert got == {w: c * factorial(len(letters)) for w, c in want.items()}, letters
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_symmetrize_momentum_poly_matches_averaged_words(n):
+    # each monomial's k!-scaled word, summed per degree and divided once,
+    # against the Fraction average added one monomial at a time
+    rng = random.Random(60 + n)
+    lam = MomentSpec.symbolic(n).lambdas
+    for symbolic in (False, True):
+        f = _random_momentum_poly(rng, n)
+        if symbolic:
+            f = LiePoissonPoly(n, f.poly.map_coeffs(lambda c: c * (lam[0] + lam[1]) / lam[2]))
+        want = {}
+        for mono, coef in f.poly.terms.items():
+            letters = tuple(g for g, e in enumerate(mono) for _ in range(e))
+            add_terms(want, ((w, coef * c) for w, c in averaged_sym_word(n, letters).items()))
+        assert symmetrize_momentum_poly(f) == PBWElement(n, want)
 
 
 def _random_momentum_poly(rng, n):
@@ -487,7 +589,7 @@ def test_corrected_commutators_reuse_the_uncorrected_ones():
     for _ in range(2):
         spec = MomentSpec.from_lambdas(tuple(Fraction(rng.randint(1, 40), rng.randint(1, 9)) for _ in range(n)))
         c62 = manakov_operator(ManakovIndex(6, 2), n, spec)
-        c62mod = corrected_c62(spec, c62)
+        c62mod = c62 + c62_correction(spec)
         h_comm = hamiltonian_commutator(spec, c62)
         assert not h_comm.is_zero()
         reused = h_comm + hamiltonian_commutator(spec, c62_correction(spec))
@@ -567,13 +669,16 @@ def _element_key(x):
     [(6, (Fraction(5, 2), Fraction(19, 2), Fraction(3, 2), Fraction(9, 2), Fraction(2), Fraction(8))), (5, None)],
 )
 def test_battery_builds_and_commutes_each_once(monkeypatch, n, lambdas):
-    # every integral is built once and every operand pair is commuted once,
-    # [a, b] and [b, a] counting as the same pair
+    # every integral is built once; each [(P-hat_k)^2, x] is formed once per
+    # (k, right operand x) and every quadratic left operand is a weighting of
+    # those; only [c-hat_{5,1}, C-hat_{6,2}] multiplies two degree-4
+    # operators, once, and only at n = 6
     import manakov.uea as uea
 
     spec = MomentSpec.from_lambdas(lambdas) if lambdas else MomentSpec.symbolic(n)
     built = []
     pairs = []
+    squares = []
 
     def integral(idx, n_, spec_):
         built.append(idx)
@@ -583,13 +688,24 @@ def test_battery_builds_and_commutes_each_once(monkeypatch, n, lambdas):
         pairs.append(frozenset((_element_key(a), _element_key(b))))
         return uea_commutator(a, b)
 
+    def square(k, x):
+        squares.append((k, _element_key(x)))
+        return square_commutator(k, x)
+
     monkeypatch.setattr(uea, "manakov_integral", integral)
     monkeypatch.setattr(uea, "uea_commutator", commutator)
+    monkeypatch.setattr(uea, "square_commutator", square)
     report = verify_quantum_rigid(n, spec)
     assert report.ok, [c.id for c in report.failures]
     assert len(built) == len(set(built))
     assert set(built) == {ManakovIndex(l, 1) for l in range(2, n + 1)} | {ManakovIndex(h, 2) for h in (5, 6) if h <= n}
-    assert len(pairs) == len(set(pairs))
+    assert len(pairs) == (1 if n == 6 else 0)
+    assert len(squares) == len(set(squares))
+    # right operands: the n - 1 quadratic integrals, c-hat_{5,1} and, at
+    # n = 6, c-hat_{6,2} and the correction of C-hat_{6,2}
+    operands = {x for _, x in squares}
+    assert len(operands) == {5: 5, 6: 8}[n]
+    assert len(squares) == dim_so(n) * len(operands)
 
 
 def _first_chart_has_zero_left_momenta(monkeypatch):
