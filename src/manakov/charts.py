@@ -19,7 +19,6 @@ from .report import VerificationReport
 from .son import (
     DegenerateSampleError,
     SkewMatrix,
-    basis_element,
     cayley_orthogonal,
     pair_list,
     random_rational,
@@ -130,23 +129,24 @@ class GroupChart:
         """d(PR coords)/d(chart coords), coordinates ordered by pair_list."""
         if self._dpr_s is not None:
             return self._dpr_s, self._dpr_pl
-        n = self.n
-        pairs = pair_list(n)
-        x = self.x
-        xt = x.transpose()
-        pld = self.pl.to_dense()
         # X = (I - S)(I + S)^-1 gives (I + S)^-1 = (I + X)/2, so that
-        # dX = -(I + X) dS (I + S)^-1 = -(I + X) dS (I + X)/2
-        ipx = ExactMatrix.identity(n) + x
+        # dX = -A dS A / 2 with A = I + X.  For dS = D^{uv} = E_uv - E_vu,
+        # K = dX PL X~ is the rank-2 product -(A_.u B_v. - A_.v B_u.)/2 with
+        # B = A PL X~, and X PL dX~ = -K~ since PL is skew, so
+        # dPR = K - K~; likewise (X D^{uv} X~)_ij = X_iu X_jv - X_iv X_ju.
+        ipx = ExactMatrix.identity(self.n) + self.x
+        a, x = ipx.entries, self.x.entries
+        b = (ipx @ self.pl.to_dense() @ self.x.transpose()).entries
+        minus_half = Fraction(-1, 2)
+        index = [(i - 1, j - 1) for (i, j) in pair_list(self.n)]
         dpr_s = []
         dpr_pl = []
-        for (a, b) in pairs:
-            dab = basis_element(n, a, b).to_dense()
-            dx = (ipx @ dab @ ipx).scale(Fraction(-1, 2))
-            dmat = dx @ pld @ xt + x @ pld @ dx.transpose()
-            dpr_s.append([dmat.entries[i - 1][j - 1] for (i, j) in pairs])
-            dmat2 = x @ dab @ xt
-            dpr_pl.append([dmat2.entries[i - 1][j - 1] for (i, j) in pairs])
+        for u, v in index:
+            dpr_s.append([
+                (a[i][u] * b[v][j] - a[i][v] * b[u][j] - a[j][u] * b[v][i] + a[j][v] * b[u][i]) * minus_half
+                for i, j in index
+            ])
+            dpr_pl.append([x[i][u] * x[j][v] - x[i][v] * x[j][u] for i, j in index])
         self._dpr_s = dpr_s
         self._dpr_pl = dpr_pl
         return dpr_s, dpr_pl

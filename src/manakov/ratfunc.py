@@ -1,18 +1,22 @@
 """Sparse multivariate polynomials and rational functions over the rationals.
 
 Polynomials are stored as dictionaries mapping exponent tuples to nonzero
-coefficients.  Coefficients are ``fractions.Fraction`` in the base ring; the
-same container is reused with other coefficient domains (e.g. rational
-functions in the inertia moments) as long as the domain supports ``+ - * ==``
-with itself and with small integers.  All values are treated as immutable:
-no method mutates ``self`` after construction.
+coefficients.  Coefficients are ``int`` or ``fractions.Fraction`` in the
+base ring, and every coefficient division is exact (an ``int`` quotient when
+it divides, a ``Fraction`` otherwise); the same container is reused with
+other coefficient domains (e.g. rational functions in the inertia moments)
+as long as the domain supports ``+ - * ==`` with itself and with small
+integers.  All values are treated as immutable: no method mutates ``self``
+after construction.
 
-A rational function is a pair (num, e): a polynomial numerator over the
-exponent vector e of the denominator factors declared for its variables
-(``declare_factors``: v_i + v_j and v_i over the moments).  Every
-denominator the package forms is a product of these, so cancelling is exact
-trial division by them (``divide_out``), not a gcd.  (Coefficients over the
-coordinates x never need a quotient: see ``radical``.)
+A rational function is a triple (c, p, e): one rational content c, a
+primitive numerator p with ``int`` coefficients, and the exponent vector e
+of the denominator factors declared for its variables (``declare_factors``:
+v_i + v_j and v_i over the moments, stored with ``int`` coefficients).
+Every denominator the package forms is a product of these, so cancelling is
+exact trial division by them (``divide_out``), not a gcd, and numerator
+arithmetic is integer arithmetic.  (Coefficients over the coordinates x
+never need a quotient: see ``radical``.)
 
 The monomial order used everywhere is graded lexicographic.
 """
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as int_gcd
-from operator import add
+from operator import add, sub
 
 
 def rational(text) -> Fraction:
@@ -67,6 +71,15 @@ def integer_scaled(x):
             return x, 1
         denom = denom * c.denominator // int_gcd(denom, c.denominator)
     return x.map_coeffs(lambda c: int(c * denom)), denom
+
+
+def _exact_quotient(c, d):
+    """c / d exactly: an int when two ints divide, else the Fraction (or
+    the domain's own quotient), never a float."""
+    if type(c) is int and type(d) is int:
+        q, r = divmod(c, d)
+        return Fraction(c, d) if r else q
+    return c / d
 
 
 class RingElement:
@@ -223,7 +236,7 @@ class MultiPoly(RingElement):
         else:
             a, b = self, other
         for m1, c1 in a.terms.items():
-            products = ((tuple(e1 + e2 for e1, e2 in zip(m1, m2)), c1 * c2) for m2, c2 in b.terms.items())
+            products = ((tuple(map(add, m1, m2)), c1 * c2) for m2, c2 in b.terms.items())
             add_terms(terms, products)
         return self._new(terms)
 
@@ -232,8 +245,11 @@ class MultiPoly(RingElement):
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = MultiPoly.const(self.vars, 1)
-        for _ in range(k):
+        if k == 0:
+            return MultiPoly.const(self.vars, 1)
+        # from ``self``, so that int coefficients stay int
+        result = self
+        for _ in range(k - 1):
             result = result * self
         return result
 
@@ -293,19 +309,20 @@ class MultiPoly(RingElement):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if other.is_constant():
-            return self * (1 / other.constant_value())
+            k = other.constant_value()
+            return self._new({m: _exact_quotient(c, k) for m, c in self.terms.items()})
         rem = dict(self.terms)
         quot = {}
         gm, gc = other.leading()
         while rem:
             m = max(rem, key=grlex_key)
             c = rem[m]
-            qm = tuple(a - b for a, b in zip(m, gm))
-            if any(e < 0 for e in qm):
+            qm = tuple(map(sub, m, gm))
+            if min(qm) < 0:
                 return None
-            qc = c / gc
+            qc = c if gc == 1 else _exact_quotient(c, gc)
             quot[qm] = qc
-            products = ((tuple(a + b for a, b in zip(qm, m2)), -qc * c2) for m2, c2 in other.terms.items())
+            products = ((tuple(map(add, qm, m2)), -qc * c2) for m2, c2 in other.terms.items())
             add_terms(rem, products)
         return self._new(quot)
 
@@ -350,11 +367,38 @@ class MultiPoly(RingElement):
 # A polynomial carries only its variable tuple, so the tuple is the key.
 _DECLARED_FACTORS = {}
 
+# prod p_k^e_k per (variable tuple, e), emptied when a tuple is declared
+_POWER_PRODUCT_CACHE = {}
+
 
 def declare_factors(vars, factors):
-    """Declare the monic irreducible polynomials over ``vars`` that
-    denominators may contain.  Declaring a tuple again replaces its list."""
-    _DECLARED_FACTORS[tuple(vars)] = tuple(factors)
+    """Declare the irreducible polynomials over ``vars`` that denominators
+    may contain; each is stored primitive, with int coefficients and a
+    positive leading coefficient.  Declaring a tuple again replaces its
+    list."""
+    _DECLARED_FACTORS[tuple(vars)] = tuple(_primitive_part(f)[1] for f in factors)
+    _POWER_PRODUCT_CACHE.clear()
+
+
+def _primitive_terms(terms):
+    """(g, terms / g) for nonzero int ``terms``: g is their gcd, signed so
+    that the quotient's leading (graded-lex) coefficient is positive."""
+    g = int_gcd(*terms.values())
+    if terms[max(terms, key=grlex_key)] < 0:
+        g = -g
+    return g, (terms if g == 1 else {m: c // g for m, c in terms.items()})
+
+
+def _primitive_part(f: MultiPoly):
+    """(c, p) with f = c * p, c a Fraction and p primitive with int
+    coefficients and a positive leading coefficient; (0, 0) for f = 0."""
+    if not f.terms:
+        return Fraction(0), f
+    den = 1
+    for c in f.terms.values():
+        den = den * c.denominator // int_gcd(den, c.denominator)
+    g, terms = _primitive_terms({m: c.numerator * (den // c.denominator) for m, c in f.terms.items()})
+    return Fraction(g, den), f._new(terms)
 
 
 def _lead_divides(mono, f: MultiPoly):
@@ -394,11 +438,16 @@ def factor_declared(g: MultiPoly):
 
 
 def _power_product(vars, e):
-    """prod p_k^e_k over the factors declared for ``vars``."""
-    out = MultiPoly.const(vars, 1)
-    for p, k in zip(_DECLARED_FACTORS.get(vars, ()), e):
-        if k:
-            out = out * p**k
+    """prod p_k^e_k over the factors declared for ``vars``: primitive, with
+    int coefficients and a positive leading coefficient."""
+    key = (vars, e)
+    out = _POWER_PRODUCT_CACHE.get(key)
+    if out is None:
+        out = MultiPoly(vars, {(0,) * len(vars): 1})
+        for p, k in zip(_DECLARED_FACTORS.get(vars, ()), e):
+            if k:
+                out = out * p**k
+        _POWER_PRODUCT_CACHE[key] = out
     return out
 
 
@@ -419,35 +468,49 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         raise ValueError("gcd of polynomials over different variables")
     _, e = factor_declared(g)
     _, common = divide_out((f,), _DECLARED_FACTORS.get(g.vars, ()), e)
-    return _power_product(g.vars, common)
+    return _power_product(g.vars, tuple(common))
 
 
 class RationalFunction(RingElement):
-    """Quotient num / prod p_k^e_k over the factors p_k declared for the
-    variables of num, stored as (num, e): unique, since no p_k with e_k > 0
-    divides num and zero has e = 0.  Products add exponents and sums lift
-    both numerators to the larger ones; only the constructor, ``/`` and
-    negative powers factor a polynomial, and an undeclared factor raises
-    ValueError.  Operands may also be MultiPoly, int and Fraction.
+    """Quotient c * p / prod p_k^e_k over the factors p_k declared for the
+    variables of p, stored as (c, p, e): c a Fraction content, p a primitive
+    numerator with int coefficients and a positive leading coefficient, e
+    the exponent vector.  The triple is unique, since no p_k with e_k > 0
+    divides p, and zero is (0, 0, 0).
+
+    Products multiply the contents and the int numerators (a product of
+    primitive polynomials is primitive, by Gauss's lemma); sums lift both
+    numerators to the larger exponents, add them over the common
+    denominator of the contents and take out one integer gcd.  Dividing out
+    a declared factor keeps p integral and primitive.  Only the constructor,
+    ``/`` and negative powers factor a polynomial, and an undeclared factor
+    raises ValueError.  ``num`` (c * p) and ``den`` are the quotient's
+    numerator and monic denominator.  Operands may also be MultiPoly, int
+    and Fraction.
     """
 
-    __slots__ = ("num", "e")
+    __slots__ = ("c", "p", "e")
 
     def __init__(self, num: MultiPoly, den: MultiPoly | None = None):
-        if den is None:
-            self.num, self.e = num, (0,) * len(_DECLARED_FACTORS.get(num.vars, ()))
-            return
-        if num.vars != den.vars:
-            raise ValueError("numerator and denominator over different variables")
-        c, e = factor_declared(den)
-        self.num, self.e = _cancel(num * (1 / c), e, e)
+        c, p = _primitive_part(num)
+        e = (0,) * len(_DECLARED_FACTORS.get(num.vars, ()))
+        if den is not None:
+            if num.vars != den.vars:
+                raise ValueError("numerator and denominator over different variables")
+            c_den, e = factor_declared(den)
+            c = c / c_den
+            p, e = _cancel(p, e, e)
+        self.c, self.p, self.e = c, p, e
 
     @classmethod
-    def _of(cls, num, e):
-        """The element (num, e), already canonical."""
+    def _of(cls, c, p, e):
+        """The element (c, p, e), already canonical."""
         out = cls.__new__(cls)
-        out.num, out.e = num, e
+        out.c, out.p, out.e = c, p, e
         return out
+
+    def _zero(self):
+        return RationalFunction._of(Fraction(0), self.p._new({}), (0,) * len(self.e))
 
     # -- constructors ---------------------------------------------------
 
@@ -461,14 +524,18 @@ class RationalFunction(RingElement):
 
     @property
     def vars(self):
-        return self.num.vars
+        return self.p.vars
+
+    @property
+    def num(self):
+        return self.p * self.c
 
     @property
     def den(self):
-        return _power_product(self.num.vars, self.e)
+        return _power_product(self.p.vars, self.e)
 
     def __bool__(self):
-        return bool(self.num.terms)
+        return bool(self.c)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -476,49 +543,71 @@ class RationalFunction(RingElement):
         if isinstance(other, RationalFunction):
             return other
         if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.vars, other)
+            if not other:
+                return self._zero()
+            zeros = (0,) * len(self.e)
+            return RationalFunction._of(Fraction(other), _power_product(self.vars, zeros), zeros)
         return RationalFunction(other) if isinstance(other, MultiPoly) else None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not other.c:
+            return self
+        if not self.c:
+            return other
         e1, e2 = self.e, other.e
+        p1, p2 = self.p.terms, other.p.terms
         if e1 == e2:
-            num, e, limits = self.num + other.num, e1, e1
+            e, limits = e1, e1
         else:
             # where e1_k != e2_k, p_k divides one lifted term and not the
             # other, so it cannot divide the sum
             e = tuple(map(max, e1, e2))
-            num = (self.num * _power_product(self.vars, [a - b for a, b in zip(e, e1)])
-                   + other.num * _power_product(self.vars, [a - b for a, b in zip(e, e2)]))
+            if e != e1:
+                p1 = (self.p * _power_product(self.vars, tuple(a - b for a, b in zip(e, e1)))).terms
+            if e != e2:
+                p2 = (other.p * _power_product(self.vars, tuple(a - b for a, b in zip(e, e2)))).terms
             limits = [a if a == b else 0 for a, b in zip(e1, e2)]
-        if not num:
-            return RationalFunction(num)
-        return RationalFunction._of(*_cancel(num, e, limits))
+        # c1 p1 + c2 p2 = (g / d) (k1 p1 + k2 p2) over the common denominator
+        # d of the contents and the gcd g of their numerators
+        a1, b1, a2, b2 = self.c.numerator, self.c.denominator, other.c.numerator, other.c.denominator
+        g, d = int_gcd(a1, a2), b1 * b2 // int_gcd(b1, b2)
+        k1, k2 = a1 // g * (d // b1), a2 // g * (d // b2)
+        terms = dict(p1) if k1 == 1 else {m: k1 * v for m, v in p1.items()}
+        add_terms(terms, p2.items() if k2 == 1 else ((m, k2 * v) for m, v in p2.items()))
+        if not terms:
+            return self._zero()
+        h, terms = _primitive_terms(terms)
+        p, e = _cancel(self.p._new(terms), e, limits)
+        return RationalFunction._of(Fraction(g * h, d), p, e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction._of(-self.num, self.e)
+        return RationalFunction._of(-self.c, self.p, self.e)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) and other:
-            return RationalFunction._of(self.num * other, self.e)
+        if isinstance(other, (int, Fraction)):
+            return RationalFunction._of(self.c * other, self.p, self.e) if other else self._zero()
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self.num or not other.num:
-            return RationalFunction(self.num * 0)
+        if not self.c or not other.c:
+            return self._zero()
         # p_k can divide the product only through a numerator whose own
         # exponent is 0, so only where just one of e1_k, e2_k is positive
         e = tuple(map(add, self.e, other.e))
         limits = [a if not (x and y) else 0 for a, x, y in zip(e, self.e, other.e)]
-        return RationalFunction._of(*_cancel(self.num * other.num, e, limits))
+        p, e = _cancel(self.p * other.p, e, limits)
+        return RationalFunction._of(self.c * other.c, p, e)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -529,20 +618,23 @@ class RationalFunction(RingElement):
         return other / self
 
     def __pow__(self, k):
-        if k >= 0:
-            return RationalFunction._of(self.num**k, tuple(k * a for a in self.e))
-        # den/num is canonical: no p_k with e_k > 0 divides num
-        c, e = factor_declared(self.num)
-        return RationalFunction._of(self.den * (1 / c), e) ** -k
+        if k == 0:
+            return self._coerce(1)
+        if k > 0:
+            return RationalFunction._of(self.c**k, self.p**k, tuple(k * a for a in self.e))
+        # den/p is canonical: no p_k with e_k > 0 divides p, and p is a
+        # product of the declared factors with content 1
+        _, e = factor_declared(self.p)
+        return RationalFunction._of(1 / self.c, self.den, e) ** -k
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.num == other.num and self.e == other.e
+        return self.c == other.c and self.e == other.e and self.p.terms == other.p.terms
 
     def __hash__(self):
-        return hash((self.num, self.e))
+        return hash((self.c, self.p, self.e))
 
     def __str__(self):
         if not any(self.e):

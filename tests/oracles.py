@@ -9,12 +9,14 @@ coefficients, the walk-by-walk symmetrization of the Manakov integrals, the
 Sym_3/Sym_5 expansions summed one symmetrized cycle at a time, word-by-word
 PBW normal ordering, greedy rank completions that re-rank the whole chosen
 set for every candidate, the Lie-Poisson bracket summed over the structure
-table one pair of partial derivatives at a time, the general multivariate
-gcd, the ring of quotients of polynomials it reduces, and the radical
-coefficients as a pair of such quotients, the quantum central-force
-operators composed by hand (P-hat_ij, the Laplacian, r^2, the Kepler
-Hamiltonian and the conserved vector through symmetrized products) where
-the package symmetrizes the classical functions, and the Hamiltonian
+table one pair of partial derivatives at a time, the group-chart momentum
+derivatives by dense matrix products, the moment quotients with
+``Fraction`` numerators, the general multivariate gcd, the ring of
+quotients of polynomials it reduces, and the radical coefficients as a
+pair of such quotients, the quantum central-force operators composed by
+hand (P-hat_ij, the Laplacian, r^2, the Kepler Hamiltonian and the
+conserved vector through symmetrized products) where the package
+symmetrizes the classical functions, and the Hamiltonian
 obstruction coefficient written out where the package reads it off the
 h = 6 closed form.  The remaining helpers (standard quantization, the top
 p-degree part of a phase polynomial) are small maps only tests use.
@@ -29,7 +31,7 @@ from manakov.brackets import LiePoissonPoly, PhasePoly, momentum_vars
 from manakov.charts import GroupChart
 from manakov.linalg import ExactMatrix, invert
 from manakov.radical import RadicalElement, x_square_poly, x_vars
-from manakov.ratfunc import MultiPoly, add_terms
+from manakov.ratfunc import _DECLARED_FACTORS, MultiPoly, _cancel, _power_product, add_terms, factor_declared
 from manakov.rigid_body import (
     centrality_defect,
     closed_walks,
@@ -242,8 +244,9 @@ def assemble_by_reranking(spec: MomentSpec, chart):
 
 
 def momentum_derivatives_by_inverse(chart: GroupChart):
-    """d(PR coords)/d(chart coords) of a group chart with (I + S)^-1 formed
-    by elimination: dX = -(I + X) dS (I + S)^-1."""
+    """d(PR coords)/d(chart coords) of a group chart by dense matrix
+    products, with (I + S)^-1 formed by elimination: dX = -(I + X) dS
+    (I + S)^-1 and dPR = dX PL X~ + X PL dX~."""
     n = chart.n
     pairs = pair_list(n)
     eye = ExactMatrix.identity(n)
@@ -543,6 +546,104 @@ class GeneralQuotient:
 
     def __str__(self):
         if self.den.is_constant():
+            return str(self.num)
+        return f"({self.num})/({self.den})"
+
+    __repr__ = __str__
+
+
+class FractionRationalFunction:
+    """Quotient num / prod p_k^e_k over the declared factors, stored as
+    (num, e) with ``Fraction`` numerator coefficients: the coefficient ring
+    ``ratfunc.RationalFunction`` replaced by (content, int primitive
+    numerator, e), kept as its differential oracle.  Sums lift both
+    numerators to the larger exponents and cancel by trial division."""
+
+    __slots__ = ("num", "e")
+
+    def __init__(self, num: MultiPoly, den: MultiPoly | None = None):
+        if den is None:
+            self.num, self.e = num, (0,) * len(_DECLARED_FACTORS.get(num.vars, ()))
+            return
+        if num.vars != den.vars:
+            raise ValueError("numerator and denominator over different variables")
+        c, e = factor_declared(den)
+        self.num, self.e = _cancel(num * (1 / Fraction(c)), e, e)
+
+    @classmethod
+    def _of(cls, num, e):
+        out = cls.__new__(cls)
+        out.num, out.e = num, e
+        return out
+
+    @property
+    def vars(self):
+        return self.num.vars
+
+    @property
+    def den(self):
+        return _power_product(self.num.vars, self.e)
+
+    def __bool__(self):
+        return bool(self.num.terms)
+
+    def _coerce(self, other):
+        if isinstance(other, FractionRationalFunction):
+            return other
+        if isinstance(other, (int, Fraction)):
+            other = MultiPoly.const(self.vars, other)
+        return FractionRationalFunction(other)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        e1, e2 = self.e, other.e
+        if e1 == e2:
+            num, e, limits = self.num + other.num, e1, e1
+        else:
+            e = tuple(map(max, e1, e2))
+            num = (self.num * _power_product(self.vars, tuple(a - b for a, b in zip(e, e1)))
+                   + other.num * _power_product(self.vars, tuple(a - b for a, b in zip(e, e2))))
+            limits = [a if a == b else 0 for a, b in zip(e1, e2)]
+        if not num:
+            return FractionRationalFunction(num)
+        return FractionRationalFunction._of(*_cancel(num, e, limits))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionRationalFunction._of(-self.num, self.e)
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if not self.num or not other.num:
+            return FractionRationalFunction(self.num * 0)
+        e = tuple(a + b for a, b in zip(self.e, other.e))
+        limits = [a if not (x and y) else 0 for a, x, y in zip(e, self.e, other.e)]
+        return FractionRationalFunction._of(*_cancel(self.num * other.num, e, limits))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self * self._coerce(other) ** -1
+
+    def __pow__(self, k):
+        if k >= 0:
+            return FractionRationalFunction._of(self.num**k, tuple(k * a for a in self.e))
+        c, e = factor_declared(self.num)
+        return FractionRationalFunction._of(self.den * (1 / Fraction(c)), e) ** -k
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        return self.num == other.num and self.e == other.e
+
+    def __str__(self):
+        if not any(self.e):
             return str(self.num)
         return f"({self.num})/({self.den})"
 

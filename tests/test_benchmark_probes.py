@@ -40,7 +40,7 @@ def test_probe_target_resolves(probe):
 def test_worker_empties_the_memos():
     from fractions import Fraction
 
-    from manakov import rigid_body, uea
+    from manakov import ratfunc, rigid_body, uea
     from manakov.rigid_body import ManakovIndex, casimir_polynomials, manakov_coefficient
     from manakov.son import MomentSpec
     from manakov.uea import PBWElement, square_commutator, sym_word
@@ -52,7 +52,9 @@ def test_worker_empties_the_memos():
     casimir_polynomials(4, (1, 2, 3))
     square_commutator(0, PBWElement(4, {(1, 2): 1}))
     sym_word(4, (3, 1, 2))
-    memos = (uea._INSERT_CACHE, uea._AD_CACHE, uea._SYM_CACHE)
+    spec = MomentSpec.symbolic(4)
+    spec.lambdas[0] / (spec.lambdas[1] + spec.lambdas[2])
+    memos = (uea._INSERT_CACHE, uea._AD_CACHE, uea._SYM_CACHE, ratfunc._POWER_PRODUCT_CACHE)
     assert len(rigid_body._COEFFICIENT_CACHE) >= 2
     assert rigid_body._casimir_polynomials.cache_info().currsize >= 2
     assert all(memos)

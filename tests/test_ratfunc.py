@@ -1,6 +1,7 @@
 import inspect
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,7 @@ from manakov.ratfunc import (
     rational,
 )
 from manakov.son import lambda_vars
-from oracles import GeneralQuotient, divexact, general_gcd
+from oracles import FractionRationalFunction, GeneralQuotient, divexact, general_gcd
 
 V = ("a", "b", "c")
 
@@ -349,9 +350,10 @@ def test_factor_declared_and_divide_out():
 
 def test_rational_function_stores_exponents():
     a, b, c = gen(0), gen(1), gen(2)
-    assert RationalFunction.__slots__ == ("num", "e")
+    assert RationalFunction.__slots__ == ("c", "p", "e")
     assert list(inspect.signature(RationalFunction).parameters) == ["num", "den"]
     f = RationalFunction(3 * a, (a + b) * c * c)
+    assert (f.c, f.p, f.e) == (3, a, (1, 0, 0, 0, 0, 2))
     assert (f.num, f.e, f.den) == (3 * a, (1, 0, 0, 0, 0, 2), (a + b) * c * c)
     assert str(f) == f"({3 * a})/({(a + b) * c * c})"
     assert (f * 0).e == (0,) * 6 and (f - f).e == (0,) * 6
@@ -417,3 +419,147 @@ def test_add_terms_rational_function_values():
     x = RationalFunction(a, b)
     acc = add_terms({}, [("u", x), ("v", x), ("u", -x), ("v", x * 0)])
     assert acc == {"v": x}
+
+
+def test_int_coefficient_division_is_exact():
+    # int coefficients, as ``integer_scaled`` leaves them: a quotient that
+    # divides is an int, one that does not is a Fraction, never a float
+    def poly(terms):
+        return MultiPoly(V, terms)
+
+    cases = [
+        # (2a + 4b) / 2
+        (poly({(1, 0, 0): 2, (0, 1, 0): 4}), poly({(0, 0, 0): 2}), {(1, 0, 0): 1, (0, 1, 0): 2}),
+        # (3a^2 + 3ab) / 3a
+        (poly({(2, 0, 0): 3, (1, 1, 0): 3}), poly({(1, 0, 0): 3}), {(1, 0, 0): 1, (0, 1, 0): 1}),
+        # (a + 2b) / 2 and (a^2 + 3ab) / 2a
+        (poly({(1, 0, 0): 1, (0, 1, 0): 2}), poly({(0, 0, 0): 2}), {(1, 0, 0): Fraction(1, 2), (0, 1, 0): 1}),
+        (poly({(2, 0, 0): 1, (1, 1, 0): 3}), poly({(1, 0, 0): 2}), {(1, 0, 0): Fraction(1, 2), (0, 1, 0): Fraction(3, 2)}),
+    ]
+    for f, g, expected in cases:
+        q = f._try_div(g)
+        assert q.terms == expected
+        assert {m: type(c) for m, c in q.terms.items()} == {m: type(c) for m, c in expected.items()}
+    a, b = gen(0), gen(1)
+    # Fraction operands keep Fraction quotients
+    assert all(type(c) is Fraction for c in ((a + b) * (a - b))._try_div(a + b).terms.values())
+
+
+def _primitive_over_int(f: RationalFunction):
+    """Whether f's numerator has int coefficients with gcd 1 and a positive
+    leading coefficient, under a Fraction content."""
+    coeffs = list(f.p.terms.values())
+    return (
+        type(f.c) is Fraction
+        and all(type(c) is int for c in coeffs)
+        and (not f.c or (gcd(*coeffs) == 1 and f.p.leading()[1] > 0))
+    )
+
+
+def test_content_primitive_ring_matches_fraction_numerator_ring():
+    # 100 seeded cases: +, -, *, /, integer powers (negative too), ==, num,
+    # e, den and str of the (c, p, e) triples against the Fraction-numerator
+    # pairs they replaced; operands include zero, constants, invertible
+    # quotients of declared products and random quotients with different
+    # exponent vectors
+    vars = lambda_vars(4)
+    factors = _moment_factors(vars)
+    cases = [(num, den) for v, num, den in _declared_factor_cases() if v == vars]
+    one = MultiPoly.const(vars, 1)
+    rng = random.Random(83)
+
+    def operand():
+        kind = rng.randrange(5)
+        if kind == 0:
+            num, den = MultiPoly.zero(vars), _declared_product(rng, factors)
+        elif kind == 1:
+            num, den = MultiPoly.const(vars, Fraction(rng.randint(-6, 6), rng.randint(1, 5))), one
+        elif kind == 2:
+            num, den = _declared_product(rng, factors), _declared_product(rng, factors)
+        else:
+            num, den = rng.choice(cases)
+        return RationalFunction(num, den), FractionRationalFunction(num, den)
+
+    def same(f, oracle):
+        assert isinstance(f, RationalFunction) and _primitive_over_int(f)
+        assert (f.num, f.e, f.den, str(f)) == (oracle.num, oracle.e, oracle.den, str(oracle))
+
+    kinds = set()
+    for _ in range(100):
+        (x, ox), (y, oy) = operand(), operand()
+        kinds.add((bool(x), any(x.e), x.e == y.e))
+        k = rng.randint(0, 3)
+        s = rng.choice([0, 1, -2, Fraction(rng.randint(-4, 4), rng.randint(1, 3))])
+        pairs = [
+            (x, ox), (x + y, ox + oy), (x - y, ox - oy), (x * y, ox * oy), (y * x - x * y, oy * ox - ox * oy),
+            # sums over one exponent vector
+            (x - 3 * x, ox - 3 * ox), (x * y + s * (y * x), ox * oy + s * (oy * ox)),
+            (x * s, ox * s), (x + s, ox + s), (s - x, s - ox), (x**k, ox**k), ((x + y) ** k, (ox + oy) ** k),
+        ]
+        for f, oracle in pairs:
+            same(f, oracle)
+        assert (x == y) == (ox == oy) and x == RationalFunction(ox.num, ox.den)
+        for op in (lambda u, v: u / v, lambda u, v: v ** -(k + 1), lambda u, v: u * v**-1 + v):
+            try:
+                expected = op(ox, oy)
+            except (ValueError, ZeroDivisionError) as exc:
+                with pytest.raises(type(exc)):
+                    op(x, y)
+            else:
+                same(op(x, y), expected)
+    # zero, constants and quotients with a denominator all occurred, and
+    # nonzero operands with different exponent vectors were added
+    assert {(False, False), (True, False), (True, True)} <= {(z, d) for z, d, _ in kinds}
+    assert (True, True, False) in kinds
+
+
+def test_one_value_has_one_triple():
+    # one value built along different paths is stored as one (c, p, e),
+    # with one hash, and p is primitive over int with a positive leading
+    # coefficient
+    l1, l2, l3, l4 = (MultiPoly.gen(lambda_vars(4), i) for i in range(4))
+    target = RationalFunction(Fraction(-3, 2) * (l1 - l2) * l3, (l1 + l2) * l4)
+    # factors over the moments: l1+l2, l1+l3, l1+l4, l2+l3, l2+l4, l3+l4, l1..l4
+    assert (target.c, target.p, target.e) == (Fraction(-3, 2), (l1 - l2) * l3, (1, 0, 0, 0, 0, 0, 0, 0, 0, 1))
+    shifted = RationalFunction(l1, l1 + l3)
+    paths = [
+        # cancelled by the constructor
+        RationalFunction(6 * (l2 - l1) * l3 * (l1 + l3), 4 * (l1 + l2) * l4 * (l1 + l3)),
+        # a sum over one denominator whose content and sign come out
+        RationalFunction(-3 * l1 * l3, 2 * (l1 + l2) * l4) + RationalFunction(3 * l2 * l3, 2 * (l1 + l2) * l4),
+        # products whose factors cancel
+        RationalFunction(-3 * (l1 - l2), (l1 + l2) * (l1 + l3)) * RationalFunction(l3 * (l1 + l3), 2 * l4),
+        target * RationalFunction(l1 + l3, l4) * RationalFunction(l4, l1 + l3),
+        (target * l4) / l4,
+        # a sum lifted to a larger exponent vector and cancelled back
+        (target + shifted) - shifted,
+        # scalars and negation
+        (target * 4) / 4,
+        -(-target),
+    ]
+    for f in paths:
+        assert (f.c, f.p.terms, f.e) == (target.c, target.p.terms, target.e)
+        assert hash(f) == hash(target) and f == target
+        assert _primitive_over_int(f)
+    assert _primitive_over_int(target - target) and (target - target).e == (0,) * 10
+
+
+def test_symbolic_results_keep_int_primitive_numerators():
+    # after a symbolic bracket and a symmetrization, every coefficient is a
+    # triple whose numerator has int coefficients only: no Fraction, no float
+    from manakov.brackets import LiePoissonPoly, lie_poisson_bracket
+    from manakov.rigid_body import ManakovIndex, hamiltonian, manakov_integral
+    from manakov.son import MomentSpec
+    from manakov.uea import manakov_operator
+
+    spec = MomentSpec.symbolic(4)
+    h, c = hamiltonian(spec), manakov_integral(ManakovIndex(4, 1), 4, spec)
+    g = LiePoissonPoly.gen(4, (1, 2))
+    coeffs = [
+        *lie_poisson_bracket(h, g).poly.terms.values(),
+        *lie_poisson_bracket(c, g * h).poly.terms.values(),
+        *manakov_operator(ManakovIndex(4, 1), 4, spec).terms.values(),
+        *manakov_operator(ManakovIndex(4, 2), 4, spec).terms.values(),
+    ]
+    assert coeffs and all(isinstance(f, RationalFunction) and _primitive_over_int(f) for f in coeffs)
+    assert any(any(f.e) for f in coeffs)
