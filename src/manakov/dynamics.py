@@ -35,24 +35,33 @@ def _skew_part(m):
     return (m - m.T) / 2.0
 
 
+def _rhs_tables(lambdas: np.ndarray):
+    """The moment tables of the right-hand side: 1/(l_i+l_j) and -(l_i-l_j)."""
+    return 1.0 / np.add.outer(lambdas, lambdas), -np.subtract.outer(lambdas, lambdas)
+
+
+def _rhs(p, tables):
+    w, neg_diff = tables
+    q = p * w
+    return neg_diff * (q @ q)
+
+
 def euler_rhs(p: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
     """dP_ij/dt = -(l_i - l_j) sum_k P_ik P_kj / ((l_i+l_k)(l_k+l_j)).
 
     Vanishes identically when all moments coincide; the matrix form uses the
     elementwise-weighted square Q = P/(l_i+l_j), giving -(l_i-l_j) (Q^2)_ij.
     """
-    lam = lambdas
-    w = 1.0 / np.add.outer(lam, lam)
-    q = p * w
-    diff = np.subtract.outer(lam, lam)
-    return -diff * (q @ q)
+    return _rhs(p, _rhs_tables(lambdas))
 
 
-def rk4_step(p, lambdas, dt):
-    k1 = euler_rhs(p, lambdas)
-    k2 = euler_rhs(p + 0.5 * dt * k1, lambdas)
-    k3 = euler_rhs(p + 0.5 * dt * k2, lambdas)
-    k4 = euler_rhs(p + dt * k3, lambdas)
+def rk4_step(p, tables, dt):
+    """One RK4 step; ``tables`` is ``_rhs_tables(lambdas)``, built once per
+    trajectory."""
+    k1 = _rhs(p, tables)
+    k2 = _rhs(p + 0.5 * dt * k1, tables)
+    k3 = _rhs(p + 0.5 * dt * k2, tables)
+    k4 = _rhs(p + dt * k3, tables)
     out = p + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return _skew_part(out)
 
@@ -65,10 +74,11 @@ def integrate(state: FlowState, dt, steps, stride=1):
     p = state.p.copy()
     t = state.t
     samples = [(t, p.copy())]
+    tables = _rhs_tables(state.lambdas)
     # overflow is detected explicitly below, not via numpy warnings
     with np.errstate(all="ignore"):
         for step in range(1, steps + 1):
-            p = rk4_step(p, state.lambdas, dt)
+            p = rk4_step(p, tables, dt)
             t = state.t + step * dt
             if not np.all(np.isfinite(p)):
                 raise FloatingPointError(f"non-finite state at step {step}")
@@ -77,27 +87,37 @@ def integrate(state: FlowState, dt, steps, stride=1):
     return samples
 
 
-def evaluate_invariant(poly, p: np.ndarray):
-    """Evaluate a momentum polynomial (rational coefficients) in binary64."""
+def _float_terms(poly):
+    """The terms of a momentum polynomial as (binary64 coefficient, [(variable,
+    exponent)] over its nonzero exponents), converted once per polynomial."""
+    return [(float(coef), [(k, e) for k, e in enumerate(mono) if e]) for mono, coef in poly.poly.terms.items()]
+
+
+def _evaluate(terms, p: np.ndarray):
     n = p.shape[0]
     values = [p[i - 1, j - 1] for (i, j) in pair_list(n)]
     total = 0.0
-    for mono, coef in poly.poly.terms.items():
-        v = float(coef)
-        for e, val in zip(mono, values):
-            if e:
-                v *= val**e
+    for coef, factors in terms:
+        v = coef
+        for k, e in factors:
+            v *= values[k] ** e
         total += v
     return total
+
+
+def evaluate_invariant(poly, p: np.ndarray):
+    """Evaluate a momentum polynomial (rational coefficients) in binary64."""
+    return _evaluate(_float_terms(poly), p)
 
 
 def conservation_report(samples, invariants):
     """Max relative drift per invariant: |I(t) - I(0)| / max(1, |I(0)|)."""
     out = []
     for poly in invariants:
-        base = evaluate_invariant(poly, samples[0][1])
+        terms = _float_terms(poly)
+        base = _evaluate(terms, samples[0][1])
         scale = max(1.0, abs(base))
-        drift = max(abs(evaluate_invariant(poly, p) - base) for _, p in samples) / scale
+        drift = max(abs(_evaluate(terms, p) - base) for _, p in samples) / scale
         out.append(drift)
     return out
 
@@ -107,14 +127,14 @@ def write_trajectory_csv(path, samples, invariants=None, invariant_names=None):
     n = samples[0][1].shape[0]
     pairs = pair_list(n)
     header = ["t"] + [f"P_{i}_{j}" for (i, j) in pairs]
-    invariants = invariants or []
+    invariants = [_float_terms(f) for f in invariants or []]
     header += list(invariant_names or [f"inv{k}" for k in range(1, len(invariants) + 1)])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for t, p in samples:
             row = [repr(float(t))] + [repr(float(p[i - 1, j - 1])) for (i, j) in pairs]
-            row += [repr(float(evaluate_invariant(f, p))) for f in invariants]
+            row += [repr(float(_evaluate(f, p))) for f in invariants]
             writer.writerow(row)
 
 

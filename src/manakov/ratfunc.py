@@ -304,7 +304,10 @@ class MultiPoly(RingElement):
 
     # -- division ----------------------------------------------------------
 
-    def _try_div(self, other):
+    def _try_div(self, other, lead=None):
+        """The exact quotient self / other, or None when other does not
+        divide self; ``lead`` is self's leading monomial when the caller
+        knows it."""
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -314,8 +317,10 @@ class MultiPoly(RingElement):
         rem = dict(self.terms)
         quot = {}
         gm, gc = other.leading()
+        m = lead
         while rem:
-            m = max(rem, key=grlex_key)
+            if m is None:
+                m = max(rem, key=grlex_key)
             c = rem[m]
             qm = tuple(map(sub, m, gm))
             if min(qm) < 0:
@@ -324,6 +329,7 @@ class MultiPoly(RingElement):
             quot[qm] = qc
             products = ((tuple(map(add, qm, m2)), -qc * c2) for m2, c2 in other.terms.items())
             add_terms(rem, products)
+            m = None
         return self._new(quot)
 
     # -- printing ---------------------------------------------------------
@@ -401,26 +407,31 @@ def _primitive_part(f: MultiPoly):
     return Fraction(g, den), f._new(terms)
 
 
-def _lead_divides(mono, f: MultiPoly):
-    """Whether ``mono`` divides the leading monomial of ``f`` (true for a
-    zero ``f``, which every factor divides).  A factor p can divide f only if
-    LM(p) divides LM(f), since LM(p q) = LM(p) LM(q) in graded-lex order."""
-    return not f.terms or all(a >= b for a, b in zip(f.leading()[0], mono))
+def _lead_divides(mono, lead):
+    """Whether ``mono`` divides the leading monomial ``lead`` of a part
+    (true for a zero part, whose ``lead`` is None and which every factor
+    divides).  A factor p can divide f only if LM(p) divides LM(f), since
+    LM(p q) = LM(p) LM(q) in graded-lex order."""
+    return lead is None or all(a >= b for a, b in zip(lead, mono))
 
 
 def divide_out(parts, factors, limits):
     """Divide each of ``factors`` out of all the polynomials ``parts``, as
     often as it divides every one of them and at most ``limits[k]`` times;
     return the quotients and the count for each factor.  A division is
-    tried only when the factor's leading monomial divides the part's."""
+    tried only when the factor's leading monomial divides the part's.  Each
+    part's leading monomial is taken once: an exact division by p takes
+    LM(p) off it."""
+    leads = [f.leading()[0] if f.terms else None for f in parts]
     counts = []
     for p, limit in zip(factors, limits):
-        lead, k = p.leading()[0], 0
+        lead, k = p.leading()[0] if limit else None, 0
         while k < limit:
-            quotients = [f._try_div(p) if _lead_divides(lead, f) else None for f in parts]
+            quotients = [f._try_div(p, m) if _lead_divides(lead, m) else None for f, m in zip(parts, leads)]
             if any(q is None for q in quotients):
                 break
             parts, k = quotients, k + 1
+            leads = [None if m is None else tuple(map(sub, m, lead)) for m in leads]
         counts.append(k)
     return parts, counts
 

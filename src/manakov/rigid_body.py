@@ -351,10 +351,6 @@ class RigidBodySet:
     counts: tuple
 
     @property
-    def right_pairs(self):
-        return tuple(p for side, p in self.noncentral_pairs if side == "R")
-
-    @property
     def central(self):
         return list(self.z) + list(self.central_integrals)
 

@@ -90,6 +90,16 @@ def structure_rows(n):
     return tuple(tuple(row) for row in rows)
 
 
+@lru_cache(maxsize=None)
+def bracket_matrix(n):
+    """``structure_table`` over all ordered pairs, for lookups in the PBW
+    kernels: entry [u][v] is (w, sign) with [e_u, e_v] = sign * e_w, or None."""
+    rows = [[None] * dim_so(n) for _ in range(dim_so(n))]
+    for (u, v), (w, s) in structure_table(n).items():
+        rows[u][v], rows[v][u] = (w, s), (w, -s)
+    return tuple(map(tuple, rows))
+
+
 def gen_bracket(n, u, v):
     """[e_u, e_v] as (w, sign) with the bracket equal to sign * e_w, or None."""
     table = structure_table(n)

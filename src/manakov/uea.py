@@ -7,12 +7,18 @@ e_b e_a -> e_a e_b + [e_b, e_a] using the momentum structure constants; the
 rewriting is confluent, so the stored form is canonical and zero tests are
 structural.
 
-Products fold single-generator left-multiplications over a suffix trie of
-the left factor, with the generator-into-sorted-word insertion memoized.
-Commutators with a generator apply the derivation ad_u = [e_u, .] word by
-word (``ad``), and [e_k^2, x] = 2 e_k [e_k, x] - [e_k, [e_k, x]]
-(``square_commutator``), so the top-degree terms that cancel in ab - ba are
-never formed; ``uea_commutator`` (ab - ba) is left for higher degrees.
+Inside the kernels a sorted word is one int that holds the count of
+generator g in its byte g: the first letter is the lowest nonzero byte, and
+dropping it is one subtraction.  Elements keep tuple words; the kernels
+pack on entry and unpack on exit.  Products fold single-generator
+left-multiplications over a suffix trie of the left factor.  An insertion
+e_g w that keeps w sorted (no letter below g) is w plus one count of g,
+added inline; only the insertions that reorder are memoized, one dict per
+(n, g), and a word that could reach 256 letters raises.  Commutators with a
+generator apply the derivation ad_u = [e_u, .] word by word (``ad``), and
+[e_k^2, x] = 2 e_k [e_k, x] - [e_k, [e_k, x]] (``square_commutator``), so
+the top-degree terms that cancel in ab - ba are never formed;
+``uea_commutator`` (ab - ba) is left for higher degrees.
 
 Every quantum rigid-body operator is the symmetrization beta(f) of its
 classical function (``symmetrize_momentum_poly``, over the k!-scaled integer
@@ -50,76 +56,98 @@ from .rigid_body import (
     manakov_integral,
     z_lambda,
 )
-from .son import DegenerateSampleError, MomentSpec, gen_bracket, pair_list, retry_generic, signed_pair
+from .son import DegenerateSampleError, MomentSpec, bracket_matrix, pair_list, retry_generic, signed_pair
 
 _INSERT_CACHE = {}
 _AD_CACHE = {}
 _SYM_CACHE = {}
-_MEMO_WORD_LIMIT = 6
-# [e_u, w] recurs across operands for short words only; memoizing longer
-# ones cost the n = 6 battery 4 MB of peak memory for no measurable time
-_AD_WORD_LIMIT = 2
+_WORD_CACHE = {}
+_MAX_DEGREE = 255  # a packed word holds each letter count in one byte
 
 
 def clear_caches():
-    _INSERT_CACHE.clear()
-    _AD_CACHE.clear()
-    _SYM_CACHE.clear()
+    for memo in (_INSERT_CACHE, _AD_CACHE, _SYM_CACHE, _WORD_CACHE):
+        memo.clear()
 
 
-def _extend(word_map, n, g, terms):
-    """Extend ``word_map(n, g, w)`` -> {word: integer coefficient}, a map on
-    sorted words, linearly to a {word: coef} map."""
+def _counts(w):
+    """The letter counts of the packed word w, one byte per generator."""
+    return w.to_bytes((w.bit_length() + 7) >> 3, "little")
+
+
+def _check_degree(d):
+    if d > _MAX_DEGREE:
+        raise ValueError(f"PBW words of degree above {_MAX_DEGREE} overflow the packed letter counts")
+
+
+def _packed(x, grow=0):
+    """x's terms keyed by packed words, for a result up to ``grow`` letters longer."""
+    _check_degree(x.degree() + grow)
+    return {sum(1 << (g << 3) for g in w): c for w, c in x.terms.items()}
+
+
+def _unpacked(terms):
+    """{sorted tuple word: coef} from {packed word: coef}."""
     out = {}
-    for w, c in terms.items():
-        add_terms(out, ((word, c if k == 1 else c * k) for word, k in word_map(n, g, w).items()))
+    for p, c in terms.items():
+        w = _WORD_CACHE.get(p)
+        if w is None:
+            letters = []
+            for g, k in enumerate(_counts(p)):
+                letters += [g] * k
+            w = _WORD_CACHE[p] = tuple(letters)
+        out[w] = c
     return out
 
 
-def _insert(n, g, w):
-    """Normal ordering of e_g * (sorted word w) as {word: integer coefficient}."""
-    key = (n, g, w)
-    cached = _INSERT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if not w or g <= w[0]:
-        result = {(g,) + w: 1}
-    else:
-        # e_g w = e_{w0} (e_g w') + [e_g, e_{w0}] w'; the first product must
-        # re-normalize because bracket corrections inside e_g w' may start
-        # with a generator below w0 (the recursion terminates: either the
-        # degree dropped or the subword is the plain sorted merge)
-        a = w[0]
-        rest = w[1:]
-        result = _extend(_insert, n, a, _insert(n, g, rest))
-        br = gen_bracket(n, g, a)
-        if br is not None:
-            h, s = br
-            add_terms(result, ((word, s * c) for word, c in _insert(n, h, rest).items()))
-    if len(w) <= _MEMO_WORD_LIMIT:
-        _INSERT_CACHE[key] = result
-    return result
+def _extend(n, g, terms, out, scale=1, ad=False):
+    """Add scale * e_g t, or scale * [e_g, t] when ``ad``, into ``out`` for
+    each term t of the packed {word: coef} map ``terms``; returns ``out``.
+    A product that stays sorted (no letter of t below g) adds one count of g
+    inline; only the insertions that reorder, and the commutators, go
+    through their memo, one dict per (n, g)."""
+    memo = _AD_CACHE if ad else _INSERT_CACHE
+    table = memo.get((n, g))
+    if table is None:
+        table = memo[n, g] = {}
+    unit = 1 << (g << 3)
+    below = unit - 1
+    for w, c in terms.items():
+        if scale != 1:
+            c = c * scale
+        if ad or w & below:
+            words = table.get(w)
+            if words is None:
+                words = table[w] = _expand(n, g, w, ad)
+            words = words.items()
+        else:
+            words = ((w + unit, 1),)
+        for v, k in words:
+            t = c if k == 1 else c * k
+            s = out.get(v)
+            if s is None:
+                out[v] = t
+            elif s := s + t:
+                out[v] = s
+            else:
+                del out[v]
+    return out
 
 
-def _ad_word(n, u, w):
-    """Normal ordering of [e_u, (sorted word w)] as {word: integer
-    coefficient}, by the derivation rule [e_u, e_a w'] = [e_u, e_a] w' +
-    e_a [e_u, w']: no degree-(len(w) + 1) term is formed."""
-    key = (n, u, w)
-    cached = _AD_CACHE.get(key)
-    if cached is not None:
-        return cached
-    result = {}
-    if w:
-        a = w[0]
-        rest = w[1:]
-        result = _extend(_insert, n, a, _ad_word(n, u, rest))
-        br = gen_bracket(n, u, a)
-        if br is not None:
-            h, s = br
-            add_terms(result, ((word, s * c) for word, c in _insert(n, h, rest).items()))
-    if len(w) <= _AD_WORD_LIMIT:
-        _AD_CACHE[key] = result
+def _expand(n, g, w, ad):
+    """e_g w, or [e_g, w] when ``ad``, for a packed sorted word w, as {packed
+    word: integer coefficient}.  With a the first letter of w = e_a w',
+    e_g w = e_a (e_g w') + [e_g, e_a] w' re-normalizes e_g w', whose bracket
+    corrections may start below a, and [e_g, w] = e_a [e_g, w'] + [e_g, e_a] w'
+    is the derivation rule, which forms no degree-(deg w + 1) term."""
+    if not w:
+        return {}
+    a = ((w & -w).bit_length() - 1) >> 3  # the lowest nonzero byte
+    rest = w - (1 << (a << 3))
+    result = _extend(n, a, _extend(n, g, {rest: 1}, {}, ad=ad), {})
+    br = bracket_matrix(n)[g][a]
+    if br is not None:
+        _extend(n, br[0], {rest: br[1]}, result)
     return result
 
 
@@ -197,6 +225,7 @@ def pbw_mul(a: PBWElement, b: PBWElement) -> PBWElement:
     if a.n != b.n:
         raise ValueError("mixed dimensions")
     n = a.n
+    packed = _packed(b, a.degree())
     root = {}
     for w, c in a.terms.items():
         node = root
@@ -211,10 +240,10 @@ def pbw_mul(a: PBWElement, b: PBWElement) -> PBWElement:
                 for c in sub:
                     add_terms(result, ((w, c * v) for w, v in terms.items()))
             else:
-                dfs(sub, _extend(_insert, n, key, terms))
+                dfs(sub, _extend(n, key, terms, {}))
 
-    dfs(root, b.terms)
-    return a._new(result)
+    dfs(root, packed)
+    return a._new(_unpacked(result))
 
 
 def uea_commutator(a: PBWElement, b: PBWElement) -> PBWElement:
@@ -232,16 +261,15 @@ def uea_commutator(a: PBWElement, b: PBWElement) -> PBWElement:
 
 def ad(u, x: PBWElement) -> PBWElement:
     """[e_u, x] for the generator of index u, applied word by word."""
-    return x._new(_extend(_ad_word, x.n, u, x.terms))
+    return x._new(_unpacked(_extend(x.n, u, _packed(x), {}, ad=True)))
 
 
 def square_commutator(k, x: PBWElement) -> PBWElement:
     """[(e_k)^2, x] = e_k y + y e_k = 2 e_k y - [e_k, y] with y = [e_k, x]:
     no degree-(deg x + 2) product is formed."""
     n = x.n
-    y = _extend(_ad_word, n, k, x.terms)
-    out = {w: 2 * c for w, c in _extend(_insert, n, k, y).items()}
-    return x._new(add_terms(out, ((w, -c) for w, c in _extend(_ad_word, n, k, y).items())))
+    y = _extend(n, k, _packed(x, 1), {}, ad=True)
+    return x._new(_unpacked(_extend(n, k, y, _extend(n, k, y, {}, 2), -1, ad=True)))
 
 
 def square_weights(x: PBWElement):
@@ -258,25 +286,22 @@ def square_weights(x: PBWElement):
 
 def sym_word(n, letters):
     """k! times the symmetrization of the generator multiset ``letters`` of
-    size k (the sum of its products in all k! orders), in canonical form.
+    size k (the sum of its products in all k! orders), in canonical form,
+    with integer coefficients."""
+    _check_degree(len(letters))
+    return _unpacked(_sym(n, sum(1 << (g << 3) for g in letters)))
 
-    The returned map has integer coefficients; it only depends on the
-    multiset, so the cache key is the sorted letter tuple.
-    """
-    letters = tuple(sorted(letters))
-    key = (n, letters)
-    cached = _SYM_CACHE.get(key)
-    if cached is not None:
-        return cached
-    result = {} if letters else {(): 1}
-    for idx, g in enumerate(letters):
-        if idx and letters[idx - 1] == g:
-            continue
+
+def _sym(n, m):
+    """``sym_word`` of the packed letter multiset m, on packed words."""
+    result = _SYM_CACHE.get((n, m))
+    if result is None:
+        result = {} if m else {0: 1}
         # the orders that start with g: one per copy of g
-        mult = letters.count(g)
-        sub = _extend(_insert, n, g, sym_word(n, letters[:idx] + letters[idx + 1 :]))
-        add_terms(result, ((w, c * mult) for w, c in sub.items()))
-    _SYM_CACHE[key] = result
+        for g, mult in enumerate(_counts(m)):
+            if mult:
+                _extend(n, g, _sym(n, m - (1 << (g << 3))), result, mult)
+        _SYM_CACHE[n, m] = result
     return result
 
 
@@ -285,16 +310,17 @@ def symmetrize_momentum_poly(f: LiePoissonPoly) -> PBWElement:
     k!-scaled words of the integer-scaled f, summed per degree k and each
     sum divided once by k! and the scale."""
     n = f.n
+    _check_degree(f.total_degree())
     poly, d = integer_scaled(f.poly)
     by_degree = {}
     for mono, coef in poly.terms.items():
-        letters = tuple(g for g, e in enumerate(mono) for _ in range(e))
-        acc = by_degree.setdefault(len(letters), {})
-        add_terms(acc, ((w, coef * c) for w, c in sym_word(n, letters).items()))
+        # the bytes of an exponent vector are its packed letter multiset
+        acc = by_degree.setdefault(sum(mono), {})
+        add_terms(acc, ((w, coef * c) for w, c in _sym(n, int.from_bytes(bytes(mono), "little")).items()))
     out = {}
     for k, acc in by_degree.items():
         q = Fraction(1, factorial(k) * d)
-        add_terms(out, ((w, c * q) for w, c in acc.items()))
+        add_terms(out, ((w, c * q) for w, c in _unpacked(acc).items()))
     return PBWElement(n, out)
 
 
@@ -373,18 +399,11 @@ def obstruction_b_raw(l, h, spec: MomentSpec, i, j, k):
 def obstruction_b(l, h, spec: MomentSpec, i, j, k):
     """Complete antisymmetrization b^{[ijk]}_{l,h} (normalized so that the
     commutator equals sum over ordered triples i<j<k of b^{[ijk]} Sym_3)."""
-    perms = [
-        ((i, j, k), 1),
-        ((j, k, i), 1),
-        ((k, i, j), 1),
-        ((j, i, k), -1),
-        ((i, k, j), -1),
-        ((k, j, i), -1),
-    ]
-    total = None
-    for (a, b, c), s in perms:
-        val = obstruction_b_raw(l, h, spec, a, b, c) * s
-        total = val if total is None else total + val
+    # the even permutations, each minus its odd partner with a and b swapped
+    cyclic = ((i, j, k), (j, k, i), (k, i, j))
+    total = sum(
+        obstruction_b_raw(l, h, spec, a, b, c) - obstruction_b_raw(l, h, spec, b, a, c) for a, b, c in cyclic
+    )
     return total * Fraction(1, 6)
 
 
@@ -520,22 +539,12 @@ def verify_quantum_rigid(n, spec: MomentSpec) -> VerificationReport:
             table = tables[l] = {t: obstruction_b(l, h, spec, *t) for t in triples}
             rhs = sym3_expansion(n, lambda *t: table[t])
             ok = (comms[l] - rhs.scale(EXPANSION_SIGN)).is_zero()
-            report.add(
-                f"[c{l},{l-2} , c{h},{h-4}] == Sym3 expansion",
-                anchor,
-                ok,
-                witness="matches (commutator = minus the closed-form combination)"
-                if ok
-                else "expansion mismatch",
-            )
+            witness = "matches (commutator = minus the closed-form combination)" if ok else "expansion mismatch"
+            report.add(f"[c{l},{l-2} , c{h},{h-4}] == Sym3 expansion", anchor, ok, witness=witness)
         if h == 5:
             ok = not any(b for l in ls for b in tables[l].values())
-            report.add(
-                "b[ijk]_{l,5} == 0",
-                anchor,
-                ok,
-                witness="antisymmetrized coefficients vanish" if ok else "nonzero obstruction",
-            )
+            witness = "antisymmetrized coefficients vanish" if ok else "nonzero obstruction"
+            report.add("b[ijk]_{l,5} == 0", anchor, ok, witness=witness)
             for l in ls:
                 report.add_zero(f"[c{l},{l-2} , c5,1]", anchor, comms[l])
             report.add_zero("[H , c5,1]", anchor, h_comm)
@@ -543,32 +552,18 @@ def verify_quantum_rigid(n, spec: MomentSpec) -> VerificationReport:
             # correction weighting of the same squared-generator commutators
             c51, c51_correction = c4, found[len(ls) + 1 :]
         if h == 6:
-            ok = all(
-                b == obstruction_b_closed_h6(l, spec, *t) for l in ls for t, b in tables[l].items()
-            )
-            report.add(
-                "b[ijk]_{l,6} closed form",
-                anchor,
-                ok,
-                witness="raw antisymmetrization equals closed form" if ok else "mismatch",
-            )
+            ok = all(b == obstruction_b_closed_h6(l, spec, *t) for l in ls for t, b in tables[l].items())
+            witness = "raw antisymmetrization equals closed form" if ok else "mismatch"
+            report.add("b[ijk]_{l,6} closed form", anchor, ok, witness=witness)
             nonzero = not h_comm.is_zero()
-            report.add(
-                "[H , c6,2] != 0",
-                anchor,
-                nonzero,
-                witness=f"{len(h_comm.terms)} canonical terms" if nonzero else "unexpected zero",
-            )
+            witness = f"{len(h_comm.terms)} canonical terms" if nonzero else "unexpected zero"
+            report.add("[H , c6,2] != 0", anchor, nonzero, witness=witness)
             # H-hat is minus the l = 3/2 quadratic integral
             rhs = sym3_expansion(n, lambda *t: -obstruction_b_closed_h6(Fraction(3, 2), spec, *t))
             ok = (h_comm - rhs.scale(EXPANSION_SIGN)).is_zero()
             spot = -obstruction_b_closed_h6(Fraction(3, 2), spec, 1, 2, 3)
-            report.add(
-                "[H , c6,2] == Sym3 expansion",
-                anchor,
-                ok,
-                witness=f"b^123 = {spot}" if ok else "expansion mismatch",
-            )
+            witness = f"b^123 = {spot}" if ok else "expansion mismatch"
+            report.add("[H , c6,2] == Sym3 expansion", anchor, ok, witness=witness)
             # C-hat_{6,2} = c-hat_{6,2} + the weighted squared generators, so
             # each commutator with it is the one with c-hat_{6,2}, formed
             # above, plus a degree-2 by degree-2 correction
@@ -580,12 +575,8 @@ def verify_quantum_rigid(n, spec: MomentSpec) -> VerificationReport:
             lhs = -c51_correction[0]
             rhs = sym35_expansion(spec)
             ok = (lhs - rhs.scale(EXPANSION_SIGN)).is_zero()
-            report.add(
-                "correction commutator == Sym3/Sym5 expansion",
-                anchor,
-                ok,
-                witness="matches (same orientation as the Sym3 expansions)" if ok else "expansion mismatch",
-            )
+            witness = "matches (same orientation as the Sym3 expansions)" if ok else "expansion mismatch"
+            report.add("correction commutator == Sym3/Sym5 expansion", anchor, ok, witness=witness)
     return report
 
 

@@ -3,29 +3,30 @@
 Each one computes a quantity the package also computes, by a different and
 slower route: Laplace expansion and fraction-free elimination for
 determinants and ranks, exhaustive exponent enumeration for the Manakov
-coefficients, dense or direct forms of the rigid-body operators, the
-average of a generator multiset over its orderings with Fraction
-coefficients, the walk-by-walk symmetrization of the Manakov integrals, the
-Sym_3/Sym_5 expansions summed one symmetrized cycle at a time, word-by-word
-PBW normal ordering, greedy rank completions that re-rank the whole chosen
-set for every candidate, the Lie-Poisson bracket summed over the structure
-table one pair of partial derivatives at a time, the group-chart momentum
-derivatives by dense matrix products, the moment quotients with
-``Fraction`` numerators, the general multivariate gcd, the ring of
-quotients of polynomials it reduces, and the radical coefficients as a
-pair of such quotients, the quantum central-force operators composed by
-hand (P-hat_ij, the Laplacian, r^2, the Kepler Hamiltonian and the
-conserved vector through symmetrized products) where the package
-symmetrizes the classical functions, and the Hamiltonian
-obstruction coefficient written out where the package reads it off the
-h = 6 closed form.  The remaining helpers (standard quantization, the top
-p-degree part of a phase polynomial) are small maps only tests use.
+coefficients, dense or direct forms of the rigid-body operators, the sum of
+a generator multiset over its orderings from single-generator products, the
+walk-by-walk symmetrization of the Manakov integrals, the Sym_3/Sym_5
+expansions summed one symmetrized cycle at a time, word-by-word PBW normal
+ordering, the PBW products, commutators and symmetrized words on tuple words
+that the packed-int kernels replaced, greedy rank completions that re-rank
+the whole chosen set for every candidate, the Lie-Poisson bracket summed
+over the structure table one pair of partial derivatives at a time, the
+group-chart momentum derivatives by dense matrix products, the moment
+quotients with ``Fraction`` numerators, the general multivariate gcd, the
+ring of quotients of polynomials it reduces, and the radical coefficients as
+a pair of such quotients, the quantum central-force operators composed by
+hand (P-hat_ij, the Laplacian, r^2, the Kepler Hamiltonian and the conserved
+vector through symmetrized products) where the package symmetrizes the
+classical functions, and the Hamiltonian obstruction coefficient written out
+where the package reads it off the h = 6 closed form.  The remaining helpers
+(standard quantization, the top p-degree part of a phase polynomial) are
+small maps only tests use.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd as int_gcd
+from math import factorial, gcd as int_gcd
 
 from manakov.brackets import LiePoissonPoly, PhasePoly, momentum_vars
 from manakov.charts import GroupChart
@@ -40,7 +41,7 @@ from manakov.rigid_body import (
     manakov_integral,
     z_lambda,
 )
-from manakov.son import MomentSpec, basis_element, dim_so, pair_list, signed_pair, structure_table
+from manakov.son import MomentSpec, basis_element, dim_so, gen_bracket, pair_list, signed_pair, structure_table
 from manakov.uea import PBWElement, correction_weights, pbw_mul, weighted_square_commutators
 from manakov.weyl import WeylOperator, compose
 
@@ -278,29 +279,33 @@ def flat_case_completion_witnesses(n, rng, chart_bound=30):
     return witnesses
 
 
-@lru_cache(maxsize=None)
 def sym_word(n, letters):
-    """Average over all orderings of the generator multiset ``letters``, in
-    canonical form with Fraction coefficients: (1/k) sum over the first
-    letter g of e_g times the average of the rest, one generator product at
-    a time."""
-    letters = tuple(sorted(letters))
+    """k! times the average over all orderings of the generator multiset
+    ``letters`` of size k, in canonical form with integer coefficients: the
+    sum over the first letter g of (copies of g) * e_g times the rest, one
+    generator product at a time."""
+    return _sorted_sym_word(n, tuple(sorted(letters)))
+
+
+@lru_cache(maxsize=None)
+def _sorted_sym_word(n, letters):
     if not letters:
-        return {(): Fraction(1)}
+        return {(): 1}
     acc = {}
     for g in sorted(set(letters)):
         rest = list(letters)
         rest.remove(g)
-        sub = pbw_mul(PBWElement(n, {(g,): Fraction(1)}), PBWElement(n, sym_word(n, tuple(rest))))
-        w_mult = Fraction(letters.count(g), len(letters))
-        add_terms(acc, ((w, c * w_mult) for w, c in sub.terms.items()))
+        sub = pbw_mul(PBWElement(n, {(g,): 1}), PBWElement(n, _sorted_sym_word(n, tuple(rest))))
+        mult = letters.count(g)
+        add_terms(acc, ((w, c * mult) for w, c in sub.terms.items()))
     return acc
 
 
 def manakov_operator_by_walks(idx, n, spec: MomentSpec) -> PBWElement:
     """c-hat_{k,k-2l} with the symmetrized product of every closed walk's
-    momentum cycle added one walk at a time."""
-    scale = Fraction(1, 4 * idx.l)
+    momentum cycle added one walk at a time; each walk coefficient is
+    divided once by the (2l)! of its k!-scaled word."""
+    scale = Fraction(1, 4 * idx.l * factorial(2 * idx.l))
     acc = {}
     for walk, sign, letters in closed_walks(n, 2 * idx.l):
         coef = manakov_coefficient(idx, walk, spec) * (scale * sign)
@@ -327,8 +332,8 @@ def sym_k(n, generators) -> PBWElement:
             return PBWElement.zero(n)
         letters.append(sp[0])
         sign *= sp[1]
-    terms = sym_word(n, tuple(letters))
-    return PBWElement(n, terms if sign == 1 else {w: -c for w, c in terms.items()})
+    scale = Fraction(sign, factorial(len(letters)))
+    return PBWElement(n, {w: c * scale for w, c in sym_word(n, tuple(letters)).items()})
 
 
 def sym3_cycle(n, i, j, k) -> PBWElement:
@@ -361,6 +366,89 @@ def sym35_expansion_by_cycles(spec: MomentSpec) -> PBWElement:
                         s5 = sym_k(n, [(i, j), (j, h), (h, l), (l, m), (m, i)])
                         add_terms(acc, s5.scale(w).terms.items())
     return PBWElement(n, acc)
+
+
+# -- PBW kernels on tuple words ----------------------------------------------
+# The package's products, commutators and symmetrized words as they were
+# before words were packed into ints: a word is a sorted tuple of generator
+# indices, and every insertion of a generator, sorted or not, goes through
+# one memo.
+
+
+@lru_cache(maxsize=None)
+def _tuple_insert(n, g, w):
+    """Normal ordering of e_g * (sorted word w) as {word: integer coefficient}."""
+    if not w or g <= w[0]:
+        return {(g,) + w: 1}
+    # e_g w = e_{w0} (e_g w') + [e_g, e_{w0}] w'
+    a, rest = w[0], w[1:]
+    result = _tuple_extend(_tuple_insert, n, a, _tuple_insert(n, g, rest))
+    br = gen_bracket(n, g, a)
+    if br is not None:
+        h, s = br
+        add_terms(result, ((word, s * c) for word, c in _tuple_insert(n, h, rest).items()))
+    return result
+
+
+@lru_cache(maxsize=None)
+def _tuple_ad_word(n, u, w):
+    """[e_u, (sorted word w)] as {word: integer coefficient}, by the
+    derivation rule [e_u, e_a w'] = [e_u, e_a] w' + e_a [e_u, w']."""
+    if not w:
+        return {}
+    a, rest = w[0], w[1:]
+    result = _tuple_extend(_tuple_insert, n, a, _tuple_ad_word(n, u, rest))
+    br = gen_bracket(n, u, a)
+    if br is not None:
+        h, s = br
+        add_terms(result, ((word, s * c) for word, c in _tuple_insert(n, h, rest).items()))
+    return result
+
+
+def _tuple_extend(word_map, n, g, terms):
+    """``word_map(n, g, w)`` extended linearly to the {word: coef} map ``terms``."""
+    out = {}
+    for w, c in terms.items():
+        add_terms(out, ((word, c * k) for word, k in word_map(n, g, w).items()))
+    return out
+
+
+def tuple_pbw_mul(a: PBWElement, b: PBWElement) -> PBWElement:
+    """a * b by left-multiplying b with the letters of each word of a, last
+    letter first."""
+    acc = {}
+    for w, c in a.terms.items():
+        terms = b.terms
+        for g in reversed(w):
+            terms = _tuple_extend(_tuple_insert, a.n, g, terms)
+        add_terms(acc, ((v, c * k) for v, k in terms.items()))
+    return PBWElement(a.n, acc)
+
+
+def tuple_ad(u, x: PBWElement) -> PBWElement:
+    """[e_u, x] applied word by word."""
+    return PBWElement(x.n, _tuple_extend(_tuple_ad_word, x.n, u, x.terms))
+
+
+def tuple_square_commutator(k, x: PBWElement) -> PBWElement:
+    """[(e_k)^2, x] = 2 e_k y - [e_k, y] with y = [e_k, x]."""
+    y = _tuple_extend(_tuple_ad_word, x.n, k, x.terms)
+    out = {w: 2 * c for w, c in _tuple_extend(_tuple_insert, x.n, k, y).items()}
+    add_terms(out, ((w, -c) for w, c in _tuple_extend(_tuple_ad_word, x.n, k, y).items()))
+    return PBWElement(x.n, out)
+
+
+@lru_cache(maxsize=None)
+def tuple_sym_word(n, letters):
+    """k! times the symmetrization of the sorted generator tuple ``letters``:
+    the sum over the first letter g of (copies of g) * e_g times the rest."""
+    result = {} if letters else {(): 1}
+    for idx, g in enumerate(letters):
+        if idx and letters[idx - 1] == g:
+            continue
+        sub = _tuple_extend(_tuple_insert, n, g, tuple_sym_word(n, letters[:idx] + letters[idx + 1 :]))
+        add_terms(result, ((w, c * letters.count(g)) for w, c in sub.items()))
+    return result
 
 
 def pbw_normalize(n, word_sum) -> PBWElement:

@@ -54,7 +54,7 @@ def test_worker_empties_the_memos():
     sym_word(4, (3, 1, 2))
     spec = MomentSpec.symbolic(4)
     spec.lambdas[0] / (spec.lambdas[1] + spec.lambdas[2])
-    memos = (uea._INSERT_CACHE, uea._AD_CACHE, uea._SYM_CACHE, ratfunc._POWER_PRODUCT_CACHE)
+    memos = (uea._INSERT_CACHE, uea._AD_CACHE, uea._SYM_CACHE, uea._WORD_CACHE, ratfunc._POWER_PRODUCT_CACHE)
     assert len(rigid_body._COEFFICIENT_CACHE) >= 2
     assert rigid_body._casimir_polynomials.cache_info().currsize >= 2
     assert all(memos)

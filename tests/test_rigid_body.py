@@ -237,7 +237,7 @@ def test_assemble_n3_distinct():
     assert rb.counts == (3, 1, 2, 2)
     assert len(rb.z) == 1
     assert len(rb.central_integrals) == 1
-    assert len(rb.right_pairs) == 2
+    assert [side for side, _ in rb.noncentral_pairs].count("R") == 2
     assert rb.size == 2 * 3 - 2  # 2N - kbar
 
 

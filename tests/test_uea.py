@@ -13,7 +13,7 @@ from manakov.rigid_body import ManakovIndex, centrality_defect, manakov_indices,
 from manakov.son import MomentSpec, SkewMatrix, dim_so, gen_bracket, pair_index, pair_list, signed_pair
 from manakov.uea import (
     _AD_CACHE,
-    _AD_WORD_LIMIT,
+    _INSERT_CACHE,
     EXPANSION_SIGN,
     PBWElement,
     ad,
@@ -51,8 +51,12 @@ from oracles import (
     sym3_expansion_by_cycles,
     sym35_expansion_by_cycles,
     sym_k,
+    tuple_ad,
+    tuple_pbw_mul,
+    tuple_square_commutator,
+    tuple_sym_word,
 )
-from oracles import sym_word as averaged_sym_word
+from oracles import sym_word as scaled_sym_word_by_products
 
 
 def gen(n, pair):
@@ -235,10 +239,55 @@ def test_derivation_kernels_match_products():
             quad = PBWElement(n, {(k, k): w for k, w in enumerate(weights)})
             got = weighted_square_commutators(n, [weights], x)[0]
             assert got == pbw_mul(quad, x) - pbw_mul(x, quad), (n, kind, x)
-    # words above the memo limit are commuted but not memoized
-    long_word = PBWElement(4, {(1,) * (_AD_WORD_LIMIT + 3): 1})
+    # the memos hold one dict per (n, generator), keyed by packed words:
+    # every commuted word, however long, and only the insertions that
+    # reorder (a word with a letter below the generator); a sorted insertion
+    # is added inline
+    clear_caches()
+    long_word = PBWElement(4, {(1,) * 5: 1})
     assert ad(0, long_word) == pbw_mul(gen(4, (1, 2)), long_word) - pbw_mul(long_word, gen(4, (1, 2)))
-    assert _AD_CACHE and all(len(w) <= _AD_WORD_LIMIT for (_, _, w) in _AD_CACHE)
+    assert 5 << 8 in _AD_CACHE[4, 0]
+    sorted_product = pbw_mul(PBWElement(4, {(0,): 1}), PBWElement(4, {(1, 2): 1}))
+    assert sorted_product.terms == {(0, 1, 2): 1} and not _INSERT_CACHE.get((4, 0))
+    assert _INSERT_CACHE and all(type(w) is int for table in _INSERT_CACHE.values() for w in table)
+    for (n, g), table in _INSERT_CACHE.items():
+        assert all(w & ((1 << 8 * g) - 1) for w in table), (n, g)
+
+
+def test_packed_kernels_match_the_tuple_kernels():
+    # the kernels on packed words against the tuple-word kernels they
+    # replaced, term for term: n = 3..7, int, Fraction and rational-function
+    # coefficients, zero and constant operands included
+    rng = random.Random(211)
+    for case in range(100):
+        n = 3 + case % 5
+        kind = ("int", "fraction", "ratfunc")[case % 3]
+        a, b = _random_operand(rng, n, kind), _random_operand(rng, n, kind)
+        u = rng.randrange(dim_so(n))
+        assert pbw_mul(a, b).terms == tuple_pbw_mul(a, b).terms, (n, kind, a, b)
+        assert ad(u, a).terms == tuple_ad(u, a).terms, (n, kind, a)
+        assert square_commutator(u, b).terms == tuple_square_commutator(u, b).terms, (n, kind, b)
+        letters = tuple(rng.randrange(dim_so(n)) for _ in range(rng.randint(0, 5)))
+        assert sym_word(n, letters) == tuple_sym_word(n, tuple(sorted(letters))), (n, letters)
+
+
+def test_packed_words_refuse_to_overflow_a_letter_count():
+    # a count field holds at most 255 copies of a generator; a word that
+    # could reach degree 256 raises instead of carrying into the next field
+    n = 3
+    top = pbw_mul(PBWElement(n, {(0,) * 200: 1}), PBWElement(n, {(0,) * 55: 2}))
+    assert top.terms == {(0,) * 255: 2}
+    with pytest.raises(ValueError, match="overflow"):
+        pbw_mul(PBWElement(n, {(0,) * 200: 1}), PBWElement(n, {(0,) * 56: 1}))
+    with pytest.raises(ValueError, match="overflow"):
+        ad(1, PBWElement(n, {(0,) * 256: 1}))
+    with pytest.raises(ValueError, match="overflow"):
+        square_commutator(1, PBWElement(n, {(0,) * 255: 1}))
+    with pytest.raises(ValueError, match="overflow"):
+        sym_word(n, (2,) * 256)
+    f = LiePoissonPoly(n, MultiPoly(momentum_vars(n), {(256, 0, 0): 1}))
+    with pytest.raises(ValueError, match="overflow"):
+        symmetrize_momentum_poly(f)
 
 
 def test_square_weights_reads_squares_and_rejects_other_words():
@@ -250,22 +299,29 @@ def test_square_weights_reads_squares_and_rejects_other_words():
 
 
 def test_integer_sym_word_is_k_factorial_times_the_average():
-    # every multiset up to degree 4 at n = 4, and seeded degree-5 and -6
-    # multisets at n = 6, against the Fraction average over orderings
+    # every multiset up to degree 4 at n = 4 against the sum of its k!
+    # normalized orderings, and seeded degree-5 and -6 multisets at n = 6
+    # against the oracle's sum over first letters, one generator product at
+    # a time
     rng = random.Random(53)
-    cases = [(4, m) for k in range(5) for m in itertools.combinations_with_replacement(range(dim_so(4)), k)]
-    cases += [(6, tuple(rng.randrange(dim_so(6)) for _ in range(k))) for k in (5, 6) for _ in range(3)]
-    for n, letters in cases:
-        got = sym_word(n, letters)
-        assert all(type(c) is int for c in got.values())
-        want = averaged_sym_word(n, tuple(sorted(letters)))
-        assert got == {w: c * factorial(len(letters)) for w, c in want.items()}, letters
+    for k in range(5):
+        for letters in itertools.combinations_with_replacement(range(dim_so(4)), k):
+            got = sym_word(4, letters)
+            assert all(type(c) is int for c in got.values())
+            orders = pbw_normalize(4, [(order, 1) for order in itertools.permutations(letters)])
+            assert got == orders.terms, letters
+    for k in (5, 6):
+        for _ in range(3):
+            letters = tuple(rng.randrange(dim_so(6)) for _ in range(k))
+            got = sym_word(6, letters)
+            assert all(type(c) is int for c in got.values())
+            assert got == scaled_sym_word_by_products(6, tuple(sorted(letters))), letters
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_symmetrize_momentum_poly_matches_averaged_words(n):
     # each monomial's k!-scaled word, summed per degree and divided once,
-    # against the Fraction average added one monomial at a time
+    # against the oracle's words divided by k! one monomial at a time
     rng = random.Random(60 + n)
     lam = MomentSpec.symbolic(n).lambdas
     for symbolic in (False, True):
@@ -275,7 +331,8 @@ def test_symmetrize_momentum_poly_matches_averaged_words(n):
         want = {}
         for mono, coef in f.poly.terms.items():
             letters = tuple(g for g, e in enumerate(mono) for _ in range(e))
-            add_terms(want, ((w, coef * c) for w, c in averaged_sym_word(n, letters).items()))
+            scale = Fraction(1, factorial(len(letters)))
+            add_terms(want, ((w, coef * c * scale) for w, c in scaled_sym_word_by_products(n, letters).items()))
         assert symmetrize_momentum_poly(f) == PBWElement(n, want)
 
 
