@@ -52,13 +52,6 @@ def r_squared(n) -> PhasePoly:
     return sum((PhasePoly.coordinate(n, i) ** 2 for i in range(1, n + 1)), PhasePoly.zero(n))
 
 
-def x_dot_p(n) -> PhasePoly:
-    return sum(
-        (PhasePoly.coordinate(n, i) * PhasePoly.momentum(n, i) for i in range(1, n + 1)),
-        PhasePoly.zero(n),
-    )
-
-
 def inverse_radius(n) -> PhasePoly:
     return PhasePoly.const(n, RadicalElement.radius(n).inverse())
 
@@ -226,30 +219,21 @@ def item_function(n, item) -> PhasePoly:
     return p_squared(n, data)
 
 
-def build_recursive_sets(n, tree: SplitTree):
-    """Central set Z and momentum list L for a splitting of {1..n}.
-
-    Returns (Z, L, z_labels, l_labels); see recursive_set_structure for the
-    construction rules.
-    """
-    z_items, l_items = recursive_set_structure(n, tree)
-    z = [item_function(n, it) for it in z_items]
-    l = [item_function(n, it) for it in l_items]
-    zl = [item_label(n, it) for it in z_items]
-    ll = [item_label(n, it) for it in l_items]
-    return z, l, zl, ll
-
-
-def recursive_set_spec(n, tree, hamiltonian=None, label=None) -> IntegrableSetSpec:
-    h = hamiltonian if hamiltonian is not None else generic_hamiltonian(n)
-    z, l, zl, ll = build_recursive_sets(n, tree)
+def item_set_spec(n, central_items, noncentral_items, label) -> IntegrableSetSpec:
+    """The generic Hamiltonian followed by the central items, then the
+    noncentral items, each a ("pair", (i, j)) or ("square", subset)."""
     return IntegrableSetSpec(
         n=n,
-        central=[h] + z,
-        noncentral=l,
-        labels=["H"] + zl + ll,
-        label=label or f"split {tree.describe()}",
+        central=[generic_hamiltonian(n)] + [item_function(n, it) for it in central_items],
+        noncentral=[item_function(n, it) for it in noncentral_items],
+        labels=["H"] + [item_label(n, it) for it in central_items + noncentral_items],
+        label=label,
     )
+
+
+def recursive_set_spec(n, tree) -> IntegrableSetSpec:
+    """The set of a splitting of {1..n}; see recursive_set_structure."""
+    return item_set_spec(n, *recursive_set_structure(n, tree), f"split {tree.describe()}")
 
 
 def all_split_trees(indices, max_depth):
@@ -281,17 +265,12 @@ def catalog(n, family, alpha=None) -> IntegrableSetSpec:
     oscillator, and f(P^2)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    lpairs = default_momentum_choice(range(1, n + 1))
-    l_funcs = [momentum(n, i, j) for i, j in lpairs]
-    l_labels = [pair_label(i, j) for i, j in lpairs]
+    l_items = [("pair", p) for p in default_momentum_choice(range(1, n + 1))]
+    l_funcs = [item_function(n, it) for it in l_items]
+    l_labels = [item_label(n, it) for it in l_items]
     if family == "generic_f":
-        return IntegrableSetSpec(
-            n=n,
-            central=[generic_hamiltonian(n), p_squared(n)],
-            noncentral=l_funcs,
-            labels=["H", "P2"] + l_labels,
-            label=f"n={n} generic rotation-invariant family",
-        )
+        whole = ("square", tuple(range(1, n + 1)))
+        return item_set_spec(n, [whole], l_items, f"n={n} generic rotation-invariant family")
     if family == "kepler":
         if alpha is None:
             raise ValueError("the 1/r family needs a rational coupling alpha")
@@ -376,49 +355,34 @@ def runge_lenz_check(n, alpha) -> VerificationReport:
 # -- catalog tables for n = 4 and n = 5 ---------------------------------------
 
 
-def _row(n, central_items, noncentral_items, label):
-    central = [generic_hamiltonian(n)]
-    labels = ["H"]
-    for item in central_items:
-        f, name = _item(n, item)
-        central.append(f)
-        labels.append(name)
-    noncentral = []
-    for item in noncentral_items:
-        f, name = _item(n, item)
-        noncentral.append(f)
-        labels.append(name)
-    return IntegrableSetSpec(n=n, central=central, noncentral=noncentral, labels=labels, label=label)
-
-
-def _item(n, item):
-    if item == "P2":
-        return p_squared(n), "P2"
-    if isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], int):
-        return momentum(n, *item), pair_label(*item)
-    return p_squared(n, item), subset_label(item)
-
-
 def table_rows(n):
     """The verified catalog rows for n = 4 (4 rows) and n = 5 (7 rows)."""
+    whole = ("square", tuple(range(1, n + 1)))
+    s123, s1234 = ("square", (1, 2, 3)), ("square", (1, 2, 3, 4))
+
+    def pairs(*ps):
+        return [("pair", p) for p in ps]
+
     if n == 4:
-        return [
-            _row(4, ["P2"], [(1, 3), (1, 4), (2, 3), (2, 4)], "n=4 row 1"),
-            _row(4, ["P2", [1, 2, 3]], [(1, 2), (1, 3)], "n=4 row 2"),
-            _row(4, ["P2", [1, 2, 3], (1, 2)], [], "n=4 row 3"),
-            _row(4, ["P2", (1, 2), (3, 4)], [], "n=4 row 4"),
+        rows = [
+            ([whole], pairs((1, 3), (1, 4), (2, 3), (2, 4))),
+            ([whole, s123], pairs((1, 2), (1, 3))),
+            ([whole, s123, *pairs((1, 2))], []),
+            ([whole, *pairs((1, 2), (3, 4))], []),
         ]
-    if n == 5:
-        return [
-            _row(5, ["P2"], [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)], "n=5 row 1"),
-            _row(5, ["P2", [1, 2, 3, 4]], [(1, 3), (1, 4), (2, 3), (2, 4)], "n=5 row 2"),
-            _row(5, ["P2", [1, 2, 3, 4], [1, 2, 3]], [(1, 3), (2, 3)], "n=5 row 3"),
-            _row(5, ["P2", [1, 2, 3, 4], [1, 2, 3], (1, 2)], [], "n=5 row 4"),
-            _row(5, ["P2", [1, 2, 3, 4], (1, 2), (3, 4)], [], "n=5 row 5"),
-            _row(5, ["P2", [1, 2, 3], (4, 5)], [(1, 2), (1, 3)], "n=5 row 6"),
-            _row(5, ["P2", [1, 2, 3], (4, 5), (1, 2)], [], "n=5 row 7"),
+    elif n == 5:
+        rows = [
+            ([whole], pairs((1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5))),
+            ([whole, s1234], pairs((1, 3), (1, 4), (2, 3), (2, 4))),
+            ([whole, s1234, s123], pairs((1, 3), (2, 3))),
+            ([whole, s1234, s123, *pairs((1, 2))], []),
+            ([whole, s1234, *pairs((1, 2), (3, 4))], []),
+            ([whole, s123, *pairs((4, 5))], pairs((1, 2), (1, 3))),
+            ([whole, s123, *pairs((4, 5), (1, 2))], []),
         ]
-    raise ValueError("catalog tables cover n = 4 and n = 5")
+    else:
+        raise ValueError("catalog tables cover n = 4 and n = 5")
+    return [item_set_spec(n, z, l, f"n={n} row {k}") for k, (z, l) in enumerate(rows, start=1)]
 
 
 def emit_tables(n, rng, points=3):

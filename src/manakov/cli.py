@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -116,7 +117,7 @@ def cmd_verify(args):
         return 2
     n = args.n
     scope = args.scope
-    if scope == "quantum-rigid" and n > 6 and not args.exploratory:
+    if scope in ("quantum-rigid", "all") and n > 6 and not args.exploratory:
         print("quantum-rigid is verified for n <= 6; pass --exploratory to go higher", file=sys.stderr)
         return 2
     if lambdas and len(lambdas) != n:
@@ -154,6 +155,9 @@ def cmd_verify(args):
 
 
 def cmd_simulate(args):
+    if not all(math.isfinite(v) for v in (args.dt, args.t_end, args.tolerance)):
+        print("--dt, --t-end and --tolerance must be finite numbers", file=sys.stderr)
+        return 2
     if args.dt <= 0 or args.t_end <= 0 or args.stride < 1:
         print("dynamics parameters must be positive", file=sys.stderr)
         return 2

@@ -435,14 +435,13 @@ def assemble_integrable_set(spec: MomentSpec, chart: GroupChart) -> RigidBodySet
 # -- verification suites ----------------------------------------------------------
 
 
-def verify_involution_family(n, spec: MomentSpec, report=None, include_hamiltonian=True):
+def verify_involution_family(n, spec: MomentSpec, report=None):
     """{c, c'} = 0 for all integral pairs and {c, H} = 0, exact in the
     coefficient field of ``spec``."""
     report = report if report is not None else VerificationReport()
     anchor = "rigid-classical/involution"
     items = [(idx.label(), manakov_integral(idx, n, spec)) for idx in manakov_indices(n)]
-    if include_hamiltonian:
-        items.append(("H", hamiltonian(spec)))
+    items.append(("H", hamiltonian(spec)))
     for a in range(len(items)):
         for b in range(a + 1, len(items)):
             br = lie_poisson_bracket(items[a][1], items[b][1])

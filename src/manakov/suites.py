@@ -37,7 +37,11 @@ from .uea import (
 from .weyl import quantum_central_force_suite
 
 
-def suite_classical_central(n, alpha=1, seed=0, points=3, tree_depth=2) -> VerificationReport:
+_RANK_POINTS = 3  # sampled points per catalog set's independence check
+_TREE_DEPTH = 2  # splitting trees of the central scopes, up to this depth
+
+
+def suite_classical_central(n, alpha=1, seed=0) -> VerificationReport:
     """Catalog families, conserved-vector identities, splitting trees, and
     the table rows when n is 4 or 5."""
     rng = random.Random(seed)
@@ -45,23 +49,23 @@ def suite_classical_central(n, alpha=1, seed=0, points=3, tree_depth=2) -> Verif
     report.config.update({"scope": "classical-central", "n": n, "alpha": str(alpha), "seed": seed})
     for family in ("generic_f", "kepler", "oscillator", "f_of_P2"):
         spec = catalog(n, family, alpha=alpha)
-        report.extend(verify_integrable_set(spec, rng, points=points))
+        report.extend(verify_integrable_set(spec, rng, points=_RANK_POINTS))
     report.extend(runge_lenz_check(n, alpha))
     if n in (4, 5):
-        for spec, row_report in emit_tables(n, rng, points=points):
+        for spec, row_report in emit_tables(n, rng, points=_RANK_POINTS):
             report.extend(row_report)
-    trees = [t for t in all_split_trees(range(1, n + 1), tree_depth) if t.children]
+    trees = [t for t in all_split_trees(range(1, n + 1), _TREE_DEPTH) if t.children]
     for tree in trees:
         spec = recursive_set_spec(n, tree)
         report.extend(verify_integrable_set(spec, rng, points=1))
     return report
 
 
-def suite_quantum_central(n, alpha=1, seed=0, tree_depth=2) -> VerificationReport:
+def suite_quantum_central(n, alpha=1, seed=0) -> VerificationReport:
     if n < 2:
         raise ValueError(f"quantum-central needs n >= 2 (angular momenta P_ij), got n = {n}")
     rng = random.Random(seed)
-    trees = all_split_trees(range(1, n + 1), tree_depth)
+    trees = all_split_trees(range(1, n + 1), _TREE_DEPTH)
     report = quantum_central_force_suite(n, alpha, rng=rng, trees=trees)
     report.config.update({"scope": "quantum-central", "n": n, "alpha": str(alpha), "seed": seed})
     return report

@@ -8,16 +8,18 @@ convention every verified identity below is stated in.
 The central-force system is quantized by symmetrization once: every quantum
 operator of the suite (the Kepler Hamiltonian, the Laplacian, r^2, P-hat_ij,
 the conserved vector A-hat_i and the splitting-tree items) is ``symmetrize``
-of its classical function from ``central_force``.  Only P-hat^2, composed
-from the P-hat_ij, and the normal-ordered x.phat are built otherwise: the
-identities are stated in them.
+of its classical function from ``central_force``, each monomial averaged
+over its orderings by McCoy's closed formula, one axis at a time.  Only
+P-hat^2, composed from the P-hat_ij, and the normal-ordered x.phat are
+built otherwise: the identities are stated in them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from itertools import product
+from math import comb, factorial, prod
 
 from .brackets import PhasePoly
 from .central_force import (
@@ -32,8 +34,8 @@ from .central_force import (
     runge_lenz_vector,
 )
 from .charts import CotangentChart, Differentiated, generic_full_rank
-from .radical import RadicalElement
-from .ratfunc import TermMap, add_terms
+from .radical import RadicalElement, x_vars
+from .ratfunc import MultiPoly, TermMap, add_terms
 from .report import VerificationReport
 
 
@@ -159,35 +161,23 @@ def commutator(a: WeylOperator, b: WeylOperator) -> WeylOperator:
 
 # -- symmetrized (Weyl) quantization ------------------------------------------
 
-_sym_cache = {}
-
 
 def _sym_monomial(n, xmono, pmono) -> WeylOperator:
-    """Average over all orderings of the factors of x^xmono p^pmono."""
-    key = (n, xmono, pmono)
-    hit = _sym_cache.get(key)
-    if hit is not None:
-        return hit
-    total = sum(xmono) + sum(pmono)
-    if total == 0:
-        result = WeylOperator.const(n, 1)
-    else:
-        acc = WeylOperator.zero(n)
-        for i, e in enumerate(xmono):
-            if e:
-                rest = list(xmono)
-                rest[i] -= 1
-                sub = _sym_monomial(n, tuple(rest), pmono)
-                acc = acc + compose(WeylOperator.position(n, i + 1), sub).scale(e)
-        for i, e in enumerate(pmono):
-            if e:
-                rest = list(pmono)
-                rest[i] -= 1
-                sub = _sym_monomial(n, xmono, tuple(rest))
-                acc = acc + compose(WeylOperator.momentum(n, i + 1), sub).scale(e)
-        result = acc.scale(Fraction(1, total))
-    _sym_cache[key] = result
-    return result
+    """Average over all orderings of the factors of x^xmono p^pmono.
+
+    Factors on different axes commute, so the average is the product of
+    the one-axis averages, each in closed form (McCoy's formula):
+    sym(x^a p^b) = sum_k C(a,k) C(b,k) k!/2^k x^(a-k) p^(b-k).
+    """
+    axes = [
+        [(a - k, b - k, Fraction(comb(a, k) * comb(b, k) * factorial(k), 2**k)) for k in range(min(a, b) + 1)]
+        for a, b in zip(xmono, pmono)
+    ]
+    terms = {}
+    for choice in product(*axes):
+        xm, pm, weights = zip(*choice)
+        terms[pm] = RadicalElement(n, MultiPoly(x_vars(n), {xm: prod(weights)}))
+    return WeylOperator(n, terms)
 
 
 def symmetrize(f: PhasePoly) -> WeylOperator:
@@ -212,11 +202,13 @@ def symmetrize(f: PhasePoly) -> WeylOperator:
                 acc = acc + _sym_monomial(n, xmono, pmono).scale(q)
             coef = coef - rational
         if coef:
-            acc = acc + compose(WeylOperator.const(n, coef), _sym_monomial(n, (0,) * n, pmono))
+            acc = acc + _sym_monomial(n, (0,) * n, pmono).scale(coef)
     return acc
 
 
 # -- the quantum central-force system ------------------------------------------
+
+_SYMBOL_RANK_POINTS = 2  # sampled points per splitting tree's symbol-rank check
 
 
 def momentum_square_operator(n) -> WeylOperator:
@@ -234,7 +226,7 @@ def x_dot_p_operator(n) -> WeylOperator:
     )
 
 
-def quantum_central_force_suite(n, alpha, rng=None, trees=None, rank_points=2) -> VerificationReport:
+def quantum_central_force_suite(n, alpha, rng=None, trees=None) -> VerificationReport:
     """Exact operator identities for the quantum rotation-invariant system."""
     report = VerificationReport()
     anchor = "quantum-central-force"
@@ -278,7 +270,7 @@ def quantum_central_force_suite(n, alpha, rng=None, trees=None, rank_points=2) -
         if rng is not None:
             # the symbols of the item operators are the classical items
             symbols = [Differentiated(item_function(n, it)) for it in items]
-            for s in range(rank_points):
+            for s in range(_SYMBOL_RANK_POINTS):
                 ok, witness = generic_full_rank(symbols, lambda r: CotangentChart.random(n, r), rng)
                 report.add(
                     f"recursive/{tree.describe()}/symbol-rank/sample{s}",

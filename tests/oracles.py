@@ -17,10 +17,12 @@ ring of quotients of polynomials it reduces, and the radical coefficients as
 a pair of such quotients, the quantum central-force operators composed by
 hand (P-hat_ij, the Laplacian, r^2, the Kepler Hamiltonian and the conserved
 vector through symmetrized products) where the package symmetrizes the
-classical functions, and the Hamiltonian obstruction coefficient written out
-where the package reads it off the h = 6 closed form.  The remaining helpers
-(standard quantization, the top p-degree part of a phase polynomial) are
-small maps only tests use.
+classical functions, the Weyl average of a monomial built one factor at a
+time by composition where the package uses McCoy's closed formula, and the
+Hamiltonian obstruction coefficient written out where the package reads it
+off the h = 6 closed form.  The remaining helpers (standard quantization,
+the top p-degree part of a phase polynomial, the classical x.p) are small
+maps only tests use.
 """
 
 from fractions import Fraction
@@ -490,6 +492,50 @@ def hamiltonian_obstruction_b(spec: MomentSpec, i, j, k):
 
 
 # -- hand-built quantum central-force operators ---------------------------------
+
+
+def x_dot_p(n) -> PhasePoly:
+    """The classical x.p = sum_i x_i p_i."""
+    return sum(
+        (PhasePoly.coordinate(n, i) * PhasePoly.momentum(n, i) for i in range(1, n + 1)),
+        PhasePoly.zero(n),
+    )
+
+
+@lru_cache(maxsize=None)
+def sym_monomial_by_recursion(n, xmono, pmono) -> WeylOperator:
+    """Average over all orderings of the factors of x^xmono p^pmono: each
+    factor in turn taken first and composed with the average of the rest,
+    weighted by its multiplicity."""
+    total = sum(xmono) + sum(pmono)
+    if total == 0:
+        return WeylOperator.const(n, 1)
+    acc = WeylOperator.zero(n)
+    monos = (xmono, pmono)
+    for side, gen in enumerate((WeylOperator.position, WeylOperator.momentum)):
+        for i, e in enumerate(monos[side]):
+            if e:
+                rest = list(monos)
+                rest[side] = monos[side][:i] + (e - 1,) + monos[side][i + 1 :]
+                acc = acc + compose(gen(n, i + 1), sym_monomial_by_recursion(n, *rest)).scale(e)
+    return acc.scale(Fraction(1, total))
+
+
+def symmetrize_by_recursion(f: PhasePoly) -> WeylOperator:
+    """Weyl quantization with every monomial averaged by the recursion: the
+    polynomial rational part of each coefficient is split into x-monomials
+    and the rest multiplies the averaged p-monomial from the left."""
+    n = f.n
+    acc = WeylOperator.zero(n)
+    for pmono, coef in f.terms.items():
+        rational = RadicalElement(n, coef.a, e=coef.e)
+        if rational.e == 0:
+            for xmono, q in rational.a.terms.items():
+                acc = acc + sym_monomial_by_recursion(n, xmono, pmono).scale(q)
+            coef = coef - rational
+        if coef:
+            acc = acc + compose(WeylOperator.const(n, coef), sym_monomial_by_recursion(n, (0,) * n, pmono))
+    return acc
 
 
 def momentum_operator(n, i, j) -> WeylOperator:

@@ -37,28 +37,49 @@ def test_probe_target_resolves(probe):
     assert callable(obj)
 
 
-def test_worker_empties_the_memos():
+def _module_memos():
+    """(name, memo) for every module-level dict and functools cache of the
+    loaded ``manakov`` modules, except the declared-factor registry, which
+    is configuration rather than a memo."""
+    from manakov import ratfunc
+
+    out = []
+    for mod_name, mod in sorted(sys.modules.items()):
+        if mod is None or not (mod_name == "manakov" or mod_name.startswith("manakov.")):
+            continue
+        for attr, value in vars(mod).items():
+            if attr.startswith("__") or value is ratfunc._DECLARED_FACTORS:
+                continue
+            if isinstance(value, dict) or hasattr(value, "cache_info"):
+                out.append((f"{mod_name}.{attr}", value))
+    return out
+
+
+def _size(memo):
+    return memo.cache_info().currsize if hasattr(memo, "cache_info") else len(memo)
+
+
+def test_worker_empties_the_memos(capsys):
     from fractions import Fraction
 
-    from manakov import ratfunc, rigid_body, uea
-    from manakov.rigid_body import ManakovIndex, casimir_polynomials, manakov_coefficient
+    from manakov import cli
+    from manakov.rigid_body import ManakovIndex, manakov_coefficient
     from manakov.son import MomentSpec
     from manakov.uea import PBWElement, square_commutator, sym_word
 
     clear_caches = _load_benchmark_module("worker").clear_caches
-    for spec in (MomentSpec.symbolic(4), MomentSpec.from_lambdas((Fraction(1), Fraction(2), Fraction(3)))):
-        manakov_coefficient(ManakovIndex(3, 1), (1, 2), spec)
-    casimir_polynomials(4)
-    casimir_polynomials(4, (1, 2, 3))
+    # a small central and rigid run, plus the kernels whose memos it may not reach
+    runs = (("classical-central", "3"), ("quantum-central", "3"), ("classical-rigid", "4"), ("quantum-rigid", "4"))
+    for scope, n in runs:
+        assert cli.main(["verify", scope, "--n", n]) == 0
+    capsys.readouterr()
+    manakov_coefficient(ManakovIndex(3, 1), (1, 2), MomentSpec.from_lambdas((Fraction(1), Fraction(2), Fraction(3))))
     square_commutator(0, PBWElement(4, {(1, 2): 1}))
     sym_word(4, (3, 1, 2))
     spec = MomentSpec.symbolic(4)
     spec.lambdas[0] / (spec.lambdas[1] + spec.lambdas[2])
-    memos = (uea._INSERT_CACHE, uea._AD_CACHE, uea._SYM_CACHE, uea._WORD_CACHE, ratfunc._POWER_PRODUCT_CACHE)
-    assert len(rigid_body._COEFFICIENT_CACHE) >= 2
-    assert rigid_body._casimir_polynomials.cache_info().currsize >= 2
-    assert all(memos)
+    filled = {name for name, memo in _module_memos() if _size(memo)}
+    for module in ("ratfunc", "rigid_body", "uea", "weyl", "son", "radical"):
+        assert any(name.startswith(f"manakov.{module}.") for name in filled), module
     clear_caches()
-    assert not rigid_body._COEFFICIENT_CACHE
-    assert not any(memos)
-    assert rigid_body._casimir_polynomials.cache_info().currsize == 0
+    assert [name for name, memo in _module_memos() if _size(memo)] == []

@@ -10,12 +10,12 @@ from manakov.brackets import (
     lie_poisson_bracket,
     momentum_vars,
 )
-from manakov.central_force import kinetic, momenta, momentum, p_squared, r_squared, x_dot_p
+from manakov.central_force import kinetic, momenta, momentum, p_squared, r_squared
 from manakov.charts import CotangentChart, GroupChart, involution_report, jacobian_rank
 from manakov.son import bracket as matrix_bracket
 from manakov.ratfunc import MultiPoly, RationalFunction
 from manakov.son import basis_element, dim_so, lambda_vars, pair_list, structure_table
-from oracles import lie_poisson_bracket_by_table
+from oracles import lie_poisson_bracket_by_table, x_dot_p
 
 
 def test_bracket_sign_convention():

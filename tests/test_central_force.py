@@ -7,7 +7,6 @@ from manakov.brackets import PhasePoly, canonical_bracket
 from manakov.central_force import (
     SplitTree,
     all_split_trees,
-    build_recursive_sets,
     catalog,
     generic_hamiltonian,
     inverse_radius,
@@ -22,10 +21,10 @@ from manakov.central_force import (
     runge_lenz_vector,
     table_rows,
     verify_integrable_set,
-    x_dot_p,
 )
 from manakov.charts import CotangentChart, generic_full_rank, jacobian_rank
 from manakov.report import VerificationReport
+from oracles import x_dot_p
 
 
 def test_momenta_basics():
@@ -64,25 +63,24 @@ def test_split_tree_validation():
 
 
 def test_recursive_sets_examples():
-    z, l, zl, ll = build_recursive_sets(3, SplitTree.split([1, 2], [3]))
-    assert zl == ["P2", "P12"] and ll == []
-    z, l, zl, ll = build_recursive_sets(4, SplitTree.split(SplitTree.leaf([1, 2, 3]), [4]))
-    assert zl == ["P2", "P2_(123)"] and len(ll) == 2
-    z, l, zl, ll = build_recursive_sets(
-        5, SplitTree.split(SplitTree.leaf([1, 2, 3]), SplitTree.leaf([4, 5]))
-    )
-    assert zl == ["P2", "P2_(123)", "P45"] and len(ll) == 2
+    spec = recursive_set_spec(3, SplitTree.split([1, 2], [3]))
+    assert spec.labels == ["H", "P2", "P12"] and spec.k == 3 and spec.noncentral == []
+    assert spec.label == "split ({1,2}|{3})"
+    spec = recursive_set_spec(4, SplitTree.split(SplitTree.leaf([1, 2, 3]), [4]))
+    assert spec.labels == ["H", "P2", "P2_(123)", "P13", "P23"] and spec.k == 3
+    spec = recursive_set_spec(5, SplitTree.split(SplitTree.leaf([1, 2, 3]), SplitTree.leaf([4, 5])))
+    assert spec.labels == ["H", "P2", "P2_(123)", "P45", "P13", "P23"] and spec.k == 4
+    assert spec.central == [generic_hamiltonian(5), p_squared(5), p_squared(5, [1, 2, 3]), momentum(5, 4, 5)]
+    assert spec.noncentral == [momentum(5, 1, 3), momentum(5, 2, 3)]
 
 
 def test_recursive_set_counting():
-    # |Z| = z, |L| = 2(n - z - 1), and the full set has 2n - k functions
-    rng = random.Random(3)
+    # H and z central items, |L| = 2(n - z - 1), and the full set has 2n - k functions
     for n in (3, 4, 5):
         for tree in all_split_trees(range(1, n + 1), 3):
-            z, l, _, _ = build_recursive_sets(n, tree)
-            assert len(l) == 2 * (n - len(z) - 1)
             spec = recursive_set_spec(n, tree)
-            assert spec.k == len(z) + 1
+            z = spec.k - 1
+            assert len(spec.noncentral) == 2 * (n - z - 1)
             assert spec.size == 2 * n - spec.k
             assert 2 <= spec.k <= n
 
@@ -165,11 +163,28 @@ def test_runge_lenz_closed_form():
 def test_table_rows_shape():
     rows4 = table_rows(4)
     assert [r.k for r in rows4] == [2, 3, 4, 4]
-    assert rows4[3].labels == ["H", "P2", "P12", "P34"]
+    assert [r.labels for r in rows4] == [
+        ["H", "P2", "P13", "P14", "P23", "P24"],
+        ["H", "P2", "P2_(123)", "P12", "P13"],
+        ["H", "P2", "P2_(123)", "P12"],
+        ["H", "P2", "P12", "P34"],
+    ]
     rows5 = table_rows(5)
     assert [r.k for r in rows5] == [2, 3, 4, 5, 5, 4, 5]
-    assert rows5[4].labels == ["H", "P2", "P2_(1234)", "P12", "P34"]
+    assert [r.labels for r in rows5] == [
+        ["H", "P2", "P13", "P14", "P15", "P23", "P24", "P25"],
+        ["H", "P2", "P2_(1234)", "P13", "P14", "P23", "P24"],
+        ["H", "P2", "P2_(1234)", "P2_(123)", "P13", "P23"],
+        ["H", "P2", "P2_(1234)", "P2_(123)", "P12"],
+        ["H", "P2", "P2_(1234)", "P12", "P34"],
+        ["H", "P2", "P2_(123)", "P45", "P12", "P13"],
+        ["H", "P2", "P2_(123)", "P45", "P12"],
+    ]
+    assert [r.label for r in rows4 + rows5] == [f"n=4 row {k}" for k in range(1, 5)] + [
+        f"n=5 row {k}" for k in range(1, 8)
+    ]
     assert rows5[0].size == 8
+    assert rows5[5].central[2] == p_squared(5, [1, 2, 3]) and rows5[5].central[3] == momentum(5, 4, 5)
     with pytest.raises(ValueError):
         table_rows(6)
 

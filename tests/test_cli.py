@@ -139,6 +139,43 @@ def test_simulate_rejects_bad_parameters(tmp_path):
     assert r3.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--t-end", "inf"),
+        ("--t-end", "nan"),
+        ("--dt", "nan"),
+        ("--dt", "inf"),
+        ("--tolerance", "nan"),
+        ("--tolerance", "inf"),
+        ("--t-end=-inf",),
+    ],
+)
+def test_simulate_rejects_non_finite_parameters(tmp_path, capsys, extra):
+    # an infinite end time once overflowed the step count with a traceback
+    from manakov.cli import main
+
+    out = tmp_path / "run"
+    assert main(["simulate", "--n", "3", "--lambda", "1,2,3", *extra, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err
+    assert not out.exists()
+
+
+def test_verify_all_needs_exploratory_beyond_n6(monkeypatch, capsys):
+    # `all` runs the quantum-rigid battery at n, so it takes the same guard
+    from manakov import cli, suites
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the suite ran without --exploratory")
+
+    monkeypatch.setattr(suites, "suite_all", unreachable)
+    monkeypatch.setattr(suites, "suite_quantum_rigid", unreachable)
+    assert cli.main(["verify", "all", "--n", "7"]) == 2
+    captured = capsys.readouterr()
+    assert "--exploratory" in captured.err and captured.out == ""
+
+
 def test_simulate_rejects_fewer_steps_than_one_stride(tmp_path):
     # only the t = 0 sample would exist, and its drift against itself is 0
     for extra in (("--t-end", "0.0004", "--dt", "0.001"), ("--t-end", "0.01", "--dt", "0.001", "--stride", "100")):

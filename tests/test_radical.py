@@ -177,7 +177,6 @@ def test_coordinate_coefficients_never_form_a_rational_function(monkeypatch):
     from manakov.ratfunc import RationalFunction
 
     # operators memoized by earlier tests would skip the work counted here
-    weyl._sym_cache.clear()
     weyl.items_commute.cache_clear()
     weyl._item_operator.cache_clear()
     # a quotient is made by the constructor or, in arithmetic, by ``_of``

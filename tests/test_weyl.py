@@ -6,21 +6,26 @@ import pytest
 from manakov.brackets import PhasePoly, canonical_bracket
 from manakov.central_force import (
     SplitTree,
+    all_split_trees,
+    catalog,
+    inverse_radius,
     item_function,
     item_label,
     kepler_hamiltonian,
     kinetic,
     momentum,
+    oscillator_hamiltonian,
     p_squared,
     r_squared,
+    recursive_set_spec,
     recursive_set_structure,
     runge_lenz_vector,
-    x_dot_p,
 )
 from manakov.radical import RadicalElement
 from manakov.weyl import (
     WeylOperator,
     _item_operator,
+    _sym_monomial,
     commutator,
     compose,
     items_commute,
@@ -36,7 +41,10 @@ from oracles import (
     momentum_operator,
     multiplication_by_r_squared,
     standard_quantize,
+    sym_monomial_by_recursion,
+    symmetrize_by_recursion,
     top_p_part,
+    x_dot_p,
 )
 
 
@@ -123,6 +131,43 @@ def test_symmetrized_operators_match_hand_built(n, alpha):
     a_ops = [symmetrize(a) for a in runge_lenz_vector(n, alpha)]
     assert a_ops == conserved_vector_operators(n, alpha)
     assert x_dot_p_operator(n) == symmetrize(x_dot_p(n)) - WeylOperator.const(n, Fraction(n, 2))
+
+
+def test_closed_form_symmetrization_matches_the_recursion():
+    # McCoy's formula, axis by axis, against the average built one factor
+    # at a time by composition; the total degree is capped at 10 to keep
+    # the recursion fast
+    rng = random.Random(17)
+    cases = []
+    while len(cases) < 100:
+        n = rng.randint(1, 4)
+        xmono = tuple(rng.randint(0, 3) for _ in range(n))
+        pmono = tuple(rng.randint(0, 3) for _ in range(n))
+        if sum(xmono) + sum(pmono) <= 10:
+            cases.append((n, xmono, pmono))
+    assert any(min(a, b) == 3 for _, xm, pm in cases for a, b in zip(xm, pm))
+    for n, xmono, pmono in cases:
+        assert _sym_monomial(n, xmono, pmono) == sym_monomial_by_recursion(n, xmono, pmono), (xmono, pmono)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_symmetrize_matches_the_recursion_on_central_force_functions(n):
+    alpha = Fraction(3, 2)
+    functions = [
+        kepler_hamiltonian(n, alpha),
+        oscillator_hamiltonian(n),
+        kinetic(n),
+        r_squared(n),
+        inverse_radius(n),
+        x_dot_p(n),
+        *runge_lenz_vector(n, alpha),
+    ]
+    for family in ("generic_f", "kepler", "oscillator", "f_of_P2"):
+        functions += catalog(n, family, alpha=alpha).functions
+    for tree in all_split_trees(range(1, n + 1), 2):
+        functions += recursive_set_spec(n, tree).functions
+    for f in functions:
+        assert symmetrize(f) == symmetrize_by_recursion(f)
 
 
 def test_symmetrize_examples():
