@@ -15,19 +15,22 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .radical import RadicalElement, check_axis
-from .ratfunc import MultiPoly, RationalFunction, RingElement, TermMap, add_terms, integer_scaled
+from .ratfunc import MultiPoly, TermMap, add_terms, integer_scaled, lowered_terms, product_terms
 from .son import SkewMatrix, pair_list, signed_pair, structure_rows
 
 
-class PhasePoly(TermMap):
-    """Polynomial on T*R^n: sum of coefficient(x, r) * p-monomial terms.
-
-    Coefficients are elements of the radical extension ((a + b*r)/q^e with
-    a, b polynomials in x, r = sqrt(q) and q = x^2); the exponent tuples
-    index powers of p_1..p_n.
+class PhaseTerms(TermMap):
+    """Sum of coefficient(x, r) times a monomial in the momenta p_1..p_n,
+    keyed by exponent tuples: the structure shared by phase polynomials
+    and normal-ordered operators (coefficients to the left of the
+    derivatives).  Coefficients are elements of the radical extension
+    ((a + b*r)/q^e with a, b polynomials in x, r = sqrt(q) and q = x^2);
+    ``letter`` names the momenta in print.
     """
 
     __slots__ = ()
+    _scalars = (int, Fraction, RadicalElement)
+    letter = "p"
 
     # -- constructors --------------------------------------------------
 
@@ -48,38 +51,44 @@ class PhasePoly(TermMap):
         mono[i - 1] = 1
         return cls(n, {tuple(mono): RadicalElement.const(n, 1)})
 
+    def _coerce(self, other):
+        if isinstance(other, MultiPoly):
+            other = RadicalElement(self.n, other)
+        return TermMap._coerce(self, other)
+
+    def p_degree(self):
+        return max((sum(m) for m in self.terms), default=-1)
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for m in sorted(self.terms, key=lambda t: (sum(t), t), reverse=True):
+            mono = "*".join(
+                f"{self.letter}{i+1}" if e == 1 else f"{self.letter}{i+1}^{e}" for i, e in enumerate(m) if e
+            )
+            c = str(self.terms[m])
+            parts.append(f"({c})*{mono}" if mono else f"({c})")
+        return " + ".join(parts)
+
+    __repr__ = __str__
+
+
+class PhasePoly(PhaseTerms):
+    """Polynomial on T*R^n: the commutative product of phase terms."""
+
+    __slots__ = ()
+
     @classmethod
     def radius(cls, n):
         return cls.const(n, RadicalElement.radius(n))
 
-    # -- arithmetic -----------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, PhasePoly):
-            if other.n != self.n:
-                raise ValueError("mixed dimensions")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return PhasePoly.const(self.n, RadicalElement.const(self.n, other))
-        if isinstance(other, MultiPoly):
-            other = RadicalElement(self.n, other)
-        if isinstance(other, RadicalElement):
-            return PhasePoly.const(self.n, other)
-        return None
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = {}
-        for m1, c1 in self.terms.items():
-            products = ((tuple(a + b for a, b in zip(m1, m2)), c1 * c2) for m2, c2 in other.terms.items())
-            add_terms(terms, products)
-        return self._new(terms)
-
-    __rmul__ = __mul__
+    def _product(self, other):
+        return self._new(product_terms(self.terms, other.terms))
 
     def __pow__(self, k):
+        if k < 0:
+            raise ValueError("negative power of a phase polynomial")
         result = PhasePoly.const(self.n, 1)
         for _ in range(k):
             result = result * self
@@ -89,22 +98,11 @@ class PhasePoly(TermMap):
 
     def dp(self, i):
         """d/dp_i (1-based)."""
-        terms = {}
-        for m, c in self.terms.items():
-            e = m[i - 1]
-            if e == 0:
-                continue
-            mm = list(m)
-            mm[i - 1] = e - 1
-            terms[tuple(mm)] = c * e
-        return self._new(terms)
+        return self._new(lowered_terms(self.terms, i - 1))
 
     def dx(self, i):
         """d/dx_i (1-based), acting on the radical coefficients."""
         return self._new({m: d for m, c in self.terms.items() if (d := c.diff(i))})
-
-    def p_degree(self):
-        return max((sum(m) for m in self.terms), default=-1)
 
     def eval(self, x_values, r_value, p_values):
         total = Fraction(0)
@@ -115,20 +113,6 @@ class PhasePoly(TermMap):
                     v = v * pv**e
             total += v
         return total
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, key=lambda t: (sum(t), t), reverse=True):
-            mono = "*".join(
-                f"p{i+1}" if e == 1 else f"p{i+1}^{e}" for i, e in enumerate(m) if e
-            )
-            c = str(self.terms[m])
-            parts.append(f"({c})*{mono}" if mono else f"({c})")
-        return " + ".join(parts)
-
-    __repr__ = __str__
 
 
 def canonical_bracket(f: PhasePoly, g: PhasePoly) -> PhasePoly:
@@ -154,24 +138,30 @@ def momentum_vars(n):
     return tuple(f"P{i}_{j}" for (i, j) in pair_list(n))
 
 
-class LiePoissonPoly(RingElement):
+class LiePoissonPoly(MultiPoly):
     """Polynomial in the N = n(n-1)/2 invariant momentum components.
 
     ``side`` records whether the variables are the left- or right-invariant
     momenta ("L"/"R"); the two families mutually Poisson-commute and the
-    right family carries opposite-sign structure constants.
+    right family carries opposite-sign structure constants.  Arithmetic is
+    ``MultiPoly``'s and keeps the side; mixing the sides raises ValueError,
+    and polynomials of different sides are unequal.
     """
 
-    __slots__ = ("n", "side", "poly")
+    __slots__ = ("n", "side")
 
     def __init__(self, n, poly: MultiPoly, side="L"):
         if poly.vars != momentum_vars(n):
             raise ValueError("polynomial over the wrong variable set")
         if side not in ("L", "R"):
             raise ValueError("side must be 'L' or 'R'")
-        self.n = n
-        self.side = side
-        self.poly = poly
+        self.n, self.side = n, side
+        self.vars, self.terms = poly.vars, poly.terms
+
+    def _new(self, terms):
+        out = MultiPoly._new(self, terms)
+        out.n, out.side = self.n, self.side
+        return out
 
     @classmethod
     def zero(cls, n, side="L"):
@@ -189,68 +179,28 @@ class LiePoissonPoly(RingElement):
         k, sign = sp
         return cls(n, MultiPoly.gen(momentum_vars(n), k) * sign, side)
 
-    def _coerce(self, other):
-        if isinstance(other, LiePoissonPoly):
-            if other.n != self.n:
-                raise ValueError("mixed dimensions")
-            if other.side != self.side:
-                raise ValueError("mixed momentum sides in polynomial arithmetic")
-            return other
-        if isinstance(other, (int, Fraction, RationalFunction)):
-            return LiePoissonPoly.const(self.n, other, self.side)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return LiePoissonPoly(self.n, self.poly + other.poly, self.side)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LiePoissonPoly(self.n, -self.poly, self.side)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, RationalFunction)):
-            return LiePoissonPoly(self.n, self.poly * other, self.side)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return LiePoissonPoly(self.n, self.poly * other.poly, self.side)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        return LiePoissonPoly(self.n, self.poly**k, self.side)
+    def _check(self, other):
+        MultiPoly._check(self, other)
+        if isinstance(other, LiePoissonPoly) and other.side != self.side:
+            raise ValueError("mixed momentum sides in polynomial arithmetic")
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.poly == other.poly
+        # the two sides are different functions, never equal
+        if isinstance(other, LiePoissonPoly) and other.side != self.side:
+            return False
+        return MultiPoly.__eq__(self, other)
 
-    def __hash__(self):
-        return hash((self.n, self.side, self.poly))
-
-    def __bool__(self):
-        return bool(self.poly)
-
-    def total_degree(self):
-        return self.poly.total_degree()
+    __hash__ = MultiPoly.__hash__
 
     def eval(self, values):
         """Evaluate at a SkewMatrix or at a sequence ordered like pair_list."""
         if isinstance(values, SkewMatrix):
             values = values.coords()
-        return self.poly.eval(list(values))
-
-    def map_coeffs(self, fn):
-        return LiePoissonPoly(self.n, self.poly.map_coeffs(fn), self.side)
+        return MultiPoly.eval(self, list(values))
 
     def __str__(self):
         tag = "" if self.side == "L" else " [right]"
-        return f"{self.poly}{tag}"
+        return f"{MultiPoly.__str__(self)}{tag}"
 
     __repr__ = __str__
 
@@ -276,10 +226,10 @@ def lie_poisson_bracket(f: LiePoissonPoly, g: LiePoissonPoly) -> LiePoissonPoly:
     n = f.n
     deg_f, deg_g = f.total_degree(), g.total_degree()
     if f.side != g.side or deg_f < 1 or deg_g < 1:
-        return LiePoissonPoly.zero(n, f.side)
+        return f._new({})
     width = (deg_f + deg_g).bit_length()
-    f_poly, f_scale = integer_scaled(f.poly)
-    g_poly, g_scale = integer_scaled(g.poly)
+    f_poly, f_scale = integer_scaled(f)
+    g_poly, g_scale = integer_scaled(g)
     df = _packed_partials(f_poly, width)
     dg = _packed_partials(g_poly, width)
     acc = {}
@@ -297,11 +247,11 @@ def lie_poisson_bracket(f: LiePoissonPoly, g: LiePoissonPoly) -> LiePoissonPoly:
             add_terms(acc, ((m1 + m2, c1 * c2) for m2, c2 in xu.items()))
     scale = Fraction(1 if f.side == "L" else -1, f_scale * g_scale)
     mask = (1 << width) - 1
-    shifts = range(0, width * len(f.poly.vars), width)
+    shifts = range(0, width * len(f.vars), width)
     terms = {}
     for m, c in acc.items():
         terms[tuple((m >> k) & mask for k in shifts)] = c * scale
-    return LiePoissonPoly(n, MultiPoly(f.poly.vars, terms), f.side)
+    return f._new(terms)
 
 
 def _packed_partials(poly: MultiPoly, width):

@@ -158,10 +158,10 @@ class GroupChart:
         if f.side == "L":
             vals = self.pl.coords()
             row = [Fraction(0)] * len(pairs)
-            row += [f.poly.diff(k).eval(vals) for k in range(len(pairs))]
+            row += [f.diff(k).eval(vals) for k in range(len(pairs))]
             return row
         vals = self.pr.coords()
-        g = [f.poly.diff(k).eval(vals) for k in range(len(pairs))]
+        g = [f.diff(k).eval(vals) for k in range(len(pairs))]
         dpr_s, dpr_pl = self._momentum_derivatives()
         row = []
         for a in range(len(pairs)):

@@ -90,7 +90,7 @@ def integrate(state: FlowState, dt, steps, stride=1):
 def _float_terms(poly):
     """The terms of a momentum polynomial as (binary64 coefficient, [(variable,
     exponent)] over its nonzero exponents), converted once per polynomial."""
-    return [(float(coef), [(k, e) for k, e in enumerate(mono) if e]) for mono, coef in poly.poly.terms.items()]
+    return [(float(coef), [(k, e) for k, e in enumerate(mono) if e]) for mono, coef in poly.terms.items()]
 
 
 def _evaluate(terms, p: np.ndarray):

@@ -5,9 +5,9 @@ polynomials in x1..xn and q = x1^2 + ... + xn^2 = r^2: 1/r = r/q and
 dr/dx_i = x_i r/q, so a power of q is the only denominator that occurs and
 no rational function over x is needed.  The stored triple (a, b, e) takes
 the least e >= 0 that makes a and b polynomials, so it is unique and
-equality is structural.  It is the x-side twin of the (num, e) pairs of
-``ratfunc.RationalFunction`` and cancels q with the same
-``ratfunc.divide_out``.
+equality is structural.  Like the (c, p, e) triples of
+``ratfunc.RationalFunction``, it stores a denominator as the exponent of a
+known factor, and it cancels q with the same ``ratfunc.divide_out``.
 """
 
 from __future__ import annotations

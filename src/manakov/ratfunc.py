@@ -102,28 +102,34 @@ class RingElement:
         return (-self) + other
 
 
-class TermMap(RingElement):
-    """Sparse element ``{key: nonzero coefficient}`` of a free module over
-    the coefficients, in dimension ``n``; the linear structure shared by
-    phase polynomials, Weyl operators and PBW elements.  A subclass supplies
-    ``_coerce`` and its own products and printing.
-    """
+def lowered_terms(terms, i):
+    """d/dv_i of the term map ``terms`` over exponent tuples: each term with
+    a positive exponent e at position i (0-based), lowered to e - 1, times e."""
+    out = {}
+    for m, c in terms.items():
+        e = m[i]
+        if e:
+            out[m[:i] + (e - 1,) + m[i + 1 :]] = c if e == 1 else c * e
+    return out
 
-    __slots__ = ("n", "terms")
 
-    def __init__(self, n, terms=None):
-        self.n = n
-        self.terms = {m: c for m, c in terms.items() if c} if terms else {}
+def product_terms(a, b):
+    """The product of the term maps ``a`` and ``b`` over exponent tuples:
+    exponents add, and the products are summed with cancellation."""
+    terms = {}
+    for m1, c1 in a.items():
+        add_terms(terms, ((tuple(map(add, m1, m2)), c1 * c2) for m2, c2 in b.items()))
+    return terms
 
-    @classmethod
-    def zero(cls, n):
-        return cls(n)
 
-    def _new(self, terms):
-        """An element of the same class holding ``terms`` (not re-filtered)."""
-        out = type(self)(self.n)
-        out.terms = terms
-        return out
+class SparseElement(RingElement):
+    """Sparse element ``terms = {key: nonzero coefficient}``: the sum and
+    the coefficient-wise operations shared by polynomials, phase
+    polynomials, Weyl operators and PBW elements, from a subclass's
+    ``_new(terms)`` (an element of the same class and kind holding
+    ``terms``) and ``_coerce``."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return bool(self.terms)
@@ -139,6 +145,61 @@ class TermMap(RingElement):
     def __neg__(self):
         return self._new({m: -c for m, c in self.terms.items()})
 
+    def scale(self, c):
+        return self._new({m: d for m, v in self.terms.items() if (d := v * c)})
+
+    def map_coeffs(self, fn):
+        return self._new({m: d for m, c in self.terms.items() if (d := fn(c))})
+
+
+class TermMap(SparseElement):
+    """Sparse element of a free module over the coefficients, in dimension
+    ``n``; the linear structure shared by phase polynomials, Weyl operators
+    and PBW elements.  A subclass supplies ``const(n, c)``, its product
+    ``_product`` with an element of its own class, and its printing;
+    ``_scalars`` are the types that act on the coefficients, from either
+    side, and coerce to constants.
+    """
+
+    __slots__ = ("n", "terms")
+    _scalars = (int, Fraction)
+
+    def __init__(self, n, terms=None):
+        self.n = n
+        self.terms = {m: c for m, c in terms.items() if c} if terms else {}
+
+    @classmethod
+    def zero(cls, n):
+        return cls(n)
+
+    def _new(self, terms):
+        """An element of the same class holding ``terms`` (not re-filtered)."""
+        out = type(self)(self.n)
+        out.terms = terms
+        return out
+
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            if other.n != self.n:
+                raise ValueError("mixed dimensions")
+            return other
+        if isinstance(other, self._scalars):
+            return self.const(self.n, other)
+        return None
+
+    def __mul__(self, other):
+        if isinstance(other, self._scalars):
+            return self.scale(other)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._product(other)
+
+    def __rmul__(self, other):
+        if isinstance(other, self._scalars):
+            return self.scale(other)
+        return NotImplemented
+
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
@@ -153,7 +214,7 @@ def grlex_key(mono):
     return (sum(mono), mono)
 
 
-class MultiPoly(RingElement):
+class MultiPoly(SparseElement):
     """Polynomial in a fixed ordered tuple of variables.
 
     ``vars`` is a tuple of variable names; ``terms`` maps exponent tuples of
@@ -168,9 +229,10 @@ class MultiPoly(RingElement):
         self.terms = {m: c for m, c in terms.items() if c}
 
     def _new(self, terms):
-        """A polynomial over the same variables holding ``terms``, already
-        free of zeros (not re-filtered)."""
-        out = MultiPoly.__new__(MultiPoly)
+        """A polynomial of the same class over the same variables holding
+        ``terms``, already free of zeros (not re-filtered)."""
+        cls = type(self)
+        out = cls.__new__(cls)
         out.vars, out.terms = self.vars, terms
         return out
 
@@ -202,9 +264,6 @@ class MultiPoly(RingElement):
         """Coefficient of the constant monomial (the whole value if constant)."""
         return self.terms.get((0,) * len(self.vars), Fraction(0))
 
-    def __bool__(self):
-        return bool(self.terms)
-
     # -- ring operations ------------------------------------------------
 
     def _check(self, other):
@@ -212,33 +271,17 @@ class MultiPoly(RingElement):
             raise ValueError(f"mixed variable sets {self.vars} vs {other.vars}")
 
     def _coerce(self, other):
-        return other if isinstance(other, MultiPoly) else MultiPoly.const(self.vars, other)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        self._check(other)
-        return self._new(add_terms(dict(self.terms), other.terms.items()))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._new({m: -c for m, c in self.terms.items()})
+        if isinstance(other, MultiPoly):
+            self._check(other)
+            return other
+        return MultiPoly.const(self.vars, other)
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            if not other:
-                return MultiPoly.zero(self.vars)
-            return self._new({m: c * other for m, c in self.terms.items()})
+            return self.scale(other)
         self._check(other)
-        terms = {}
-        if len(self.terms) > len(other.terms):
-            a, b = other, self
-        else:
-            a, b = self, other
-        for m1, c1 in a.terms.items():
-            products = ((tuple(map(add, m1, m2)), c1 * c2) for m2, c2 in b.terms.items())
-            add_terms(terms, products)
-        return self._new(terms)
+        a, b = self.terms, other.terms
+        return self._new(product_terms(b, a) if len(a) > len(b) else product_terms(a, b))
 
     __rmul__ = __mul__
 
@@ -246,7 +289,7 @@ class MultiPoly(RingElement):
         if k < 0:
             raise ValueError("negative power of a polynomial")
         if k == 0:
-            return MultiPoly.const(self.vars, 1)
+            return self._new({(0,) * len(self.vars): Fraction(1)})
         # from ``self``, so that int coefficients stay int
         result = self
         for _ in range(k - 1):
@@ -276,15 +319,7 @@ class MultiPoly(RingElement):
         return m, self.terms[m]
 
     def diff(self, i):
-        terms = {}
-        for m, c in self.terms.items():
-            if m[i] == 0:
-                continue
-            dm = list(m)
-            e = dm[i]
-            dm[i] = e - 1
-            terms[tuple(dm)] = c * e
-        return self._new(terms)
+        return self._new(lowered_terms(self.terms, i))
 
     def eval(self, values):
         """Evaluate at a full assignment (sequence parallel to ``vars``)."""
@@ -298,9 +333,6 @@ class MultiPoly(RingElement):
                     v = v * val**e
             total = total + v
         return total
-
-    def map_coeffs(self, fn):
-        return MultiPoly(self.vars, {m: fn(c) for m, c in self.terms.items()})
 
     # -- division ----------------------------------------------------------
 
@@ -558,7 +590,9 @@ class RationalFunction(RingElement):
                 return self._zero()
             zeros = (0,) * len(self.e)
             return RationalFunction._of(Fraction(other), _power_product(self.vars, zeros), zeros)
-        return RationalFunction(other) if isinstance(other, MultiPoly) else None
+        # an exact MultiPoly is an element of this ring; a subclass (a
+        # momentum polynomial) takes a rational function as a scalar
+        return RationalFunction(other) if type(other) is MultiPoly else None
 
     def __add__(self, other):
         other = self._coerce(other)

@@ -45,7 +45,7 @@ from math import factorial
 
 from .brackets import LiePoissonPoly, momentum_vars
 from .charts import GroupChart, generic_full_rank
-from .ratfunc import MultiPoly, TermMap, add_terms, integer_scaled
+from .ratfunc import MultiPoly, RationalFunction, TermMap, add_terms, integer_scaled
 from .report import VerificationReport
 from .rigid_body import (
     ManakovIndex,
@@ -155,6 +155,7 @@ class PBWElement(TermMap):
     """Canonical-form element: {sorted generator word: nonzero coefficient}."""
 
     __slots__ = ()
+    _scalars = (int, Fraction, RationalFunction)
 
     @classmethod
     def const(cls, n, c):
@@ -163,32 +164,8 @@ class PBWElement(TermMap):
     def degree(self):
         return max((len(w) for w in self.terms), default=-1)
 
-    def _coerce(self, other):
-        if isinstance(other, PBWElement):
-            if other.n != self.n:
-                raise ValueError("mixed dimensions")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return PBWElement.const(self.n, Fraction(other))
-        return None
-
-    def scale(self, c):
-        if not c:
-            return PBWElement.zero(self.n)
-        return self._new({w: v * c for w, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+    def _product(self, other):
         return pbw_mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
     def principal_symbol(self) -> LiePoissonPoly:
         """Top-degree part read as a commutative momentum polynomial."""
@@ -203,9 +180,6 @@ class PBWElement(TermMap):
                 mono[g] += 1
             terms[tuple(mono)] = terms.get(tuple(mono), 0) + c
         return LiePoissonPoly(self.n, MultiPoly(vars, terms))
-
-    def map_coeffs(self, fn):
-        return self._new({w: v for w, c in self.terms.items() if (v := fn(c))})
 
     def __str__(self):
         if not self.terms:
@@ -311,7 +285,7 @@ def symmetrize_momentum_poly(f: LiePoissonPoly) -> PBWElement:
     sum divided once by k! and the scale."""
     n = f.n
     _check_degree(f.total_degree())
-    poly, d = integer_scaled(f.poly)
+    poly, d = integer_scaled(f)
     by_degree = {}
     for mono, coef in poly.terms.items():
         # the bytes of an exponent vector are its packed letter multiset

@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import product
 from math import comb, factorial, prod
 
-from .brackets import PhasePoly
+from .brackets import PhasePoly, PhaseTerms
 from .central_force import (
     item_function,
     kepler_hamiltonian,
@@ -35,79 +35,25 @@ from .central_force import (
 )
 from .charts import CotangentChart, Differentiated, generic_full_rank
 from .radical import RadicalElement, x_vars
-from .ratfunc import MultiPoly, TermMap, add_terms
+from .ratfunc import MultiPoly, add_terms
 from .report import VerificationReport
 
 
-class WeylOperator(TermMap):
+class WeylOperator(PhaseTerms):
     """Normal-ordered operator: map from phat-exponent tuples to radical
-    coefficients; no stored zero coefficients, equality is structural."""
+    coefficients; no stored zero coefficients, equality is structural.
+    The product is composition; scalars act as multiplication operators."""
 
     __slots__ = ()
+    letter = "D"
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def const(cls, n, c):
-        if isinstance(c, (int, Fraction)):
-            c = RadicalElement.const(n, c)
-        return cls(n, {(0,) * n: c})
-
-    @classmethod
-    def position(cls, n, i):
-        return cls.const(n, RadicalElement.coordinate(n, i))
-
-    @classmethod
-    def momentum(cls, n, i):
-        return cls(n, PhasePoly.momentum(n, i).terms)
-
-    # -- linear structure ---------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, WeylOperator):
-            if other.n != self.n:
-                raise ValueError("mixed dimensions")
-            return other
-        if isinstance(other, (int, Fraction, RadicalElement)):
-            return WeylOperator.const(self.n, other)
-        return None
-
-    def scale(self, c):
-        if isinstance(c, (int, Fraction)):
-            c = RadicalElement.const(self.n, c)
-        return self._new({m: d for m, v in self.terms.items() if (d := v * c)})
-
-    def __mul__(self, other):
-        """Operator composition (scalars act as multiplication operators)."""
-        if isinstance(other, (int, Fraction, RadicalElement)):
-            return self.scale(other)
+    def _product(self, other):
         return compose(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, RadicalElement)):
-            return self.scale(other)
-        return NotImplemented
-
-    def p_degree(self):
-        return max((sum(m) for m in self.terms), default=-1)
 
     def principal_symbol(self) -> PhasePoly:
         """Top phat-degree part read as a classical phase polynomial."""
         d = self.p_degree()
         return PhasePoly(self.n, {m: c for m, c in self.terms.items() if sum(m) == d})
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, key=lambda t: (sum(t), t), reverse=True):
-            mono = "*".join(
-                f"D{i+1}" if e == 1 else f"D{i+1}^{e}" for i, e in enumerate(m) if e
-            )
-            parts.append(f"({self.terms[m]})*{mono}" if mono else f"({self.terms[m]})")
-        return " + ".join(parts)
-
-    __repr__ = __str__
 
 
 def _derivative_table(coef: RadicalElement, deltas):
@@ -221,7 +167,7 @@ def momentum_square_operator(n) -> WeylOperator:
 def x_dot_p_operator(n) -> WeylOperator:
     """Normal-ordered x.phat = sum_i x_i phat_i, in which the identities are stated."""
     return sum(
-        (compose(WeylOperator.position(n, i), WeylOperator.momentum(n, i)) for i in range(1, n + 1)),
+        (compose(WeylOperator.coordinate(n, i), WeylOperator.momentum(n, i)) for i in range(1, n + 1)),
         WeylOperator.zero(n),
     )
 

@@ -304,14 +304,22 @@ def _sorted_sym_word(n, letters):
 
 
 def manakov_operator_by_walks(idx, n, spec: MomentSpec) -> PBWElement:
-    """c-hat_{k,k-2l} with the symmetrized product of every closed walk's
-    momentum cycle added one walk at a time; each walk coefficient is
-    divided once by the (2l)! of its k!-scaled word."""
+    """c-hat_{k,k-2l} as the sum over closed walks of the walk coefficient
+    times the symmetrized product of the walk's momentum cycle.  The
+    symmetrized word depends only on the cycle's letter multiset and the
+    coefficient only on the walk's index multiset, so the walk signs are
+    summed per (letters, indices) first and each group is added once, its
+    coefficient divided once by the (2l)! of its k!-scaled word."""
     scale = Fraction(1, 4 * idx.l * factorial(2 * idx.l))
-    acc = {}
+    signs = {}
     for walk, sign, letters in closed_walks(n, 2 * idx.l):
-        coef = manakov_coefficient(idx, walk, spec) * (scale * sign)
-        add_terms(acc, ((w, coef * c) for w, c in sym_word(n, tuple(letters)).items()))
+        key = (tuple(sorted(letters)), tuple(sorted(walk)))
+        signs[key] = signs.get(key, 0) + sign
+    acc = {}
+    for (letters, indices), sign in signs.items():
+        if sign:
+            coef = manakov_coefficient(idx, indices, spec) * (scale * sign)
+            add_terms(acc, ((w, coef * c) for w, c in sym_word(n, letters).items()))
     return PBWElement(n, acc)
 
 
@@ -512,7 +520,7 @@ def sym_monomial_by_recursion(n, xmono, pmono) -> WeylOperator:
         return WeylOperator.const(n, 1)
     acc = WeylOperator.zero(n)
     monos = (xmono, pmono)
-    for side, gen in enumerate((WeylOperator.position, WeylOperator.momentum)):
+    for side, gen in enumerate((WeylOperator.coordinate, WeylOperator.momentum)):
         for i, e in enumerate(monos[side]):
             if e:
                 rest = list(monos)
@@ -540,8 +548,8 @@ def symmetrize_by_recursion(f: PhasePoly) -> WeylOperator:
 
 def momentum_operator(n, i, j) -> WeylOperator:
     """P-hat_ij = x_i phat_j - x_j phat_i, composed."""
-    xi = WeylOperator.position(n, i)
-    xj = WeylOperator.position(n, j)
+    xi = WeylOperator.coordinate(n, i)
+    xj = WeylOperator.coordinate(n, j)
     return compose(xi, WeylOperator.momentum(n, j)) - compose(xj, WeylOperator.momentum(n, i))
 
 
@@ -587,8 +595,8 @@ def lie_poisson_bracket_by_table(f: LiePoissonPoly, g: LiePoissonPoly) -> LiePoi
     if f.side != g.side:
         return LiePoissonPoly.zero(f.n, f.side)
     vars = momentum_vars(f.n)
-    df = {u: f.poly.diff(u) for u in range(len(vars))}
-    dg = {u: g.poly.diff(u) for u in range(len(vars))}
+    df = {u: f.diff(u) for u in range(len(vars))}
+    dg = {u: g.diff(u) for u in range(len(vars))}
     acc = MultiPoly.zero(vars)
     for (u, v), (w, s) in structure_table(f.n).items():
         term = df[u] * dg[v] - df[v] * dg[u]

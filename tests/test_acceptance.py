@@ -353,7 +353,7 @@ def test_criterion_6_property_suites():
             t = WeylOperator.const(2, Fraction(rng.randint(1, 3)))
             for _ in range(rng.randint(1, 2)):
                 if rng.random() < 0.5:
-                    t = compose(t, WeylOperator.position(2, rng.randint(1, 2)))
+                    t = compose(t, WeylOperator.coordinate(2, rng.randint(1, 2)))
                 else:
                     t = compose(t, WeylOperator.momentum(2, rng.randint(1, 2)))
             ops.append(t)

@@ -556,8 +556,8 @@ def test_symbolic_results_keep_int_primitive_numerators():
     h, c = hamiltonian(spec), manakov_integral(ManakovIndex(4, 1), 4, spec)
     g = LiePoissonPoly.gen(4, (1, 2))
     coeffs = [
-        *lie_poisson_bracket(h, g).poly.terms.values(),
-        *lie_poisson_bracket(c, g * h).poly.terms.values(),
+        *lie_poisson_bracket(h, g).terms.values(),
+        *lie_poisson_bracket(c, g * h).terms.values(),
         *manakov_operator(ManakovIndex(4, 1), 4, spec).terms.values(),
         *manakov_operator(ManakovIndex(4, 2), 4, spec).terms.values(),
     ]

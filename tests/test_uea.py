@@ -327,9 +327,9 @@ def test_symmetrize_momentum_poly_matches_averaged_words(n):
     for symbolic in (False, True):
         f = _random_momentum_poly(rng, n)
         if symbolic:
-            f = LiePoissonPoly(n, f.poly.map_coeffs(lambda c: c * (lam[0] + lam[1]) / lam[2]))
+            f = f.map_coeffs(lambda c: c * (lam[0] + lam[1]) / lam[2])
         want = {}
-        for mono, coef in f.poly.terms.items():
+        for mono, coef in f.terms.items():
             letters = tuple(g for g, e in enumerate(mono) for _ in range(e))
             scale = Fraction(1, factorial(len(letters)))
             add_terms(want, ((w, coef * c * scale) for w, c in scaled_sym_word_by_products(n, letters).items()))

@@ -55,8 +55,8 @@ def pij_op(n, i, j):
 def test_canonical_commutation():
     n = 3
     p1 = WeylOperator.momentum(n, 1)
-    x1 = WeylOperator.position(n, 1)
-    x2 = WeylOperator.position(n, 2)
+    x1 = WeylOperator.coordinate(n, 1)
+    x2 = WeylOperator.coordinate(n, 2)
     assert commutator(p1, x1) == WeylOperator.const(n, 1)
     assert commutator(p1, x2).is_zero()
     assert compose(p1, x1) == compose(x1, p1) + WeylOperator.const(n, 1)
@@ -72,15 +72,15 @@ def test_compose_examples():
     assert got == expected
     # (x1 p2) o (x2 p1) = x1 x2 p1 p2 + x1 p1
     lhs = compose(
-        compose(WeylOperator.position(n, 1), WeylOperator.momentum(n, 2)),
-        compose(WeylOperator.position(n, 2), WeylOperator.momentum(n, 1)),
+        compose(WeylOperator.coordinate(n, 1), WeylOperator.momentum(n, 2)),
+        compose(WeylOperator.coordinate(n, 2), WeylOperator.momentum(n, 1)),
     )
     rhs = (
         compose(
-            compose(WeylOperator.position(n, 1), WeylOperator.position(n, 2)),
+            compose(WeylOperator.coordinate(n, 1), WeylOperator.coordinate(n, 2)),
             compose(WeylOperator.momentum(n, 1), WeylOperator.momentum(n, 2)),
         )
-        + compose(WeylOperator.position(n, 1), WeylOperator.momentum(n, 1))
+        + compose(WeylOperator.coordinate(n, 1), WeylOperator.momentum(n, 1))
     )
     assert lhs == rhs
 
@@ -95,7 +95,7 @@ def test_compose_associative_randomized():
             t = WeylOperator.const(n, Fraction(rng.randint(-3, 3)))
             for _ in range(rng.randint(0, 2)):
                 if rng.random() < 0.5:
-                    t = compose(t, WeylOperator.position(n, rng.randint(1, n)))
+                    t = compose(t, WeylOperator.coordinate(n, rng.randint(1, n)))
                 else:
                     t = compose(t, WeylOperator.momentum(n, rng.randint(1, n)))
             acc = acc + t
@@ -174,7 +174,7 @@ def test_symmetrize_examples():
     n = 3
     f = PhasePoly.coordinate(n, 1) * PhasePoly.momentum(n, 1)
     assert symmetrize(f) == compose(
-        WeylOperator.position(n, 1), WeylOperator.momentum(n, 1)
+        WeylOperator.coordinate(n, 1), WeylOperator.momentum(n, 1)
     ) + WeylOperator.const(n, Fraction(1, 2))
     # linear-in-p functions are fixed by symmetrization
     pij = momentum(n, 1, 2)
@@ -230,7 +230,7 @@ def test_one_based_indices_are_range_checked():
         RadicalElement.coordinate,
         PhasePoly.coordinate,
         PhasePoly.momentum,
-        WeylOperator.position,
+        WeylOperator.coordinate,
         WeylOperator.momentum,
     )
     for make in makers:
