@@ -53,7 +53,7 @@ class PhaseTerms(TermMap):
 
     def _coerce(self, other):
         if isinstance(other, MultiPoly):
-            other = RadicalElement(self.n, other)
+            other = RadicalElement.polynomial(self.n, other)
         return TermMap._coerce(self, other)
 
     def p_degree(self):
@@ -144,8 +144,9 @@ class LiePoissonPoly(MultiPoly):
     ``side`` records whether the variables are the left- or right-invariant
     momenta ("L"/"R"); the two families mutually Poisson-commute and the
     right family carries opposite-sign structure constants.  Arithmetic is
-    ``MultiPoly``'s and keeps the side; mixing the sides raises ValueError,
-    and polynomials of different sides are unequal.
+    ``MultiPoly``'s and keeps the side, with a plain ``MultiPoly`` operand
+    on either side; mixing the sides raises ValueError, and polynomials of
+    different sides are unequal.
     """
 
     __slots__ = ("n", "side")
@@ -191,6 +192,18 @@ class LiePoissonPoly(MultiPoly):
         return MultiPoly.__eq__(self, other)
 
     __hash__ = MultiPoly.__hash__
+
+    # Python tries a subclass's reflected method before the base's own
+    # method only when the subclass overrides it: with these, a plain
+    # MultiPoly on the left keeps the side too
+    def __radd__(self, other):
+        return MultiPoly.__add__(self, other)
+
+    def __rsub__(self, other):
+        return MultiPoly.__rsub__(self, other)
+
+    def __rmul__(self, other):
+        return MultiPoly.__mul__(self, other)
 
     def eval(self, values):
         """Evaluate at a SkewMatrix or at a sequence ordered like pair_list."""

@@ -3,7 +3,9 @@ measure drift of the conserved quantities along trajectories.
 
 This is a sanity layer, not a dynamics product: classical RK4 over binary64
 with re-skew-symmetrization each step, checked against the exact engines
-elsewhere in the package.
+elsewhere in the package.  numpy is imported by the functions that build or
+step arrays, so importing the package (and every exact command) never loads
+it.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-
-import numpy as np
 
 from .son import MomentSpec, pair_list
 
@@ -26,6 +26,8 @@ class FlowState:
 
     @classmethod
     def from_spec(cls, spec: MomentSpec, p0, t=0.0):
+        import numpy as np
+
         lam = np.array([float(v) for v in spec.lambdas])
         p = np.asarray(p0, dtype=float)
         return cls(n=spec.n, p=_skew_part(p), t=t, lambdas=lam)
@@ -37,6 +39,8 @@ def _skew_part(m):
 
 def _rhs_tables(lambdas: np.ndarray):
     """The moment tables of the right-hand side: 1/(l_i+l_j) and -(l_i-l_j)."""
+    import numpy as np
+
     return 1.0 / np.add.outer(lambdas, lambdas), -np.subtract.outer(lambdas, lambdas)
 
 
@@ -69,6 +73,8 @@ def rk4_step(p, tables, dt):
 def integrate(state: FlowState, dt, steps, stride=1):
     """Deterministic RK4 trajectory; samples every ``stride`` steps
     (the initial state is always included)."""
+    import numpy as np
+
     if dt <= 0:
         raise ValueError("need dt > 0")
     p = state.p.copy()
@@ -154,6 +160,8 @@ def default_initial_momentum(n, rng, scale=1.0):
     ``scale`` sets the momentum magnitude; convergence studies use large
     values so RK4 truncation error dominates binary64 roundoff.
     """
+    import numpy as np
+
     m = np.array([[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)])
     return _skew_part(m) * scale
 

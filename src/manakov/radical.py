@@ -56,6 +56,14 @@ class RadicalElement(RingElement):
         return cls(n, MultiPoly.const(x_vars(n), c))
 
     @classmethod
+    def polynomial(cls, n, a: MultiPoly):
+        """The polynomial ``a`` in x1..xn; a polynomial in other variables
+        raises ValueError."""
+        if a.vars != x_vars(n):
+            raise ValueError(f"mixed variable sets {a.vars} vs {x_vars(n)}")
+        return cls(n, a)
+
+    @classmethod
     def coordinate(cls, n, i):
         """The coordinate function x_i (1-based)."""
         check_axis(n, i)
@@ -76,7 +84,7 @@ class RadicalElement(RingElement):
                 raise ValueError("mixed dimensions in radical arithmetic")
             return other
         if isinstance(other, MultiPoly):
-            return RadicalElement(self.n, other)
+            return RadicalElement.polynomial(self.n, other)
         if isinstance(other, (int, Fraction)):
             return RadicalElement.const(self.n, other)
         return None

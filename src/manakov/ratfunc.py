@@ -198,7 +198,12 @@ class TermMap(SparseElement):
     def __rmul__(self, other):
         if isinstance(other, self._scalars):
             return self.scale(other)
-        return NotImplemented
+        # an operand this class coerces (a polynomial in x for phase terms)
+        # multiplies from the left
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other._product(self)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -274,11 +279,14 @@ class MultiPoly(SparseElement):
         if isinstance(other, MultiPoly):
             self._check(other)
             return other
+        # another sparse type decides (or refuses) the mixed operation
+        if isinstance(other, SparseElement):
+            return None
         return MultiPoly.const(self.vars, other)
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            return self.scale(other)
+            return NotImplemented if isinstance(other, SparseElement) else self.scale(other)
         self._check(other)
         a, b = self.terms, other.terms
         return self._new(product_terms(b, a) if len(a) > len(b) else product_terms(a, b))
@@ -590,9 +598,10 @@ class RationalFunction(RingElement):
                 return self._zero()
             zeros = (0,) * len(self.e)
             return RationalFunction._of(Fraction(other), _power_product(self.vars, zeros), zeros)
-        # an exact MultiPoly is an element of this ring; a subclass (a
-        # momentum polynomial) takes a rational function as a scalar
-        return RationalFunction(other) if type(other) is MultiPoly else None
+        # an exact MultiPoly in the same variables is an element of this
+        # ring; any other polynomial (over the momenta) takes a rational
+        # function as a scalar, from either side
+        return RationalFunction(other) if type(other) is MultiPoly and other.vars == self.p.vars else None
 
     def __add__(self, other):
         other = self._coerce(other)

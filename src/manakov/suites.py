@@ -82,8 +82,9 @@ def _moment_spec_from_args(n, lambdas=None, partition=None, rng=None):
     raise ValueError("need explicit moments or a multiplicity partition")
 
 
-def _check_rigid_args(n, samples):
-    """Reject arguments that would make a rigid-body report pass vacuously."""
+def check_rigid_args(n, samples):
+    """Reject arguments that would make a rigid-body report (or a drift
+    measurement) pass vacuously."""
     if n < 3:
         raise ValueError(f"rigid-body scopes need n >= 3 (the first counting-table row), got n = {n}")
     if samples < 1:
@@ -108,7 +109,7 @@ def suite_classical_rigid(
 
     ``mode`` defaults to symbolic moments for n <= 5 and sampled for n = 6.
     """
-    _check_rigid_args(n, samples)
+    check_rigid_args(n, samples)
     rng = random.Random(seed)
     report = VerificationReport()
     if mode is None:
@@ -133,13 +134,11 @@ def suite_classical_rigid(
         verify_involution_family(n, spec, report=report)
         specs_for_counts = [spec]
     else:
-        specs_for_counts = []
-        for _ in range(samples):
-            if lambdas is not None:
-                spec = _moment_spec_from_args(n, lambdas)
-            else:
-                spec = _moment_spec_from_args(n, None, partition, rng=rng)
-            specs_for_counts.append(spec)
+        # given moments are the first sample; the rest are drawn
+        specs_for_counts = [_moment_spec_from_args(n, lambdas)] if lambdas is not None else []
+        while len(specs_for_counts) < samples:
+            specs_for_counts.append(_moment_spec_from_args(n, None, partition or (1,) * n, rng=rng))
+        for spec in specs_for_counts:
             verify_involution_family(n, spec, report=report)
     # counting formulas: closed forms against exact kernel dimensions
     count_spec = specs_for_counts[0]
@@ -206,7 +205,7 @@ def suite_quantum_rigid(
 ) -> VerificationReport:
     """Quantum rigid-body battery: commutator identities per moment sample,
     quantized central sets, and the zero-defect families."""
-    _check_rigid_args(n, samples)
+    check_rigid_args(n, samples)
     rng = random.Random(seed)
     if mode is None:
         mode = "symbolic" if n <= 5 else "sampled"
@@ -258,7 +257,7 @@ def _tag_and_extend(report, sub, tag):
 
 
 def suite_all(n, alpha=1, seed=0) -> VerificationReport:
-    _check_rigid_args(n, 1)
+    check_rigid_args(n, 1)
     report = VerificationReport()
     report.config.update({"scope": "all", "n": n, "seed": seed})
     for sub in (

@@ -218,6 +218,40 @@ def test_rigid_scopes_reject_small_n():
             assert r.stdout == ""
 
 
+@pytest.mark.parametrize("n, lambdas", [("0", ""), ("1", "1"), ("2", "1,2")])
+def test_simulate_rejects_small_n(tmp_path, n, lambdas):
+    # H vanishes for n < 2 and the flow is constant at n = 2: the drift
+    # would read 0 whatever the integrator did
+    out = tmp_path / "run"
+    r = run_cli("simulate", "--n", n, "--lambda", lambdas, "--output-dir", str(out))
+    assert r.returncode == 2
+    assert "n >= 3" in r.stderr
+    assert r.stdout == ""
+    assert not out.exists()
+
+
+def test_sampled_classical_rigid_draws_the_samples_after_given_moments(monkeypatch, tmp_path):
+    # the given moments are the first sample and the others are drawn, as in
+    # quantum-rigid; the battery once ran on the given moments every time
+    from manakov import cli, suites
+
+    seen = []
+    real = suites.verify_involution_family
+
+    def record(n, spec, report=None):
+        seen.append(spec.lambdas)
+        return real(n, spec, report=report)
+
+    monkeypatch.setattr(suites, "verify_involution_family", record)
+    argv = ["verify", "classical-rigid", "--n", "4", "--mode", "sampled", "--lambda", "1,2,3,5"]
+    argv += ["--output", str(tmp_path / "report.json")]
+    assert cli.main(argv + ["--samples", "3"]) == 0
+    assert len(seen) == 3 and seen[0] == (1, 2, 3, 5) and len(set(seen)) == 3
+    seen.clear()
+    assert cli.main(argv + ["--samples", "1"]) == 0
+    assert seen == [(1, 2, 3, 5)]
+
+
 def test_zero_denominator_is_a_usage_error():
     r = run_cli("verify", "classical-rigid", "--n", "4", "--lambda", "1/0,2,3,4")
     assert r.returncode == 2

@@ -8,7 +8,7 @@ import pytest
 
 from manakov.brackets import LiePoissonPoly, PhasePoly, momentum_vars
 from manakov.central_force import runge_lenz_vector
-from manakov.radical import RadicalElement
+from manakov.radical import RadicalElement, x_vars
 from manakov.ratfunc import MultiPoly
 from manakov.rigid_body import ManakovIndex, hamiltonian, manakov_integral
 from manakov.son import MomentSpec, dim_so
@@ -46,11 +46,8 @@ def _elements(rng, moment):
     rational = [3, Fraction(-2, 7), moment]
     x_side = [3, Fraction(-2, 7), RadicalElement.radius(n)]
     words = {(): Fraction(1, 2), (0, 2): -3, (1, 1, 2): Fraction(5, 4)}
-    # a RationalFunction times an exact MultiPoly reads the MultiPoly as a
-    # polynomial of its own ring, so a moment scales a MultiPoly from the
-    # right only
     return [
-        (MultiPoly(momentum_vars(n), _momentum_terms(rng, n)), rational[:2]),
+        (MultiPoly(momentum_vars(n), _momentum_terms(rng, n)), rational),
         (LiePoissonPoly(n, MultiPoly(momentum_vars(n), _momentum_terms(rng, n)), "L"), rational),
         (LiePoissonPoly(n, MultiPoly(momentum_vars(n), _momentum_terms(rng, n)), "R"), rational),
         (PhasePoly(n, _phase_terms(rng, n)), x_side),
@@ -82,10 +79,54 @@ def test_sparse_types_keep_their_class_and_side():
             results += [x * y, x * 0]
         for r in results:
             _same_kind(x, r)
-    # a RationalFunction is a scalar of a momentum polynomial: the product
-    # keeps the side and matches the coefficient-wise product
+    # a RationalFunction is a scalar of a momentum polynomial, plain or not:
+    # the product keeps the side and matches the coefficient-wise product
     p12 = LiePoissonPoly.gen(3, (1, 2), side="R")
     assert moment * p12 == p12 * moment == p12.map_coeffs(lambda c: c * moment)
+    plain = MultiPoly.gen(momentum_vars(3), 0)
+    assert moment * plain == plain * moment == plain.map_coeffs(lambda c: c * moment)
+
+
+def _outcome(op, a, b):
+    try:
+        return op(a, b)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+def test_mixed_types_give_one_result_in_either_order():
+    # an element of one type with one of another: both orders give the same
+    # class and side (and, but for a Weyl product, the same value), or both
+    # raise; a plain polynomial in x joins the six sparse types
+    rng = random.Random(19)
+    lam = MomentSpec.symbolic(3).lambdas
+    elements = [x for x, _ in _elements(rng, (lam[0] + lam[1]) / lam[2])]
+    elements.append(MultiPoly(x_vars(3), {(1, 0, 2): _coeff(rng), (0, 1, 0): _coeff(rng)}))
+    ops = [
+        ("+", lambda a, b: a + b, lambda a, b: b + a),
+        ("-", lambda a, b: a - b, lambda a, b: -(b - a)),
+        ("*", lambda a, b: a * b, lambda a, b: b * a),
+    ]
+    mixed = []
+    for i, a in enumerate(elements):
+        for j, b in enumerate(elements):
+            if i == j:
+                continue
+            for name, forward, backward in ops:
+                one, other = _outcome(forward, a, b), _outcome(backward, a, b)
+                if isinstance(one, type):
+                    assert one is other, (name, a, b)
+                    continue
+                _same_kind(one, other)
+                if not (name == "*" and isinstance(one, WeylOperator)):
+                    assert one == other, (name, a, b)
+                mixed.append((i, j))
+    # momentum polynomials mix with either side, and x-polynomials with
+    # phase terms: 4 pairs, both orders, 3 operations
+    assert sorted(set(mixed)) == [(0, 1), (0, 2), (1, 0), (2, 0), (3, 6), (4, 6), (6, 3), (6, 4)]
+    assert len(mixed) == 24
+    x1, p1 = MultiPoly.gen(x_vars(2), 0), PhasePoly.momentum(2, 1)
+    assert x1 * p1 == p1 * x1 == PhasePoly.coordinate(2, 1) * p1
 
 
 def test_mixing_left_and_right_momenta_raises_and_they_are_unequal():
