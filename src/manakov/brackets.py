@@ -25,12 +25,20 @@ class PhaseTerms(TermMap):
     and normal-ordered operators (coefficients to the left of the
     derivatives).  Coefficients are elements of the radical extension
     ((a + b*r)/q^e with a, b polynomials in x, r = sqrt(q) and q = x^2);
-    ``letter`` names the momenta in print.
+    ``letter`` names the momenta in print.  The hash is taken once: the
+    terms of an element never change after it is built, and the bracket
+    memo hashes the same functions many times.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
     _scalars = (int, Fraction, RadicalElement)
     letter = "p"
+
+    def __hash__(self):
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = self._hash = TermMap.__hash__(self)
+        return h
 
     # -- constructors --------------------------------------------------
 
@@ -115,10 +123,25 @@ class PhasePoly(PhaseTerms):
         return total
 
 
+_BRACKET_CACHE = {}
+
+
 def canonical_bracket(f: PhasePoly, g: PhasePoly) -> PhasePoly:
-    """{f, g} = sum_i df/dp_i dg/dx_i - df/dx_i dg/dp_i."""
+    """{f, g} = sum_i df/dp_i dg/dx_i - df/dx_i dg/dp_i, formed once per
+    unordered pair: {g, f} is the negation of a memoized {f, g}.  The
+    result is shared with later calls; it must not be mutated."""
     if f.n != g.n:
         raise ValueError("mixed dimensions")
+    result = _BRACKET_CACHE.get((f, g))
+    if result is None:
+        swapped = _BRACKET_CACHE.get((g, f))
+        result = _bracket(f, g) if swapped is None else -swapped
+        _BRACKET_CACHE[f, g] = result
+    return result
+
+
+def _bracket(f: PhasePoly, g: PhasePoly) -> PhasePoly:
+    """The canonical bracket itself, unmemoized."""
     acc = {}
     for i in range(1, f.n + 1):
         fp = f.dp(i)

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
-from .brackets import PhasePoly, canonical_bracket
-from .charts import CotangentChart, Differentiated, generic_full_rank, involution_report
+from .brackets import LiePoissonPoly, PhasePoly, canonical_bracket
+from .charts import CotangentChart, Differentiated, MomentumPullback, generic_full_rank, involution_report
 from .radical import RadicalElement
 from .report import VerificationReport
 
@@ -79,8 +80,10 @@ def oscillator_hamiltonian(n) -> PhasePoly:
     return Fraction(1, 2) * (kinetic(n) + r_squared(n))
 
 
+@lru_cache(maxsize=None)
 def generic_hamiltonian(n) -> PhasePoly:
-    """A concrete f(p^2, r, P^2) instance with all three slots active."""
+    """A concrete f(p^2, r, P^2) instance with all three slots active,
+    built once per n and shared: callers must not mutate it."""
     return Fraction(1, 2) * kinetic(n) + r_squared(n) + p_squared(n)
 
 
@@ -88,9 +91,11 @@ def generic_hamiltonian(n) -> PhasePoly:
 class IntegrableSetSpec:
     """A candidate integrable set: the central elements first, then the rest.
 
-    ``labels`` name the functions in display order (central then noncentral);
-    verification status lives only in reports produced by
-    ``verify_integrable_set``.
+    ``labels`` name the functions in display order (central then noncentral),
+    and ``items`` give, in the same order, the item that each function is
+    (see ``item_function``), or None for a function that is not an item; a
+    function appended after construction is not an item.  Verification
+    status lives only in reports produced by ``verify_integrable_set``.
     """
 
     n: int
@@ -98,12 +103,15 @@ class IntegrableSetSpec:
     noncentral: list
     labels: list
     label: str
+    items: list = None
     k: int = field(init=False)
 
     def __post_init__(self):
         self.k = len(self.central)
         if len(self.labels) != len(self.central) + len(self.noncentral):
             raise ValueError("one label per function required")
+        if self.items is not None and len(self.items) != len(self.labels):
+            raise ValueError("one item (or None) per function required")
 
     @property
     def functions(self):
@@ -212,11 +220,35 @@ def item_label(n, item):
     return "P2" if len(data) == n else subset_label(data)
 
 
+@lru_cache(maxsize=None)
 def item_function(n, item) -> PhasePoly:
+    """P_ij for ("pair", (i, j)) and the sum of the P_ij^2 inside the subset
+    for ("square", subset), built once per (n, item) and shared: callers
+    must not mutate it."""
     kind, data = item
     if kind == "pair":
         return momentum(n, *data)
     return p_squared(n, data)
+
+
+@lru_cache(maxsize=None)
+def item_symbol(n, item) -> MomentumPullback:
+    """item_function(n, item) for the rank checks: the item's image on
+    so(n)* pulled back by the momentum map, whose gradient is taken by the
+    chain rule, shared by every set and tree the item is in."""
+    return MomentumPullback(item_image(n, item))
+
+
+@lru_cache(maxsize=None)
+def item_image(n, item) -> LiePoissonPoly:
+    """The item as a function on so(n)*: item_function(n, item) is this
+    polynomial composed with the momentum map P: T*R^n -> so(n)*."""
+    kind, data = item
+    if kind == "pair":
+        return LiePoissonPoly.gen(n, data)
+    s = sorted(data)
+    squares = (LiePoissonPoly.gen(n, (a, b)) ** 2 for k, a in enumerate(s) for b in s[k + 1 :])
+    return sum(squares, LiePoissonPoly.zero(n))
 
 
 def item_set_spec(n, central_items, noncentral_items, label) -> IntegrableSetSpec:
@@ -228,6 +260,7 @@ def item_set_spec(n, central_items, noncentral_items, label) -> IntegrableSetSpe
         noncentral=[item_function(n, it) for it in noncentral_items],
         labels=["H"] + [item_label(n, it) for it in central_items + noncentral_items],
         label=label,
+        items=[None] + list(central_items) + list(noncentral_items),
     )
 
 
@@ -265,11 +298,11 @@ def catalog(n, family, alpha=None) -> IntegrableSetSpec:
     oscillator, and f(P^2)."""
     if n < 2:
         raise ValueError("need n >= 2")
+    whole = ("square", tuple(range(1, n + 1)))
     l_items = [("pair", p) for p in default_momentum_choice(range(1, n + 1))]
     l_funcs = [item_function(n, it) for it in l_items]
     l_labels = [item_label(n, it) for it in l_items]
     if family == "generic_f":
-        whole = ("square", tuple(range(1, n + 1)))
         return item_set_spec(n, [whole], l_items, f"n={n} generic rotation-invariant family")
     if family == "kepler":
         if alpha is None:
@@ -303,10 +336,11 @@ def catalog(n, family, alpha=None) -> IntegrableSetSpec:
     if family == "f_of_P2":
         return IntegrableSetSpec(
             n=n,
-            central=[p_squared(n)],
+            central=[item_function(n, whole)],
             noncentral=[kinetic(n), PhasePoly.radius(n)] + l_funcs,
             labels=["P2", "p2", "r"] + l_labels,
             label=f"n={n} f(P^2) family",
+            items=[whole, None, None] + l_items,
         )
     raise ValueError(f"unknown family {family!r}")
 
@@ -317,6 +351,10 @@ def catalog(n, family, alpha=None) -> IntegrableSetSpec:
 def verify_integrable_set(spec: IntegrableSetSpec, rng, points=3) -> VerificationReport:
     """Exact involution of the central subset against the whole set, plus
     Jacobian rank = set size at randomly sampled chart points."""
+    items = (spec.items or [])[: spec.size]
+    items += [None] * (spec.size - len(items))
+    # the so(n)* image of each function that is an item, else None
+    images = [item_image(spec.n, it) if it else None for it in items]
     report = involution_report(
         spec.central,
         spec.functions,
@@ -324,8 +362,10 @@ def verify_integrable_set(spec: IntegrableSetSpec, rng, points=3) -> Verificatio
         labels_b=spec.labels,
         anchor="central-force/involution",
         id_prefix=f"{spec.label}/involution",
+        images_a=images[: spec.k],
+        images_b=images,
     )
-    functions = [Differentiated(f) for f in spec.functions]
+    functions = [item_symbol(spec.n, it) if it else Differentiated(f) for f, it in zip(spec.functions, items)]
     for s in range(points):
         ok, witness = generic_full_rank(functions, lambda r: CotangentChart.random(spec.n, r), rng)
         report.add(

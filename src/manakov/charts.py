@@ -11,9 +11,9 @@ exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
-from .brackets import LiePoissonPoly, PhasePoly, canonical_bracket
+from .brackets import LiePoissonPoly, PhasePoly, canonical_bracket, lie_poisson_bracket
 from .linalg import ExactMatrix, rank_of
 from .report import VerificationReport
 from .son import (
@@ -31,7 +31,7 @@ from .son import (
 class CotangentChart:
     """Rational point of T*R^n with r = sqrt(x^2) exactly rational."""
 
-    __slots__ = ("n", "x", "p", "r")
+    __slots__ = ("n", "x", "p", "r", "_momenta")
 
     def __init__(self, n, x, p, r=None):
         self.n = n
@@ -46,6 +46,7 @@ class CotangentChart:
         if r * r != x2 or r <= 0:
             raise ValueError("inconsistent radius for the given x")
         self.r = r
+        self._momenta = None
 
     @classmethod
     def random(cls, n, rng, bound=10):
@@ -58,9 +59,19 @@ class CotangentChart:
         p = [random_rational(rng, bound) for _ in range(n)]
         return cls(n, x, p, r=radius)
 
+    def momenta(self):
+        """The values of P_ij = x_i p_j - x_j p_i here, in pair order,
+        formed once per point."""
+        if self._momenta is None:
+            x, p = self.x, self.p
+            self._momenta = [x[i - 1] * p[j - 1] - x[j - 1] * p[i - 1] for i, j in pair_list(self.n)]
+        return self._momenta
+
     def gradient_row(self, f: PhasePoly):
         """(df/dx_1..df/dx_n, df/dp_1..df/dp_n) evaluated exactly; ``f`` is
-        a PhasePoly or a ``Differentiated`` one."""
+        a PhasePoly, a ``Differentiated`` one or a ``MomentumPullback``."""
+        if isinstance(f, MomentumPullback):
+            return f.gradient_at(self)
         try:
             row = [f.dx(i).eval(self.x, self.r, self.p) for i in range(1, self.n + 1)]
             row += [f.dp(i).eval(self.x, self.r, self.p) for i in range(1, self.n + 1)]
@@ -88,6 +99,36 @@ class Differentiated:
 
     def dp(self, i):
         return self._partials[self.f.n + i - 1]
+
+
+class MomentumPullback:
+    """F o P for a polynomial F on so(n)*, where P: T*R^n -> so(n)* is the
+    momentum map P_ij = x_i p_j - x_j p_i.  Its gradient at a chart point is
+    sum_u dF/dP_u(P(x, p)) grad P_u: the partials of F are taken once, on
+    first use, and F o P is never differentiated on T*R^n."""
+
+    def __init__(self, image: LiePoissonPoly):
+        self.image = image
+
+    @cached_property
+    def _partials(self):
+        """(pair (i, j), dF/dP_ij) for every partial that is not zero."""
+        f = self.image
+        partials = ((pair, f.diff(u)) for u, pair in enumerate(pair_list(f.n)))
+        return [(pair, d) for pair, d in partials if d.terms]
+
+    def gradient_at(self, chart: CotangentChart):
+        n, x, p = chart.n, chart.x, chart.p
+        momenta = chart.momenta()
+        row = [Fraction(0)] * (2 * n)
+        for (i, j), d in self._partials:
+            c = d.eval(momenta)
+            # the gradient of P_ij: p_j dx_i - p_i dx_j - x_j dp_i + x_i dp_j
+            row[i - 1] += c * p[j - 1]
+            row[j - 1] -= c * p[i - 1]
+            row[n + i - 1] -= c * x[j - 1]
+            row[n + j - 1] += c * x[i - 1]
+        return row
 
 
 def _rational_sqrt(q: Fraction):
@@ -202,15 +243,34 @@ def generic_full_rank(fs, draw_chart, rng):
 
 
 def involution_report(
-    a, b, labels_a=None, labels_b=None, anchor="", id_prefix="involution"
+    a, b, labels_a=None, labels_b=None, anchor="", id_prefix="involution", images_a=None, images_b=None
 ) -> VerificationReport:
-    """Compute every pairwise canonical bracket between the two batches;
+    """Decide every pairwise canonical bracket between the two batches;
     nonzero brackets are recorded verbatim as failure witnesses.
+
+    ``images_a``/``images_b`` may give each function's LiePoissonPoly image
+    when it is a function of the momenta P_ij (None otherwise).  The
+    momentum map P: T*R^n -> so(n)* is a Poisson map, {f o P, g o P} =
+    {f, g}_LP o P, so a pair whose images Lie-Poisson commute is recorded
+    as zero without its canonical bracket.  Every other pair, a nonzero
+    Lie-Poisson bracket included, is decided by the canonical bracket.
     """
     labels_a = labels_a or [f"A{i}" for i in range(len(a))]
     labels_b = labels_b or [f"B{j}" for j in range(len(b))]
+    images_a = images_a or [None] * len(a)
+    images_b = images_b or [None] * len(b)
     report = VerificationReport()
-    for i, f in enumerate(a):
-        for j, g in enumerate(b):
-            report.add_zero(f"{id_prefix}/{{{labels_a[i]},{labels_b[j]}}}", anchor, canonical_bracket(f, g))
+    for f, label_f, image_f in zip(a, labels_a, images_a):
+        for g, label_g, image_g in zip(b, labels_b, images_b):
+            if image_f is not None and image_g is not None and _lie_poisson_commute(image_f, image_g):
+                value = PhasePoly.zero(f.n)
+            else:
+                value = canonical_bracket(f, g)
+            report.add_zero(f"{id_prefix}/{{{label_f},{label_g}}}", anchor, value)
     return report
+
+
+@lru_cache(maxsize=None)
+def _lie_poisson_commute(f: LiePoissonPoly, g: LiePoissonPoly) -> bool:
+    """{f, g}_LP = 0, decided once per pair: the sets of a sweep share items."""
+    return lie_poisson_bracket(f, g).is_zero()

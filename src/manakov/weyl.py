@@ -12,6 +12,10 @@ of its classical function from ``central_force``, each monomial averaged
 over its orderings by McCoy's closed formula, one axis at a time.  Only
 P-hat^2, composed from the P-hat_ij, and the normal-ordered x.phat are
 built otherwise: the identities are stated in them.
+
+The splitting-tree items (P-hat_ij and sums of P-hat_ij^2) are commuted in
+U(so(n)) first (``items_commute``); only a pair that does not commute there
+is normal-ordered as differential operators.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from math import comb, factorial, prod
 from .brackets import PhasePoly, PhaseTerms
 from .central_force import (
     item_function,
+    item_image,
+    item_symbol,
     kepler_hamiltonian,
     kinetic,
     momenta,
@@ -33,19 +39,26 @@ from .central_force import (
     recursive_set_structure,
     runge_lenz_vector,
 )
-from .charts import CotangentChart, Differentiated, generic_full_rank
+from .charts import CotangentChart, generic_full_rank
 from .radical import RadicalElement, x_vars
 from .ratfunc import MultiPoly, add_terms
 from .report import VerificationReport
+from .uea import ad, square_weights, symmetrize_momentum_poly, weighted_square_commutators
 
 
 class WeylOperator(PhaseTerms):
     """Normal-ordered operator: map from phat-exponent tuples to radical
     coefficients; no stored zero coefficients, equality is structural.
-    The product is composition; scalars act as multiplication operators."""
+    The product is composition; scalars act as multiplication operators,
+    so a coefficient on the right is composed with, not scaled by."""
 
     __slots__ = ()
     letter = "D"
+
+    def __mul__(self, other):
+        if isinstance(other, RadicalElement):
+            other = self.const(self.n, other)
+        return PhaseTerms.__mul__(self, other)
 
     def _product(self, other):
         return compose(self, other)
@@ -215,7 +228,7 @@ def quantum_central_force_suite(n, alpha, rng=None, trees=None) -> VerificationR
         report.add(f"recursive/{tree.describe()}/commute", anchor, bad is None, witness=witness)
         if rng is not None:
             # the symbols of the item operators are the classical items
-            symbols = [Differentiated(item_function(n, it)) for it in items]
+            symbols = [item_symbol(n, it) for it in items]
             for s in range(_SYMBOL_RANK_POINTS):
                 ok, witness = generic_full_rank(symbols, lambda r: CotangentChart.random(n, r), rng)
                 report.add(
@@ -236,10 +249,36 @@ def _item_operator(n, item):
 
 
 @lru_cache(maxsize=None)
+def _item_element(n, item):
+    """The item in U(so(n)): its generator for a pair, the sum of its
+    squared generators for a square."""
+    return symmetrize_momentum_poly(item_image(n, item))
+
+
+def uea_item_commutator(n, a, b):
+    """[a, b] of two items in U(so(n)), by the derivation ``uea.ad`` for a
+    pair on the left and by squared-generator commutators for a square."""
+    x, y = _item_element(n, a), _item_element(n, b)
+    if a[0] == "pair":
+        ((word, c),) = x.terms.items()
+        return ad(word[0], y).scale(c)
+    return weighted_square_commutators(n, [square_weights(x)], y)[0]
+
+
 def items_commute(n, a, b) -> bool:
-    """Cached commutator vanishing between two structural set entries
-    (("pair", (i, j)) or ("square", subset)); trees reuse the same entries
-    heavily, so the sweep over all splittings stays cheap."""
-    if b < a:
-        a, b = b, a
+    """Whether two structural set entries (("pair", (i, j)) or ("square",
+    subset)) commute as operators, decided once per unordered pair; trees
+    reuse the same entries heavily.
+
+    P-hat_ij -> x_i d_j - x_j d_i extends to an algebra map U(so(n)) ->
+    Diff(R^n), so a commutator that vanishes in U(so(n)) vanishes as an
+    operator.  For n >= 4 that map has a kernel, so a pair that does not
+    commute in U(so(n)) is decided by the Weyl commutator."""
+    return _items_commute(n, *sorted((a, b)))
+
+
+@lru_cache(maxsize=None)
+def _items_commute(n, a, b):
+    if uea_item_commutator(n, a, b).is_zero():
+        return True
     return commutator(_item_operator(n, a), _item_operator(n, b)).is_zero()

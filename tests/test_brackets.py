@@ -10,7 +10,16 @@ from manakov.brackets import (
     lie_poisson_bracket,
     momentum_vars,
 )
-from manakov.central_force import kinetic, momenta, momentum, p_squared, r_squared
+from manakov.central_force import (
+    emit_tables,
+    generic_hamiltonian,
+    kinetic,
+    momenta,
+    momentum,
+    p_squared,
+    r_squared,
+    runge_lenz_vector,
+)
 from manakov.charts import CotangentChart, GroupChart, involution_report, jacobian_rank
 from manakov.son import bracket as matrix_bracket
 from manakov.ratfunc import MultiPoly, RationalFunction
@@ -314,6 +323,38 @@ def test_involution_report_witnesses():
     rep2 = involution_report([kinetic(n)], [r_squared(n)])
     assert not rep2.ok
     assert "p" in rep2.checks[0].witness  # the nonzero bracket 4 x.p is recorded
+
+
+def test_canonical_bracket_memo_negates_the_swapped_pair():
+    # {g, f} is read off a memoized {f, g}; both equal the unmemoized kernel
+    from manakov import brackets
+
+    n = 4
+    f, g = generic_hamiltonian(n), runge_lenz_vector(n, 3)[1]
+    brackets._BRACKET_CACHE.clear()
+    fg = canonical_bracket(f, g)
+    gf = canonical_bracket(g, f)
+    assert not fg.is_zero()
+    assert gf == -fg
+    assert fg == brackets._bracket(f, g) and gf == brackets._bracket(g, f)
+    assert canonical_bracket(f, g) is fg
+    # the memo is keyed on values: an equal function built anew finds it
+    assert canonical_bracket(f + PhasePoly.zero(n), g) is fg
+
+
+def test_canonical_bracket_kernel_runs_once_per_unordered_pair(monkeypatch):
+    # the n = 4 table rows ask for some brackets more than once (every row
+    # starts with the generic H); the kernel forms each unordered pair once
+    from manakov import brackets, charts
+
+    asked, formed = [], []
+    real_memo, real_kernel = brackets.canonical_bracket, brackets._bracket
+    monkeypatch.setattr(charts, "canonical_bracket", lambda f, g: asked.append(frozenset((f, g))) or real_memo(f, g))
+    monkeypatch.setattr(brackets, "_bracket", lambda f, g: formed.append(frozenset((f, g))) or real_kernel(f, g))
+    brackets._BRACKET_CACHE.clear()
+    rows = emit_tables(4, random.Random(0), points=0)
+    assert all(report.ok for _, report in rows)
+    assert len(formed) == len(set(formed)) == len(set(asked)) < len(asked)
 
 
 def test_sphere_chart_is_exact():

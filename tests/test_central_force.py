@@ -1,15 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from manakov.brackets import PhasePoly, canonical_bracket
+from manakov.brackets import LiePoissonPoly, PhasePoly, canonical_bracket, momentum_vars
 from manakov.central_force import (
     SplitTree,
     all_split_trees,
     catalog,
     generic_hamiltonian,
     inverse_radius,
+    item_function,
+    item_symbol,
     kepler_hamiltonian,
     kinetic,
     momenta,
@@ -22,7 +25,9 @@ from manakov.central_force import (
     table_rows,
     verify_integrable_set,
 )
-from manakov.charts import CotangentChart, generic_full_rank, jacobian_rank
+from manakov.charts import CotangentChart, MomentumPullback, generic_full_rank, jacobian_rank
+from manakov.ratfunc import MultiPoly
+from manakov.son import pair_list
 from manakov.report import VerificationReport
 from oracles import x_dot_p
 
@@ -259,3 +264,32 @@ def test_rank_check_fails_when_every_point_is_deficient(monkeypatch):
     report = verify_integrable_set(spec, random.Random(0), points=1)
     (check,) = [c for c in report.checks if "/rank/" in c.id]
     assert check.status == "fail"
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_momentum_pullback_gradients_match_the_composed_functions(n):
+    # the chain-rule gradient of F o P against the gradient of F o P formed
+    # as a phase polynomial: every item, and a seeded cubic F, at seeded
+    # chart points
+    rng = random.Random(300 + n)
+    items = [("pair", p) for p in combinations(range(1, n + 1), 2)]
+    items += [("square", s) for m in range(3, n + 1) for s in combinations(range(1, n + 1), m)]
+    pairs = [(item_symbol(n, it), item_function(n, it)) for it in items]
+    terms = {}
+    for _ in range(4):
+        mono = [0] * len(pair_list(n))
+        for _ in range(rng.randint(1, 3)):
+            mono[rng.randrange(len(mono))] += 1
+        terms[tuple(mono)] = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5))
+    cubic = LiePoissonPoly(n, MultiPoly(momentum_vars(n), terms))
+    composed = PhasePoly.zero(n)
+    for mono, c in terms.items():
+        term = PhasePoly.const(n, c)
+        for (i, j), e in zip(pair_list(n), mono):
+            term = term * momentum(n, i, j) ** e
+        composed = composed + term
+    pairs.append((MomentumPullback(cubic), composed))
+    for _ in range(2):
+        chart = CotangentChart.random(n, rng)
+        for pullback, f in pairs:
+            assert chart.gradient_row(pullback) == chart.gradient_row(f)

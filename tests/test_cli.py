@@ -200,6 +200,19 @@ def test_version_flag():
     assert "0.1.0" in r.stdout
 
 
+def test_package_runs_as_a_module():
+    # `python -m manakov` is the same command line as `python -m manakov.cli`
+    def run_package(*args):
+        return subprocess.run([sys.executable, "-m", "manakov", *args], capture_output=True, text=True, timeout=600)
+
+    args = ("tables", "central-force", "--n", "4", "--points", "0", "--format", "json")
+    r = run_package(*args)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == run_cli(*args).stdout
+    r = run_package("tables", "central-force", "--n", "6")
+    assert r.returncode == 2 and "cover n = 4 and n = 5" in r.stderr
+
+
 def test_zero_samples_rejected():
     # zero samples would drop the whole commutator battery and still pass
     r = run_cli("verify", "quantum-rigid", "--n", "4", "--mode", "sampled", "--samples", "0")

@@ -172,13 +172,24 @@ def test_triples_match_the_rational_function_pair():
 def test_coordinate_coefficients_never_form_a_rational_function(monkeypatch):
     # the T*R^n tower (phase polynomials, Weyl operators, radical
     # coefficients) runs on polynomials alone: no quotient, no gcd
-    from manakov import weyl
+    from manakov import brackets, central_force, charts, weyl
     from manakov.central_force import all_split_trees, emit_tables
     from manakov.ratfunc import RationalFunction
 
-    # operators memoized by earlier tests would skip the work counted here
-    weyl.items_commute.cache_clear()
-    weyl._item_operator.cache_clear()
+    # functions, brackets and operators memoized by earlier tests would skip
+    # the work counted here
+    for memo in (
+        central_force.generic_hamiltonian,
+        central_force.item_function,
+        central_force.item_image,
+        central_force.item_symbol,
+        charts._lie_poisson_commute,
+        weyl._items_commute,
+        weyl._item_operator,
+        weyl._item_element,
+    ):
+        memo.cache_clear()
+    brackets._BRACKET_CACHE.clear()
     # a quotient is made by the constructor or, in arithmetic, by ``_of``
     calls = []
     real_init, real_of = RationalFunction.__init__, RationalFunction._of

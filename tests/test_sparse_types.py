@@ -96,8 +96,9 @@ def _outcome(op, a, b):
 
 def test_mixed_types_give_one_result_in_either_order():
     # an element of one type with one of another: both orders give the same
-    # class and side (and, but for a Weyl product, the same value), or both
-    # raise; a plain polynomial in x joins the six sparse types
+    # class and side, or both raise; the value is the same too, but for a
+    # Weyl product, which is the composition in the order written.  A plain
+    # polynomial in x joins the six sparse types
     rng = random.Random(19)
     lam = MomentSpec.symbolic(3).lambdas
     elements = [x for x, _ in _elements(rng, (lam[0] + lam[1]) / lam[2])]
@@ -118,7 +119,10 @@ def test_mixed_types_give_one_result_in_either_order():
                     assert one is other, (name, a, b)
                     continue
                 _same_kind(one, other)
-                if not (name == "*" and isinstance(one, WeylOperator)):
+                if name == "*" and isinstance(one, WeylOperator):
+                    assert one == compose(_as_weyl(a), _as_weyl(b)), (a, b)
+                    assert other == compose(_as_weyl(b), _as_weyl(a)), (a, b)
+                else:
                     assert one == other, (name, a, b)
                 mixed.append((i, j))
     # momentum polynomials mix with either side, and x-polynomials with
@@ -127,6 +131,23 @@ def test_mixed_types_give_one_result_in_either_order():
     assert len(mixed) == 24
     x1, p1 = MultiPoly.gen(x_vars(2), 0), PhasePoly.momentum(2, 1)
     assert x1 * p1 == p1 * x1 == PhasePoly.coordinate(2, 1) * p1
+    # a radical coefficient scales a phase polynomial from either side, and
+    # is a multiplication operator to a Weyl operator: D1 x1 = x1 D1 + 1
+    rx1 = RadicalElement.coordinate(2, 1)
+    assert p1 * rx1 == rx1 * p1 == PhasePoly.coordinate(2, 1) * p1
+    d1 = WeylOperator.momentum(2, 1)
+    assert str(d1 * rx1) == "(x1)*D1 + (1)" and str(rx1 * d1) == "(x1)*D1"
+    w = _elements(rng, lam[0])[4][0]
+    for c in (3, Fraction(-2, 7), RadicalElement.radius(3), RadicalElement.coordinate(3, 2)):
+        assert w * c == compose(w, WeylOperator.const(3, c))
+        assert c * w == compose(WeylOperator.const(3, c), w) == w.map_coeffs(lambda v: c * v)
+
+
+def _as_weyl(x):
+    """A Weyl operator, or a polynomial in x as its multiplication operator."""
+    if isinstance(x, WeylOperator):
+        return x
+    return WeylOperator.const(3, RadicalElement.polynomial(3, x))
 
 
 def test_mixing_left_and_right_momenta_raises_and_they_are_unequal():

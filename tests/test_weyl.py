@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from manakov.brackets import PhasePoly, canonical_bracket
+from manakov import weyl
+from manakov.brackets import PhasePoly, canonical_bracket, lie_poisson_bracket
 from manakov.central_force import (
     SplitTree,
     all_split_trees,
     catalog,
     inverse_radius,
     item_function,
+    item_image,
     item_label,
     kepler_hamiltonian,
     kinetic,
@@ -21,6 +23,7 @@ from manakov.central_force import (
     recursive_set_structure,
     runge_lenz_vector,
 )
+from manakov.charts import involution_report
 from manakov.radical import RadicalElement
 from manakov.weyl import (
     WeylOperator,
@@ -32,6 +35,7 @@ from manakov.weyl import (
     momentum_square_operator,
     quantum_central_force_suite,
     symmetrize,
+    uea_item_commutator,
     x_dot_p_operator,
 )
 from oracles import (
@@ -324,6 +328,54 @@ def test_quantum_recursive_sets_small():
     # degenerate n=2 case: a single momentum operator
     assert recursive_set_structure(2, SplitTree.leaf([1, 2])) == ([("pair", (1, 2))], [])
     assert item_label(2, ("pair", (1, 2))) == "P12"
+
+
+def _random_item(rng, n):
+    if rng.random() < 0.5:
+        return ("pair", tuple(sorted(rng.sample(range(1, n + 1), 2))))
+    return ("square", tuple(sorted(rng.sample(range(1, n + 1), rng.randint(3, n)))))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_item_shortcuts_agree_with_the_brackets_they_replace(monkeypatch, n):
+    # the item pairs are decided in U(so(n)) (quantum) and on so(n)*
+    # (classical); both maps only carry zeros over, so each shortcut is
+    # checked against the commutator or bracket it replaces, on seeded
+    # pairs plus pairs that do not commute: two squares on overlapping,
+    # non-nested subsets, and a pair sharing one index with a square
+    rng = random.Random(2100 + n)
+    pairs = {tuple(sorted((_random_item(rng, n), _random_item(rng, n)))) for _ in range(8)}
+    if n >= 4:
+        pairs |= {(("square", (1, 2, 3)), ("square", (2, 3, 4))), (("pair", (3, 4)), ("square", (1, 2, 3)))}
+    real_commutator = weyl.commutator
+    weyl_calls = []
+    monkeypatch.setattr(weyl, "commutator", lambda a, b: weyl_calls.append((a, b)) or real_commutator(a, b))
+    weyl._items_commute.cache_clear()
+    nonzero_in_u = 0
+    for a, b in sorted(pairs):
+        in_u = uea_item_commutator(n, a, b).is_zero()
+        as_operators = real_commutator(_item_operator(n, a), _item_operator(n, b)).is_zero()
+        assert in_u == as_operators, (a, b)
+        on_so = lie_poisson_bracket(item_image(n, a), item_image(n, b)).is_zero()
+        f, g = item_function(n, a), item_function(n, b)
+        assert on_so == canonical_bracket(f, g).is_zero(), (a, b)
+        # the report reads the same with the so(n)* images as without them
+        shortcut = involution_report([f], [g], images_a=[item_image(n, a)], images_b=[item_image(n, b)])
+        assert shortcut.to_json() == involution_report([f], [g]).to_json()
+        # a pair that does not commute in U(so(n)) reaches the Weyl commutator
+        calls = len(weyl_calls)
+        assert items_commute(n, a, b) == as_operators
+        assert len(weyl_calls) - calls == (0 if in_u else 1)
+        nonzero_in_u += not in_u
+    assert nonzero_in_u >= (1 if n == 3 else 2)
+
+
+def test_items_commute_shares_one_cache_entry_between_orders():
+    weyl._items_commute.cache_clear()
+    a, b = ("square", (1, 2, 3)), ("pair", (1, 4))
+    assert items_commute(4, a, b) is items_commute(4, b, a) is False
+    assert items_commute(4, a, ("pair", (1, 2))) is True
+    assert weyl._items_commute.cache_info().currsize == 2
 
 
 def test_quantum_suite_n2_degenerates():
