@@ -13,36 +13,34 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .brackets import LiePoissonPoly, PhasePoly, canonical_bracket
-from .charts import CotangentChart, Differentiated, MomentumPullback, generic_full_rank, involution_report
-from .radical import RadicalElement
+from .charts import CotangentChart, MomentumPullback, generic_full_rank, involution_report, momentum_table
+from .radical import RadicalElement, check_axis
 from .report import VerificationReport
+from .son import pair_list
 
 
 def momentum(n, i, j) -> PhasePoly:
-    """P_ij = x_i p_j - x_j p_i."""
-    return PhasePoly.coordinate(n, i) * PhasePoly.momentum(n, j) - PhasePoly.coordinate(
-        n, j
-    ) * PhasePoly.momentum(n, i)
+    """P_ij = x_i p_j - x_j p_i, shared (``charts.momentum_table``): callers
+    must not mutate it."""
+    check_axis(n, i)
+    check_axis(n, j)
+    return momentum_table(n)[i, j]
 
 
 def momenta(n):
     """All N = n(n-1)/2 momenta in lexicographic pair order."""
     if n < 2:
         raise ValueError("need n >= 2")
-    return [momentum(n, i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    return [momentum_table(n)[pair] for pair in pair_list(n)]
 
 
 def p_squared(n, subset=None) -> PhasePoly:
-    """Sum of P_ij^2 over pairs inside ``subset`` (default: all coordinates)."""
-    subset = sorted(subset) if subset is not None else list(range(1, n + 1))
+    """Sum of P_ij^2 over pairs inside ``subset`` (default: all
+    coordinates): the phase of that square item, shared."""
+    subset = tuple(sorted(subset)) if subset is not None else tuple(range(1, n + 1))
     if any(not 1 <= i <= n for i in subset):
         raise ValueError("subset index out of range")
-    acc = PhasePoly.zero(n)
-    for a in range(len(subset)):
-        for b in range(a + 1, len(subset)):
-            pij = momentum(n, subset[a], subset[b])
-            acc = acc + pij * pij
-    return acc
+    return item_function(n, ("square", subset)).phase
 
 
 def kinetic(n) -> PhasePoly:
@@ -91,10 +89,9 @@ def generic_hamiltonian(n) -> PhasePoly:
 class IntegrableSetSpec:
     """A candidate integrable set: the central elements first, then the rest.
 
-    ``labels`` name the functions in display order (central then noncentral),
-    and ``items`` give, in the same order, the item that each function is
-    (see ``item_function``), or None for a function that is not an item; a
-    function appended after construction is not an item.  Verification
+    Each function is a PhasePoly or, for an angular-momentum item, its
+    ``MomentumPullback`` (see ``item_function``).  ``labels`` name the
+    functions in display order (central then noncentral).  Verification
     status lives only in reports produced by ``verify_integrable_set``.
     """
 
@@ -103,15 +100,12 @@ class IntegrableSetSpec:
     noncentral: list
     labels: list
     label: str
-    items: list = None
     k: int = field(init=False)
 
     def __post_init__(self):
         self.k = len(self.central)
         if len(self.labels) != len(self.central) + len(self.noncentral):
             raise ValueError("one label per function required")
-        if self.items is not None and len(self.items) != len(self.labels):
-            raise ValueError("one item (or None) per function required")
 
     @property
     def functions(self):
@@ -221,34 +215,17 @@ def item_label(n, item):
 
 
 @lru_cache(maxsize=None)
-def item_function(n, item) -> PhasePoly:
-    """P_ij for ("pair", (i, j)) and the sum of the P_ij^2 inside the subset
-    for ("square", subset), built once per (n, item) and shared: callers
-    must not mutate it."""
+def item_function(n, item) -> MomentumPullback:
+    """The item as a polynomial on so(n)* pulled back by the momentum map:
+    P_ij for ("pair", (i, j)) and the sum of the P_ij^2 inside the subset
+    for ("square", subset).  Built once per (n, item) and shared by every
+    set and tree the item is in."""
     kind, data = item
     if kind == "pair":
-        return momentum(n, *data)
-    return p_squared(n, data)
-
-
-@lru_cache(maxsize=None)
-def item_symbol(n, item) -> MomentumPullback:
-    """item_function(n, item) for the rank checks: the item's image on
-    so(n)* pulled back by the momentum map, whose gradient is taken by the
-    chain rule, shared by every set and tree the item is in."""
-    return MomentumPullback(item_image(n, item))
-
-
-@lru_cache(maxsize=None)
-def item_image(n, item) -> LiePoissonPoly:
-    """The item as a function on so(n)*: item_function(n, item) is this
-    polynomial composed with the momentum map P: T*R^n -> so(n)*."""
-    kind, data = item
-    if kind == "pair":
-        return LiePoissonPoly.gen(n, data)
+        return MomentumPullback(LiePoissonPoly.gen(n, data))
     s = sorted(data)
     squares = (LiePoissonPoly.gen(n, (a, b)) ** 2 for k, a in enumerate(s) for b in s[k + 1 :])
-    return sum(squares, LiePoissonPoly.zero(n))
+    return MomentumPullback(sum(squares, LiePoissonPoly.zero(n)))
 
 
 def item_set_spec(n, central_items, noncentral_items, label) -> IntegrableSetSpec:
@@ -260,7 +237,6 @@ def item_set_spec(n, central_items, noncentral_items, label) -> IntegrableSetSpe
         noncentral=[item_function(n, it) for it in noncentral_items],
         labels=["H"] + [item_label(n, it) for it in central_items + noncentral_items],
         label=label,
-        items=[None] + list(central_items) + list(noncentral_items),
     )
 
 
@@ -312,7 +288,7 @@ def catalog(n, family, alpha=None) -> IntegrableSetSpec:
         return IntegrableSetSpec(
             n=n,
             central=[h],
-            noncentral=[p_squared(n)] + l_funcs + [a1],
+            noncentral=[item_function(n, whole)] + l_funcs + [a1],
             labels=["H", "P2"] + l_labels + ["A1"],
             label=f"n={n} 1/r potential, alpha={alpha}",
         )
@@ -323,7 +299,7 @@ def catalog(n, family, alpha=None) -> IntegrableSetSpec:
             * (PhasePoly.momentum(n, i) ** 2 + PhasePoly.coordinate(n, i) ** 2)
             for i in range(1, n)
         ]
-        p1js = [momentum(n, 1, j) for j in range(2, n + 1)]
+        p1js = [item_function(n, ("pair", (1, j))) for j in range(2, n + 1)]
         return IntegrableSetSpec(
             n=n,
             central=[h],
@@ -340,7 +316,6 @@ def catalog(n, family, alpha=None) -> IntegrableSetSpec:
             noncentral=[kinetic(n), PhasePoly.radius(n)] + l_funcs,
             labels=["P2", "p2", "r"] + l_labels,
             label=f"n={n} f(P^2) family",
-            items=[whole, None, None] + l_items,
         )
     raise ValueError(f"unknown family {family!r}")
 
@@ -351,10 +326,6 @@ def catalog(n, family, alpha=None) -> IntegrableSetSpec:
 def verify_integrable_set(spec: IntegrableSetSpec, rng, points=3) -> VerificationReport:
     """Exact involution of the central subset against the whole set, plus
     Jacobian rank = set size at randomly sampled chart points."""
-    items = (spec.items or [])[: spec.size]
-    items += [None] * (spec.size - len(items))
-    # the so(n)* image of each function that is an item, else None
-    images = [item_image(spec.n, it) if it else None for it in items]
     report = involution_report(
         spec.central,
         spec.functions,
@@ -362,12 +333,9 @@ def verify_integrable_set(spec: IntegrableSetSpec, rng, points=3) -> Verificatio
         labels_b=spec.labels,
         anchor="central-force/involution",
         id_prefix=f"{spec.label}/involution",
-        images_a=images[: spec.k],
-        images_b=images,
     )
-    functions = [item_symbol(spec.n, it) if it else Differentiated(f) for f, it in zip(spec.functions, items)]
     for s in range(points):
-        ok, witness = generic_full_rank(functions, lambda r: CotangentChart.random(spec.n, r), rng)
+        ok, witness = generic_full_rank(spec.functions, lambda r: CotangentChart.random(spec.n, r), rng)
         report.add(
             f"{spec.label}/rank/sample{s}",
             "central-force/independence",

@@ -11,7 +11,8 @@ exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import mul
 
 from .brackets import LiePoissonPoly, PhasePoly, canonical_bracket, lie_poisson_bracket
 from .linalg import ExactMatrix, rank_of
@@ -67,68 +68,75 @@ class CotangentChart:
             self._momenta = [x[i - 1] * p[j - 1] - x[j - 1] * p[i - 1] for i, j in pair_list(self.n)]
         return self._momenta
 
-    def gradient_row(self, f: PhasePoly):
-        """(df/dx_1..df/dx_n, df/dp_1..df/dp_n) evaluated exactly; ``f`` is
-        a PhasePoly, a ``Differentiated`` one or a ``MomentumPullback``."""
+    def gradient_row(self, f):
+        """(df/dx_1..df/dx_n, df/dp_1..df/dp_n) evaluated exactly.  A
+        ``MomentumPullback`` F o P takes the chain rule, sum_u dF/dP_u(P(x, p))
+        grad P_u, with the P values formed once per point; a PhasePoly
+        evaluates its partials, taken once per function (``_partials``)."""
         if isinstance(f, MomentumPullback):
-            return f.gradient_at(self)
+            n, x, p, momenta = self.n, self.x, self.p, self.momenta()
+            row = [Fraction(0)] * (2 * n)
+            for (i, j), d in f.partials:
+                c = d.eval(momenta)
+                # the gradient of P_ij: p_j dx_i - p_i dx_j - x_j dp_i + x_i dp_j
+                row[i - 1] += c * p[j - 1]
+                row[j - 1] -= c * p[i - 1]
+                row[n + i - 1] -= c * x[j - 1]
+                row[n + j - 1] += c * x[i - 1]
+            return row
         try:
-            row = [f.dx(i).eval(self.x, self.r, self.p) for i in range(1, self.n + 1)]
-            row += [f.dp(i).eval(self.x, self.r, self.p) for i in range(1, self.n + 1)]
+            return [d.eval(self.x, self.r, self.p) for d in _partials(f)]
         except ZeroDivisionError:
             raise DegenerateSampleError("pole hit while evaluating gradient; resample point")
-        return row
 
 
-class Differentiated:
-    """A phase function whose partial derivatives are taken once, on first
-    use, and kept: a rank check over several chart points wraps its
-    functions in this so that each point only evaluates the derivatives.
-    ``dx``/``dp`` answer as the function's own do."""
+@lru_cache(maxsize=None)
+def _partials(f: PhasePoly):
+    """df/dx_1..df/dx_n, df/dp_1..df/dp_n, taken once per function: the
+    sets of a sweep share their Hamiltonian, and a rank check redraws."""
+    n = f.n
+    return [f.dx(i) for i in range(1, n + 1)] + [f.dp(i) for i in range(1, n + 1)]
 
-    def __init__(self, f: PhasePoly):
-        self.f = f
 
-    @cached_property
-    def _partials(self):
-        n = self.f.n
-        return [self.f.dx(i) for i in range(1, n + 1)] + [self.f.dp(i) for i in range(1, n + 1)]
-
-    def dx(self, i):
-        return self._partials[i - 1]
-
-    def dp(self, i):
-        return self._partials[self.f.n + i - 1]
+@lru_cache(maxsize=None)
+def momentum_table(n):
+    """{(i, j): P_ij = x_i p_j - x_j p_i} over every ordered pair of axes
+    (P_ji = -P_ij, P_ii = 0), built once per n and shared: callers must not
+    mutate the entries."""
+    x, p = PhasePoly.coordinate, PhasePoly.momentum
+    table = {(i, i): PhasePoly.zero(n) for i in range(1, n + 1)}
+    for i, j in pair_list(n):
+        table[i, j] = x(n, i) * p(n, j) - x(n, j) * p(n, i)
+        table[j, i] = -table[i, j]
+    return table
 
 
 class MomentumPullback:
-    """F o P for a polynomial F on so(n)*, where P: T*R^n -> so(n)* is the
-    momentum map P_ij = x_i p_j - x_j p_i.  Its gradient at a chart point is
-    sum_u dF/dP_u(P(x, p)) grad P_u: the partials of F are taken once, on
-    first use, and F o P is never differentiated on T*R^n."""
+    """F o P for a polynomial F on so(n)* (``image``), where P: T*R^n ->
+    so(n)* is the momentum map P_ij = x_i p_j - x_j p_i.  ``phase`` is
+    F o P as a phase polynomial and ``partials`` the nonzero dF/dP_ij, each
+    formed on first use; the gradient never differentiates F o P."""
 
     def __init__(self, image: LiePoissonPoly):
-        self.image = image
+        self.n, self.image = image.n, image
 
     @cached_property
-    def _partials(self):
+    def phase(self) -> PhasePoly:
+        """F with the shared P_ij of ``momentum_table`` substituted."""
+        n, table = self.n, momentum_table(self.n)
+        acc = PhasePoly.zero(n)
+        for mono, c in self.image.terms.items():
+            factors = [table[pair] for pair, e in zip(pair_list(n), mono) for _ in range(e)]
+            term = reduce(mul, factors) if factors else PhasePoly.const(n, 1)
+            acc = acc + (term if c == 1 else term * c)
+        return acc
+
+    @cached_property
+    def partials(self):
         """(pair (i, j), dF/dP_ij) for every partial that is not zero."""
         f = self.image
         partials = ((pair, f.diff(u)) for u, pair in enumerate(pair_list(f.n)))
         return [(pair, d) for pair, d in partials if d.terms]
-
-    def gradient_at(self, chart: CotangentChart):
-        n, x, p = chart.n, chart.x, chart.p
-        momenta = chart.momenta()
-        row = [Fraction(0)] * (2 * n)
-        for (i, j), d in self._partials:
-            c = d.eval(momenta)
-            # the gradient of P_ij: p_j dx_i - p_i dx_j - x_j dp_i + x_i dp_j
-            row[i - 1] += c * p[j - 1]
-            row[j - 1] -= c * p[i - 1]
-            row[n + i - 1] -= c * x[j - 1]
-            row[n + j - 1] += c * x[i - 1]
-        return row
 
 
 def _rational_sqrt(q: Fraction):
@@ -225,8 +233,6 @@ def generic_full_rank(fs, draw_chart, rng):
     certifies nothing, so it is redrawn (``retry_generic``) and the check
     fails only when every attempt is deficient.  The first point is the one
     a single draw would take, so a full-rank first point reads the same.
-    Callers that check one set at several T*R^n points pass
-    ``Differentiated`` functions, so that no redraw differentiates again.
     """
     size = len(fs)
 
@@ -242,30 +248,27 @@ def generic_full_rank(fs, draw_chart, rng):
         return False, f"rank below {size} at every sampled point ({exc})"
 
 
-def involution_report(
-    a, b, labels_a=None, labels_b=None, anchor="", id_prefix="involution", images_a=None, images_b=None
-) -> VerificationReport:
-    """Decide every pairwise canonical bracket between the two batches;
-    nonzero brackets are recorded verbatim as failure witnesses.
+def involution_report(a, b, labels_a=None, labels_b=None, anchor="", id_prefix="involution") -> VerificationReport:
+    """Decide every pairwise canonical bracket between the two batches of
+    phase functions (PhasePoly or MomentumPullback); nonzero brackets are
+    recorded verbatim as failure witnesses.
 
-    ``images_a``/``images_b`` may give each function's LiePoissonPoly image
-    when it is a function of the momenta P_ij (None otherwise).  The
-    momentum map P: T*R^n -> so(n)* is a Poisson map, {f o P, g o P} =
-    {f, g}_LP o P, so a pair whose images Lie-Poisson commute is recorded
-    as zero without its canonical bracket.  Every other pair, a nonzero
-    Lie-Poisson bracket included, is decided by the canonical bracket.
+    The momentum map P: T*R^n -> so(n)* is a Poisson map, {F o P, G o P} =
+    {F, G}_LP o P, so two pullbacks whose images Lie-Poisson commute are
+    recorded as zero without their canonical bracket.  Every other pair, a
+    nonzero Lie-Poisson bracket included, is decided by the canonical
+    bracket of the phase polynomials.
     """
     labels_a = labels_a or [f"A{i}" for i in range(len(a))]
     labels_b = labels_b or [f"B{j}" for j in range(len(b))]
-    images_a = images_a or [None] * len(a)
-    images_b = images_b or [None] * len(b)
     report = VerificationReport()
-    for f, label_f, image_f in zip(a, labels_a, images_a):
-        for g, label_g, image_g in zip(b, labels_b, images_b):
-            if image_f is not None and image_g is not None and _lie_poisson_commute(image_f, image_g):
+    for f, label_f in zip(a, labels_a):
+        for g, label_g in zip(b, labels_b):
+            pullbacks = isinstance(f, MomentumPullback) and isinstance(g, MomentumPullback)
+            if pullbacks and _lie_poisson_commute(f.image, g.image):
                 value = PhasePoly.zero(f.n)
             else:
-                value = canonical_bracket(f, g)
+                value = canonical_bracket(getattr(f, "phase", f), getattr(g, "phase", g))
             report.add_zero(f"{id_prefix}/{{{label_f},{label_g}}}", anchor, value)
     return report
 

@@ -45,18 +45,15 @@ def _rhs_tables(lambdas: np.ndarray):
 
 
 def _rhs(p, tables):
-    w, neg_diff = tables
-    q = p * w
-    return neg_diff * (q @ q)
-
-
-def euler_rhs(p: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
-    """dP_ij/dt = -(l_i - l_j) sum_k P_ik P_kj / ((l_i+l_k)(l_k+l_j)).
+    """dP_ij/dt = -(l_i - l_j) sum_k P_ik P_kj / ((l_i+l_k)(l_k+l_j)), with
+    ``tables`` = ``_rhs_tables(lambdas)``.
 
     Vanishes identically when all moments coincide; the matrix form uses the
     elementwise-weighted square Q = P/(l_i+l_j), giving -(l_i-l_j) (Q^2)_ij.
     """
-    return _rhs(p, _rhs_tables(lambdas))
+    w, neg_diff = tables
+    q = p * w
+    return neg_diff * (q @ q)
 
 
 def rk4_step(p, tables, dt):
@@ -109,11 +106,6 @@ def _evaluate(terms, p: np.ndarray):
             v *= values[k] ** e
         total += v
     return total
-
-
-def evaluate_invariant(poly, p: np.ndarray):
-    """Evaluate a momentum polynomial (rational coefficients) in binary64."""
-    return _evaluate(_float_terms(poly), p)
 
 
 def conservation_report(samples, invariants):

@@ -100,15 +100,6 @@ def bracket_matrix(n):
     return tuple(map(tuple, rows))
 
 
-def gen_bracket(n, u, v):
-    """[e_u, e_v] as (w, sign) with the bracket equal to sign * e_w, or None."""
-    table = structure_table(n)
-    if u <= v:
-        return table.get((u, v))
-    hit = table.get((v, u))
-    return None if hit is None else (hit[0], -hit[1])
-
-
 class SkewMatrix:
     """Skew-symmetric n x n matrix storing only the strictly upper triangle."""
 
@@ -205,11 +196,12 @@ def bracket(a: SkewMatrix, b: SkewMatrix) -> SkewMatrix:
     n = a.n
     plist = pair_list(n)
     pidx = pair_index(n)
+    table = bracket_matrix(n)
     acc = {}
     for p, x in a.upper.items():
-        u = pidx[p]
+        row = table[pidx[p]]
         for q, y in b.upper.items():
-            hit = gen_bracket(n, u, pidx[q])
+            hit = row[pidx[q]]
             if hit is not None:
                 w, s = hit
                 add_terms(acc, ((w, x * y * s),))

@@ -22,7 +22,7 @@ the top-degree terms that cancel in ab - ba are never formed;
 
 Every quantum rigid-body operator is the symmetrization beta(f) of its
 classical function (``symmetrize_momentum_poly``, over the k!-scaled integer
-words of ``sym_word``); the only modification is the (5/12) squared-generator
+words of ``_sym``); the only modification is the (5/12) squared-generator
 correction of the n = 6 degree-4 operator.  Symmetrization is an so(n)-module
 isomorphism, so beta({P_u, f}) = [P-hat_u, beta(f)].  The Sym_3 and Sym_5
 expansions are symmetrizations too: Sym_k of a cycle depends only on its
@@ -63,11 +63,6 @@ _AD_CACHE = {}
 _SYM_CACHE = {}
 _WORD_CACHE = {}
 _MAX_DEGREE = 255  # a packed word holds each letter count in one byte
-
-
-def clear_caches():
-    for memo in (_INSERT_CACHE, _AD_CACHE, _SYM_CACHE, _WORD_CACHE):
-        memo.clear()
 
 
 def _counts(w):
@@ -258,16 +253,10 @@ def square_weights(x: PBWElement):
 # -- symmetrization ------------------------------------------------------------
 
 
-def sym_word(n, letters):
-    """k! times the symmetrization of the generator multiset ``letters`` of
-    size k (the sum of its products in all k! orders), in canonical form,
-    with integer coefficients."""
-    _check_degree(len(letters))
-    return _unpacked(_sym(n, sum(1 << (g << 3) for g in letters)))
-
-
 def _sym(n, m):
-    """``sym_word`` of the packed letter multiset m, on packed words."""
+    """k! times the symmetrization of the packed letter multiset m of size
+    k (the sum of its products in all k! orders), on packed words, with
+    integer coefficients."""
     result = _SYM_CACHE.get((n, m))
     if result is None:
         result = {} if m else {0: 1}

@@ -28,8 +28,6 @@ from math import comb, factorial, prod
 from .brackets import PhasePoly, PhaseTerms
 from .central_force import (
     item_function,
-    item_image,
-    item_symbol,
     kepler_hamiltonian,
     kinetic,
     momenta,
@@ -43,7 +41,7 @@ from .charts import CotangentChart, generic_full_rank
 from .radical import RadicalElement, x_vars
 from .ratfunc import MultiPoly, add_terms
 from .report import VerificationReport
-from .uea import ad, square_weights, symmetrize_momentum_poly, weighted_square_commutators
+from .uea import symmetrize_momentum_poly, uea_commutator
 
 
 class WeylOperator(PhaseTerms):
@@ -228,7 +226,7 @@ def quantum_central_force_suite(n, alpha, rng=None, trees=None) -> VerificationR
         report.add(f"recursive/{tree.describe()}/commute", anchor, bad is None, witness=witness)
         if rng is not None:
             # the symbols of the item operators are the classical items
-            symbols = [item_symbol(n, it) for it in items]
+            symbols = [item_function(n, it) for it in items]
             for s in range(_SYMBOL_RANK_POINTS):
                 ok, witness = generic_full_rank(symbols, lambda r: CotangentChart.random(n, r), rng)
                 report.add(
@@ -245,24 +243,14 @@ def quantum_central_force_suite(n, alpha, rng=None, trees=None) -> VerificationR
 def _item_operator(n, item):
     """The symmetrized item: P-hat_ij for a pair, and for a square a
     constant away from the sum of the P-hat_ij^2, which commutes alike."""
-    return symmetrize(item_function(n, item))
+    return symmetrize(item_function(n, item).phase)
 
 
 @lru_cache(maxsize=None)
 def _item_element(n, item):
     """The item in U(so(n)): its generator for a pair, the sum of its
     squared generators for a square."""
-    return symmetrize_momentum_poly(item_image(n, item))
-
-
-def uea_item_commutator(n, a, b):
-    """[a, b] of two items in U(so(n)), by the derivation ``uea.ad`` for a
-    pair on the left and by squared-generator commutators for a square."""
-    x, y = _item_element(n, a), _item_element(n, b)
-    if a[0] == "pair":
-        ((word, c),) = x.terms.items()
-        return ad(word[0], y).scale(c)
-    return weighted_square_commutators(n, [square_weights(x)], y)[0]
+    return symmetrize_momentum_poly(item_function(n, item).image)
 
 
 def items_commute(n, a, b) -> bool:
@@ -279,6 +267,6 @@ def items_commute(n, a, b) -> bool:
 
 @lru_cache(maxsize=None)
 def _items_commute(n, a, b):
-    if uea_item_commutator(n, a, b).is_zero():
+    if uea_commutator(_item_element(n, a), _item_element(n, b)).is_zero():
         return True
     return commutator(_item_operator(n, a), _item_operator(n, b)).is_zero()

@@ -21,8 +21,9 @@ classical functions, the Weyl average of a monomial built one factor at a
 time by composition where the package uses McCoy's closed formula, and the
 Hamiltonian obstruction coefficient written out where the package reads it
 off the h = 6 closed form.  The remaining helpers (standard quantization,
-the top p-degree part of a phase polynomial, the classical x.p) are small
-maps only tests use.
+the top p-degree part of a phase polynomial, the classical x.p, the so(n)
+bracket of two basis elements, the splitting-tree items as phase
+polynomials) are small maps only tests use.
 """
 
 from fractions import Fraction
@@ -43,7 +44,7 @@ from manakov.rigid_body import (
     manakov_integral,
     z_lambda,
 )
-from manakov.son import MomentSpec, basis_element, dim_so, gen_bracket, pair_list, signed_pair, structure_table
+from manakov.son import MomentSpec, basis_element, dim_so, pair_list, signed_pair, structure_table
 from manakov.uea import PBWElement, correction_weights, pbw_mul, weighted_square_commutators
 from manakov.weyl import WeylOperator, compose
 
@@ -500,6 +501,32 @@ def hamiltonian_obstruction_b(spec: MomentSpec, i, j, k):
 
 
 # -- hand-built quantum central-force operators ---------------------------------
+
+
+def gen_bracket(n, u, v):
+    """[e_u, e_v] as (w, sign) with the bracket equal to sign * e_w, or
+    None, read off ``structure_table`` directly."""
+    table = structure_table(n)
+    if u <= v:
+        return table.get((u, v))
+    hit = table.get((v, u))
+    return None if hit is None else (hit[0], -hit[1])
+
+
+def item_phase(n, item) -> PhasePoly:
+    """A splitting-tree item as a phase polynomial, pair by pair from the
+    coordinates and momenta: P_ij = x_i p_j - x_j p_i for ("pair", (i, j)),
+    and the sum of P_ij * P_ij over the pairs inside the subset for
+    ("square", subset)."""
+
+    def pij(i, j):
+        x, p = PhasePoly.coordinate, PhasePoly.momentum
+        return x(n, i) * p(n, j) - x(n, j) * p(n, i)
+
+    kind, data = item
+    if kind == "pair":
+        return pij(*data)
+    return sum((pij(a, b) * pij(a, b) for a, b in combinations(sorted(data), 2)), PhasePoly.zero(n))
 
 
 def x_dot_p(n) -> PhasePoly:

@@ -46,7 +46,6 @@ from manakov.son import (
     ad_kernel_dim,
     cayley_orthogonal,
     casimir_set,
-    gen_bracket,
     pair_list,
     random_skew,
     right_from_left,
@@ -70,7 +69,7 @@ from manakov.weyl import (
     symmetrize,
     x_dot_p_operator,
 )
-from oracles import hamiltonian_obstruction_b, pbw_normalize, top_p_part
+from oracles import gen_bracket, hamiltonian_obstruction_b, pbw_normalize, top_p_part
 
 # the published counting table (n, q) -> (k, r, kbar); 25 rows
 PRINTED_TABLE = {

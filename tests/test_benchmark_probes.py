@@ -65,7 +65,8 @@ def test_worker_empties_the_memos(capsys):
     from manakov import cli
     from manakov.rigid_body import ManakovIndex, manakov_coefficient
     from manakov.son import MomentSpec
-    from manakov.uea import PBWElement, square_commutator, sym_word
+    from manakov.brackets import LiePoissonPoly
+    from manakov.uea import PBWElement, square_commutator, symmetrize_momentum_poly
 
     clear_caches = _load_benchmark_module("worker").clear_caches
     # a small central and rigid run, plus the kernels whose memos it may not reach
@@ -75,11 +76,13 @@ def test_worker_empties_the_memos(capsys):
     capsys.readouterr()
     manakov_coefficient(ManakovIndex(3, 1), (1, 2), MomentSpec.from_lambdas((Fraction(1), Fraction(2), Fraction(3))))
     square_commutator(0, PBWElement(4, {(1, 2): 1}))
-    sym_word(4, (3, 1, 2))
+    symmetrize_momentum_poly(LiePoissonPoly.gen(4, (1, 2)) * LiePoissonPoly.gen(4, (2, 3)) ** 2)
     spec = MomentSpec.symbolic(4)
     spec.lambdas[0] / (spec.lambdas[1] + spec.lambdas[2])
     filled = {name for name, memo in _module_memos() if _size(memo)}
-    for module in ("ratfunc", "rigid_body", "uea", "weyl", "son", "radical"):
+    for module in ("ratfunc", "rigid_body", "uea", "weyl", "son", "radical", "charts", "central_force", "brackets"):
         assert any(name.startswith(f"manakov.{module}.") for name in filled), module
+    # the central-force memos: partials, the shared P_ij and the items
+    assert {"manakov.charts._partials", "manakov.charts.momentum_table", "manakov.central_force.item_function"} <= filled
     clear_caches()
     assert [name for name, memo in _module_memos() if _size(memo)] == []

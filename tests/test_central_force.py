@@ -12,7 +12,6 @@ from manakov.central_force import (
     generic_hamiltonian,
     inverse_radius,
     item_function,
-    item_symbol,
     kepler_hamiltonian,
     kinetic,
     momenta,
@@ -29,7 +28,7 @@ from manakov.charts import CotangentChart, MomentumPullback, generic_full_rank, 
 from manakov.ratfunc import MultiPoly
 from manakov.son import pair_list
 from manakov.report import VerificationReport
-from oracles import x_dot_p
+from oracles import item_phase, x_dot_p
 
 
 def test_momenta_basics():
@@ -75,8 +74,9 @@ def test_recursive_sets_examples():
     assert spec.labels == ["H", "P2", "P2_(123)", "P13", "P23"] and spec.k == 3
     spec = recursive_set_spec(5, SplitTree.split(SplitTree.leaf([1, 2, 3]), SplitTree.leaf([4, 5])))
     assert spec.labels == ["H", "P2", "P2_(123)", "P45", "P13", "P23"] and spec.k == 4
-    assert spec.central == [generic_hamiltonian(5), p_squared(5), p_squared(5, [1, 2, 3]), momentum(5, 4, 5)]
-    assert spec.noncentral == [momentum(5, 1, 3), momentum(5, 2, 3)]
+    assert spec.central[0] == generic_hamiltonian(5)
+    assert [f.phase for f in spec.central[1:]] == [p_squared(5), p_squared(5, [1, 2, 3]), momentum(5, 4, 5)]
+    assert [f.phase for f in spec.noncentral] == [momentum(5, 1, 3), momentum(5, 2, 3)]
 
 
 def test_recursive_set_counting():
@@ -189,7 +189,7 @@ def test_table_rows_shape():
         f"n=5 row {k}" for k in range(1, 8)
     ]
     assert rows5[0].size == 8
-    assert rows5[5].central[2] == p_squared(5, [1, 2, 3]) and rows5[5].central[3] == momentum(5, 4, 5)
+    assert rows5[5].central[2].phase == p_squared(5, [1, 2, 3]) and rows5[5].central[3].phase == momentum(5, 4, 5)
     with pytest.raises(ValueError):
         table_rows(6)
 
@@ -210,6 +210,41 @@ def test_generic_hamiltonian_rank_uses_all_slots():
     h = generic_hamiltonian(n)
     pt = CotangentChart.random(n, rng)
     assert jacobian_rank([h, p_squared(n)], pt) == 2
+
+
+def test_each_phase_function_is_differentiated_once(monkeypatch):
+    # the rank checks take the partials of a phase polynomial once, however
+    # many sets and redrawn points share it (the generic H is in every
+    # splitting-tree set): n dx calls per distinct PhasePoly in the sets;
+    # a pullback takes its gradient by the chain rule, with no dx at all
+    from collections import Counter
+
+    from manakov import charts, suites
+
+    n = 4
+    charts._partials.cache_clear()
+    inside, seen, calls = [], set(), Counter()
+    real_dx, real_row = PhasePoly.dx, CotangentChart.gradient_row
+
+    def counting_dx(self, i):
+        if inside:
+            calls[self] += 1
+        return real_dx(self, i)
+
+    def recording_row(self, f):
+        if isinstance(f, PhasePoly):
+            seen.add(f)
+        inside.append(f)
+        try:
+            return real_row(self, f)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(PhasePoly, "dx", counting_dx)
+    monkeypatch.setattr(CotangentChart, "gradient_row", recording_row)
+    assert suites.suite_classical_central(n, seed=0).ok
+    assert calls[generic_hamiltonian(n)] == n
+    assert len(seen) >= 6 and calls == Counter({f: n for f in seen})
 
 
 def _record_ranks(monkeypatch):
@@ -268,13 +303,14 @@ def test_rank_check_fails_when_every_point_is_deficient(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_momentum_pullback_gradients_match_the_composed_functions(n):
-    # the chain-rule gradient of F o P against the gradient of F o P formed
-    # as a phase polynomial: every item, and a seeded cubic F, at seeded
-    # chart points
+    # each pullback F o P against F o P formed pair by pair from the
+    # coordinates and momenta (``oracles.item_phase``): every item, and a
+    # seeded cubic F, as phase polynomials, and their gradients (the chain
+    # rule against differentiating on T*R^n) at seeded chart points
     rng = random.Random(300 + n)
     items = [("pair", p) for p in combinations(range(1, n + 1), 2)]
-    items += [("square", s) for m in range(3, n + 1) for s in combinations(range(1, n + 1), m)]
-    pairs = [(item_symbol(n, it), item_function(n, it)) for it in items]
+    items += [("square", s) for m in range(2, n + 1) for s in combinations(range(1, n + 1), m)]
+    pairs = [(item_function(n, it), item_phase(n, it)) for it in items]
     terms = {}
     for _ in range(4):
         mono = [0] * len(pair_list(n))
@@ -285,10 +321,12 @@ def test_momentum_pullback_gradients_match_the_composed_functions(n):
     composed = PhasePoly.zero(n)
     for mono, c in terms.items():
         term = PhasePoly.const(n, c)
-        for (i, j), e in zip(pair_list(n), mono):
-            term = term * momentum(n, i, j) ** e
+        for pair, e in zip(pair_list(n), mono):
+            term = term * item_phase(n, ("pair", pair)) ** e
         composed = composed + term
     pairs.append((MomentumPullback(cubic), composed))
+    for pullback, f in pairs:
+        assert pullback.phase == f
     for _ in range(2):
         chart = CotangentChart.random(n, rng)
         for pullback, f in pairs:

@@ -8,11 +8,11 @@ import pytest
 
 from manakov.brackets import LiePoissonPoly, lie_poisson_bracket
 from manakov.dynamics import (
+    _rhs,
+    _rhs_tables,
     FlowState,
     conservation_report,
     default_initial_momentum,
-    euler_rhs,
-    evaluate_invariant,
     integrate,
     write_drift_json,
     write_trajectory_csv,
@@ -20,6 +20,11 @@ from manakov.dynamics import (
 from manakov.rigid_body import ManakovIndex, hamiltonian, manakov_integral
 from manakov.son import MomentSpec, pair_list
 from oracles import exact_rhs_reference
+
+
+def euler_rhs(p, lambdas):
+    """dP/dt at p by the kernel the RK4 steps call."""
+    return _rhs(p, _rhs_tables(lambdas))
 
 
 def spec4():

@@ -172,3 +172,45 @@ def test_simulate_keeps_numpy_error_state(tmp_path):
     assert np.geterr() == before
     assert main(base + ["--lambda", "1/1000,1,1000", "--t-end", "500", "--dt", "50"]) == 1
     assert np.geterr() == before
+
+
+def _unreached_definitions(package=PACKAGE):
+    """Top-level functions and classes of the package with no reference in
+    its source outside their own bodies, no export from ``__init__`` and no
+    benchmark probe: code only the tests reach."""
+    from test_benchmark_probes import PROBES
+
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    reached = {p.target.split(".")[0] for p in PROBES}
+    for node in trees["__init__.py"].body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            reached |= set(ast.literal_eval(node.value))
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            owner = None
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+                owner = node.name
+            for sub in ast.walk(node):
+                ref = sub.id if isinstance(sub, ast.Name) else sub.attr if isinstance(sub, ast.Attribute) else None
+                if ref != owner:
+                    reached.add(ref)
+    return [(module, name) for module, name in defined if name not in reached]
+
+
+def test_every_definition_is_reached_outside_the_tests():
+    # a function kept only for the tests belongs in tests/, as an oracle
+    assert _unreached_definitions() == []
+
+
+def test_reach_check_skips_a_definitions_own_body(tmp_path):
+    (tmp_path / "__init__.py").write_text('__all__ = ["exported"]\n')
+    (tmp_path / "probe.py").write_text(
+        "def exported():\n    pass\n"
+        "def recursive(k):\n    return recursive(k - 1)\n"
+        "def helper():\n    pass\n"
+        "class Used:\n    pass\n"
+        "def caller():\n    return helper() + Used.x\n"
+    )
+    assert _unreached_definitions(tmp_path) == [("probe.py", "recursive"), ("probe.py", "caller")]

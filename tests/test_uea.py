@@ -10,15 +10,19 @@ from manakov.ratfunc import MultiPoly, add_terms
 from manakov.charts import GroupChart
 from manakov.linalg import ExactMatrix, exact_rank, solve
 from manakov.rigid_body import ManakovIndex, centrality_defect, manakov_indices, manakov_integral, verify_z_lambda
-from manakov.son import MomentSpec, SkewMatrix, dim_so, gen_bracket, pair_index, pair_list, signed_pair
+from manakov.son import MomentSpec, SkewMatrix, dim_so, pair_index, pair_list, signed_pair
 from manakov.uea import (
     _AD_CACHE,
     _INSERT_CACHE,
+    _SYM_CACHE,
+    _WORD_CACHE,
+    _check_degree,
+    _sym,
+    _unpacked,
     EXPANSION_SIGN,
     PBWElement,
     ad,
     c62_correction,
-    clear_caches,
     correction_weights,
     hamiltonian_commutator,
     manakov_operator,
@@ -31,7 +35,6 @@ from manakov.uea import (
     square_weights,
     sym3_expansion,
     sym35_expansion,
-    sym_word,
     symmetrize_momentum_poly,
     uea_commutator,
     verify_quantum_central_set,
@@ -42,6 +45,7 @@ from manakov.uea import (
 from oracles import (
     correction_commutator_expansion,
     flat_case_completion_witnesses,
+    gen_bracket,
     hamiltonian_obstruction_b,
     hamiltonian_operator,
     manakov_operator_by_walks,
@@ -57,6 +61,19 @@ from oracles import (
     tuple_sym_word,
 )
 from oracles import sym_word as scaled_sym_word_by_products
+
+
+def clear_caches():
+    """Empty the PBW kernels' memos, so that a test counts or times real work."""
+    for memo in (_INSERT_CACHE, _AD_CACHE, _SYM_CACHE, _WORD_CACHE):
+        memo.clear()
+
+
+def sym_word(n, letters):
+    """k! times the symmetrization of the generator multiset ``letters``,
+    in canonical tuple words: the packed kernel ``_sym`` read back."""
+    _check_degree(len(letters))
+    return _unpacked(_sym(n, sum(1 << (g << 3) for g in letters)))
 
 
 def gen(n, pair):
