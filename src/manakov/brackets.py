@@ -34,6 +34,14 @@ class PhaseTerms(TermMap):
     _scalars = (int, Fraction, RadicalElement)
     letter = "p"
 
+    def __eq__(self, other):
+        # equal term maps are equal values (no zero is ever stored), so the
+        # bracket memo and antisymmetry compare functions without forming
+        # their difference
+        if type(other) is type(self):
+            return self.n == other.n and self.terms == other.terms
+        return TermMap.__eq__(self, other)
+
     def __hash__(self):
         h = getattr(self, "_hash", None)
         if h is None:
@@ -141,16 +149,29 @@ def canonical_bracket(f: PhasePoly, g: PhasePoly) -> PhasePoly:
 
 
 def _bracket(f: PhasePoly, g: PhasePoly) -> PhasePoly:
-    """The canonical bracket itself, unmemoized."""
+    """The canonical bracket itself, unmemoized, on the memoized partials;
+    a product with a zero factor is skipped."""
+    n = f.n
+    df, dg = partials(f), partials(g)
     acc = {}
-    for i in range(1, f.n + 1):
-        fp = f.dp(i)
-        if fp.terms:
-            add_terms(acc, (fp * g.dx(i)).terms.items())
-        fx = f.dx(i)
-        if fx.terms:
-            add_terms(acc, (-fx * g.dp(i)).terms.items())
+    for i in range(n):
+        fp, gx = df[n + i].terms, dg[i].terms
+        if fp and gx:
+            add_terms(acc, product_terms(fp, gx).items())
+        fx, gp = df[i].terms, dg[n + i].terms
+        if fx and gp:
+            add_terms(acc, ((m, -c) for m, c in product_terms(fx, gp).items()))
     return f._new(acc)
+
+
+@lru_cache(maxsize=None)
+def partials(f: PhasePoly):
+    """df/dx_1..df/dx_n, df/dp_1..df/dp_n, taken once per function and
+    shared (callers must not mutate them): the canonical kernel multiplies
+    them and the rank checks evaluate them at every chart point.  A phase
+    element keeps its hash, so a lookup does not rehash the function."""
+    n = f.n
+    return tuple(f.dx(i) for i in range(1, n + 1)) + tuple(f.dp(i) for i in range(1, n + 1))
 
 
 # -- Lie-Poisson side ---------------------------------------------------------

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from operator import mul
 
-from .brackets import LiePoissonPoly, PhasePoly, canonical_bracket, lie_poisson_bracket
+from .brackets import LiePoissonPoly, PhasePoly, canonical_bracket, lie_poisson_bracket, partials
 from .linalg import ExactMatrix, rank_of
 from .report import VerificationReport
 from .son import (
@@ -72,7 +72,8 @@ class CotangentChart:
         """(df/dx_1..df/dx_n, df/dp_1..df/dp_n) evaluated exactly.  A
         ``MomentumPullback`` F o P takes the chain rule, sum_u dF/dP_u(P(x, p))
         grad P_u, with the P values formed once per point; a PhasePoly
-        evaluates its partials, taken once per function (``_partials``)."""
+        evaluates its partials, taken once per function
+        (``brackets.partials``)."""
         if isinstance(f, MomentumPullback):
             n, x, p, momenta = self.n, self.x, self.p, self.momenta()
             row = [Fraction(0)] * (2 * n)
@@ -85,17 +86,9 @@ class CotangentChart:
                 row[n + j - 1] += c * x[i - 1]
             return row
         try:
-            return [d.eval(self.x, self.r, self.p) for d in _partials(f)]
+            return [d.eval(self.x, self.r, self.p) for d in partials(f)]
         except ZeroDivisionError:
             raise DegenerateSampleError("pole hit while evaluating gradient; resample point")
-
-
-@lru_cache(maxsize=None)
-def _partials(f: PhasePoly):
-    """df/dx_1..df/dx_n, df/dp_1..df/dp_n, taken once per function: the
-    sets of a sweep share their Hamiltonian, and a rank check redraws."""
-    n = f.n
-    return [f.dx(i) for i in range(1, n + 1)] + [f.dp(i) for i in range(1, n + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -253,24 +246,45 @@ def involution_report(a, b, labels_a=None, labels_b=None, anchor="", id_prefix="
     phase functions (PhasePoly or MomentumPullback); nonzero brackets are
     recorded verbatim as failure witnesses.
 
-    The momentum map P: T*R^n -> so(n)* is a Poisson map, {F o P, G o P} =
-    {F, G}_LP o P, so two pullbacks whose images Lie-Poisson commute are
-    recorded as zero without their canonical bracket.  Every other pair, a
-    nonzero Lie-Poisson bracket included, is decided by the canonical
-    bracket of the phase polynomials.
+    A pair that an identity makes zero (``_vanishes_by_structure``) is
+    recorded as zero without its canonical bracket.  Every other pair, a
+    nonzero bracket and a zero sum of nonzero chain-rule terms included, is
+    decided by the canonical bracket of the phase polynomials.
     """
     labels_a = labels_a or [f"A{i}" for i in range(len(a))]
     labels_b = labels_b or [f"B{j}" for j in range(len(b))]
     report = VerificationReport()
     for f, label_f in zip(a, labels_a):
         for g, label_g in zip(b, labels_b):
-            pullbacks = isinstance(f, MomentumPullback) and isinstance(g, MomentumPullback)
-            if pullbacks and _lie_poisson_commute(f.image, g.image):
+            if _vanishes_by_structure(f, g):
                 value = PhasePoly.zero(f.n)
             else:
                 value = canonical_bracket(getattr(f, "phase", f), getattr(g, "phase", g))
             report.add_zero(f"{id_prefix}/{{{label_f},{label_g}}}", anchor, value)
     return report
+
+
+def _vanishes_by_structure(f, g) -> bool:
+    """True when {f, g} = 0 follows from one of three identities; False
+    decides nothing.
+
+    - Antisymmetry: {f, f} = 0 for equal functions (by value, not hash).
+    - P is a Poisson map: {F o P, G o P} = {F, G}_LP o P, zero when the
+      images Lie-Poisson commute (decided once per pair).
+    - The chain rule, for a phase polynomial h and a pullback F o P in
+      either order: {h, F o P} = sum_ij (dF/dP_ij o P) {h, P_ij}, zero when
+      h commutes with every P_ij that F depends on, as a rotation-invariant
+      h does.  The P_ij are the shared ``momentum_table`` entries, so each
+      {h, P_ij} is formed once per process.
+    """
+    f_pulled, g_pulled = isinstance(f, MomentumPullback), isinstance(g, MomentumPullback)
+    if f_pulled and g_pulled:
+        return f.image == g.image or _lie_poisson_commute(f.image, g.image)
+    if not (f_pulled or g_pulled):
+        return f == g
+    h, pullback = (g, f) if f_pulled else (f, g)
+    table = momentum_table(pullback.n)
+    return all(not canonical_bracket(h, table[pair]) for pair, _ in pullback.partials)
 
 
 @lru_cache(maxsize=None)

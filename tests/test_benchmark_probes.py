@@ -83,6 +83,6 @@ def test_worker_empties_the_memos(capsys):
     for module in ("ratfunc", "rigid_body", "uea", "weyl", "son", "radical", "charts", "central_force", "brackets"):
         assert any(name.startswith(f"manakov.{module}.") for name in filled), module
     # the central-force memos: partials, the shared P_ij and the items
-    assert {"manakov.charts._partials", "manakov.charts.momentum_table", "manakov.central_force.item_function"} <= filled
+    assert {"manakov.brackets.partials", "manakov.charts.momentum_table", "manakov.central_force.item_function"} <= filled
     clear_caches()
     assert [name for name, memo in _module_memos() if _size(memo)] == []

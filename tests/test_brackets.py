@@ -13,14 +13,19 @@ from manakov.brackets import (
 from manakov.central_force import (
     emit_tables,
     generic_hamiltonian,
+    item_function,
+    kepler_hamiltonian,
     kinetic,
     momenta,
     momentum,
+    oscillator_hamiltonian,
     p_squared,
     r_squared,
     runge_lenz_vector,
 )
-from manakov.charts import CotangentChart, GroupChart, involution_report, jacobian_rank
+from manakov.charts import CotangentChart, GroupChart, MomentumPullback, involution_report, jacobian_rank, momentum_table
+from manakov.radical import RadicalElement, x_vars
+from manakov.report import VerificationReport
 from manakov.son import bracket as matrix_bracket
 from manakov.ratfunc import MultiPoly, RationalFunction
 from manakov.son import basis_element, dim_so, lambda_vars, pair_list, structure_table
@@ -325,6 +330,131 @@ def test_involution_report_witnesses():
     assert "p" in rep2.checks[0].witness  # the nonzero bracket 4 x.p is recorded
 
 
+def _seeded_invariant(rng, n):
+    """A seeded f(p^2, r^2, x.p, P^2): a rational sum of products of at most
+    two of the invariants."""
+    invariants = [kinetic(n), r_squared(n), x_dot_p(n), p_squared(n)]
+    f = PhasePoly.zero(n)
+    for _ in range(3):
+        factor = rng.choice(invariants + [PhasePoly.const(n, 1)])
+        f = f + rng.choice(invariants) * factor * Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+    return f
+
+
+def _seeded_radical_phase(rng, n):
+    """A seeded phase polynomial of p-degree 1 or 2 whose coefficients are
+    (a + b r)/q^e, a and b seeded polynomials in x: not rotation-invariant."""
+    xs = x_vars(n)
+
+    def poly():
+        return MultiPoly(xs, {tuple(rng.randint(0, 1) for _ in range(n)): Fraction(rng.randint(-3, 3))})
+
+    terms = {}
+    for _ in range(3):
+        mono = [0] * n
+        for _ in range(rng.randint(1, 2)):
+            mono[rng.randrange(n)] += 1
+        terms[tuple(mono)] = RadicalElement(n, poly(), poly(), rng.randint(0, 1))
+    f = PhasePoly(n, terms)
+    return f if f else PhasePoly.momentum(n, 1)
+
+
+def _seeded_cubic(rng, n):
+    """F o P for a seeded cubic F on so(n)* with a P_12 term, so that the
+    support of F starts at P_12 and reaches past it."""
+    vars = momentum_vars(n)
+    terms = {tuple(int(k == 0) for k in range(len(vars))): Fraction(rng.randint(1, 3))}
+    for degree in (2, 3):
+        mono = [0] * len(vars)
+        for _ in range(degree):
+            mono[rng.randrange(len(vars))] += 1
+        terms[tuple(mono)] = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
+    return MomentumPullback(LiePoissonPoly(n, MultiPoly(vars, terms)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_structural_zeros_agree_with_the_kernel(n):
+    # involution_report decides a pair without the canonical kernel when
+    # antisymmetry, the Poisson map P or the chain rule through P makes it
+    # zero.  Each such decision is checked against ``_bracket``, over phase
+    # functions h that are rotation-invariant (every {h, F o P} is then
+    # decided by the chain rule) or not (Runge-Lenz components: A_n
+    # commutes with P_12 but not with the P_in after it; seeded radical
+    # coefficients), and pullbacks F o P of pairs, squares and seeded cubics
+    from manakov import brackets, charts
+
+    rng = random.Random(2300 + n)
+    alpha = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+    invariant = [generic_hamiltonian(n), kepler_hamiltonian(n, alpha), oscillator_hamiltonian(n), _seeded_invariant(rng, n)]
+    lenz = runge_lenz_vector(n, alpha)
+    moving = [lenz[0], lenz[-1], _seeded_radical_phase(rng, n), _seeded_radical_phase(rng, n)]
+    subset = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(2, n))))
+    items = [("pair", (1, 2)), ("pair", tuple(sorted(rng.sample(range(1, n + 1), 2)))), ("square", subset)]
+    items.append(("square", tuple(range(1, n + 1))))
+    pullbacks = [item_function(n, item) for item in items] + [_seeded_cubic(rng, n), _seeded_cubic(rng, n)]
+    table = momentum_table(n)
+
+    def phase(f):
+        return f.phase if isinstance(f, MomentumPullback) else f
+
+    for h in invariant + moving:
+        for pullback in pullbacks:
+            commutes = all(brackets._bracket(h, table[pair]).is_zero() for pair, _ in pullback.partials)
+            for f, g in ((h, pullback), (pullback, h)):
+                kernel = brackets._bracket(phase(f), phase(g))
+                decided = charts._vanishes_by_structure(f, g)
+                # the chain rule fires exactly when h commutes with the
+                # whole support of F, always for an invariant h; it is never
+                # wrong, and every undecided pair gets the kernel's value
+                assert decided == commutes and (decided or h not in invariant), (f, g)
+                assert not decided or kernel.is_zero(), (f, g)
+                assert involution_report([f], [g]).checks[0].witness == ("0" if kernel.is_zero() else str(kernel))
+                if not decided:
+                    assert canonical_bracket(phase(f), phase(g)) == kernel
+    # a zero sum of nonzero chain-rule terms is left to the kernel: P^2 is
+    # a Casimir, so {P_12, P^2} = 0 though {P_12, P_13} is not
+    whole = item_function(n, ("square", tuple(range(1, n + 1))))
+    assert not charts._vanishes_by_structure(table[1, 2], whole)
+    assert involution_report([table[1, 2]], [whole]).ok
+    # a whole report, diagonal and item pairs included, equals the one
+    # built from the kernel alone
+    batch = [invariant[0], moving[-1]] + pullbacks
+    labels = [f"F{k}" for k in range(len(batch))]
+    expected = VerificationReport()
+    kernel = {}
+    for i, f in enumerate(batch):
+        for j, g in enumerate(batch):
+            if (j, i) in kernel:
+                kernel[i, j] = -kernel[j, i]
+            else:
+                kernel[i, j] = brackets._bracket(phase(f), phase(g))
+            expected.add_zero(f"involution/{{{labels[i]},{labels[j]}}}", "", kernel[i, j])
+    assert involution_report(batch, batch, labels, labels).to_json() == expected.to_json()
+    assert any(not value.is_zero() for value in kernel.values())
+
+
+def test_equal_hashes_do_not_make_functions_equal(monkeypatch):
+    # antisymmetry needs equal functions, not equal hashes: two different
+    # phase polynomials, and two pullbacks with different images, whose
+    # hashes are forced equal are still bracketed
+    from manakov import brackets, charts
+
+    n = 3
+    f, g = kinetic(n), r_squared(n)
+    a, b = (MomentumPullback(LiePoissonPoly.gen(n, pair)) for pair in ((1, 2), (1, 3)))
+    monkeypatch.setattr(PhasePoly, "__hash__", lambda self: 12345)
+    monkeypatch.setattr(LiePoissonPoly, "__hash__", lambda self: 54321)
+    try:
+        assert hash(f) == hash(g) and hash(a.image) == hash(b.image)
+        assert not involution_report([f], [g]).ok
+        assert not involution_report([a], [b]).ok
+        assert involution_report([f, a], [f, a]).ok
+    finally:
+        brackets._BRACKET_CACHE.clear()
+        brackets.partials.cache_clear()
+        charts._lie_poisson_commute.cache_clear()
+
+
 def test_canonical_bracket_memo_negates_the_swapped_pair():
     # {g, f} is read off a memoized {f, g}; both equal the unmemoized kernel
     from manakov import brackets
@@ -344,17 +474,25 @@ def test_canonical_bracket_memo_negates_the_swapped_pair():
 
 def test_canonical_bracket_kernel_runs_once_per_unordered_pair(monkeypatch):
     # the n = 4 table rows ask for some brackets more than once (every row
-    # starts with the generic H); the kernel forms each unordered pair once
+    # starts with the generic H); the kernel never forms a diagonal pair
+    # and forms each unordered pair of distinct functions at most once.
+    # {H, H} is zero by antisymmetry, item pairs are decided on so(n)*, and
+    # {H, item} by the chain rule through the six {H, P_ij}: those six are
+    # all the kernel forms
     from manakov import brackets, charts
 
     asked, formed = [], []
     real_memo, real_kernel = brackets.canonical_bracket, brackets._bracket
     monkeypatch.setattr(charts, "canonical_bracket", lambda f, g: asked.append(frozenset((f, g))) or real_memo(f, g))
-    monkeypatch.setattr(brackets, "_bracket", lambda f, g: formed.append(frozenset((f, g))) or real_kernel(f, g))
+    monkeypatch.setattr(brackets, "_bracket", lambda f, g: formed.append((f, g)) or real_kernel(f, g))
     brackets._BRACKET_CACHE.clear()
     rows = emit_tables(4, random.Random(0), points=0)
     assert all(report.ok for _, report in rows)
-    assert len(formed) == len(set(formed)) == len(set(asked)) < len(asked)
+    assert all(f != g for f, g in formed)
+    unordered = [frozenset(pair) for pair in formed]
+    assert len(unordered) == len(set(unordered)) == len(set(asked)) < len(asked)
+    h = generic_hamiltonian(4)
+    assert set(unordered) == {frozenset((h, p)) for p in momenta(4)}
 
 
 def test_sphere_chart_is_exact():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -213,27 +214,27 @@ def test_generic_hamiltonian_rank_uses_all_slots():
 
 
 def test_each_phase_function_is_differentiated_once(monkeypatch):
-    # the rank checks take the partials of a phase polynomial once, however
-    # many sets and redrawn points share it (the generic H is in every
-    # splitting-tree set): n dx calls per distinct PhasePoly in the sets;
-    # a pullback takes its gradient by the chain rule, with no dx at all
-    from collections import Counter
-
-    from manakov import charts, suites
+    # the partials of a phase polynomial are taken once, however many sets,
+    # redrawn points and brackets share it (the generic H is in every
+    # splitting-tree set, and the kernel forms each {H, P_ij} from the same
+    # memo): n dx calls per PhasePoly differentiated anywhere, every
+    # PhasePoly of the sets among them; a pullback takes its gradient by
+    # the chain rule, with no dx at all
+    from manakov import brackets, suites
 
     n = 4
-    charts._partials.cache_clear()
-    inside, seen, calls = [], set(), Counter()
+    brackets.partials.cache_clear()
+    inside, seen, calls, pulled = [], set(), Counter(), []
     real_dx, real_row = PhasePoly.dx, CotangentChart.gradient_row
 
     def counting_dx(self, i):
-        if inside:
-            calls[self] += 1
+        calls[self] += 1
+        if inside and isinstance(inside[-1], MomentumPullback):
+            pulled.append(self)
         return real_dx(self, i)
 
     def recording_row(self, f):
-        if isinstance(f, PhasePoly):
-            seen.add(f)
+        seen.add(f)
         inside.append(f)
         try:
             return real_row(self, f)
@@ -244,7 +245,9 @@ def test_each_phase_function_is_differentiated_once(monkeypatch):
     monkeypatch.setattr(CotangentChart, "gradient_row", recording_row)
     assert suites.suite_classical_central(n, seed=0).ok
     assert calls[generic_hamiltonian(n)] == n
-    assert len(seen) >= 6 and calls == Counter({f: n for f in seen})
+    phases = {f for f in seen if isinstance(f, PhasePoly)}
+    assert len(phases) >= 6 and phases <= set(calls) and set(calls.values()) == {n}
+    assert any(isinstance(f, MomentumPullback) for f in seen) and pulled == []
 
 
 def _record_ranks(monkeypatch):

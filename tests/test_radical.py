@@ -182,7 +182,7 @@ def test_coordinate_coefficients_never_form_a_rational_function(monkeypatch):
         central_force.generic_hamiltonian,
         central_force.item_function,
         charts.momentum_table,
-        charts._partials,
+        brackets.partials,
         charts._lie_poisson_commute,
         weyl._items_commute,
         weyl._item_operator,

@@ -9,6 +9,7 @@ from manakov.central_force import (
     SplitTree,
     all_split_trees,
     catalog,
+    generic_hamiltonian,
     inverse_radius,
     item_function,
     item_label,
@@ -344,8 +345,11 @@ def test_item_shortcuts_agree_with_the_brackets_they_replace(monkeypatch, n):
     # (classical); both maps only carry zeros over, so each shortcut is
     # checked against the commutator or bracket it replaces, on seeded
     # pairs plus pairs that do not commute: two squares on overlapping,
-    # non-nested subsets, and a pair sharing one index with a square
+    # non-nested subsets, and a pair sharing one index with a square.  The
+    # generic H joins both batches, so {H, item} and {item, H}, decided by
+    # the chain rule for the pullbacks, meet the kernel for the phases
     rng = random.Random(2100 + n)
+    h = generic_hamiltonian(n)
     pairs = {tuple(sorted((_random_item(rng, n), _random_item(rng, n)))) for _ in range(8)}
     if n >= 4:
         pairs |= {(("square", (1, 2, 3)), ("square", (2, 3, 4))), (("pair", (3, 4)), ("square", (1, 2, 3)))}
@@ -362,8 +366,8 @@ def test_item_shortcuts_agree_with_the_brackets_they_replace(monkeypatch, n):
         on_so = lie_poisson_bracket(f.image, g.image).is_zero()
         assert on_so == canonical_bracket(f.phase, g.phase).is_zero(), (a, b)
         # the report reads the same for the pullbacks as for their phase polynomials
-        shortcut = involution_report([f], [g])
-        assert shortcut.to_json() == involution_report([f.phase], [g.phase]).to_json()
+        shortcut = involution_report([f, h], [g, h])
+        assert shortcut.to_json() == involution_report([f.phase, h], [g.phase, h]).to_json()
         # a pair that does not commute in U(so(n)) reaches the Weyl commutator
         calls = len(weyl_calls)
         assert items_commute(n, a, b) == as_operators
