@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .radical import RadicalElement, check_axis
+from .radical import RadicalElement, check_axis, x_vars
 from .ratfunc import MultiPoly, TermMap, add_terms, integer_scaled, lowered_terms, product_terms
 from .son import SkewMatrix, pair_list, signed_pair, structure_rows
 
@@ -26,8 +26,9 @@ class PhaseTerms(TermMap):
     derivatives).  Coefficients are elements of the radical extension
     ((a + b*r)/q^e with a, b polynomials in x, r = sqrt(q) and q = x^2);
     ``letter`` names the momenta in print.  The hash is taken once: the
-    terms of an element never change after it is built, and the bracket
-    memo hashes the same functions many times.
+    terms of an element never change after it is built, and the partials
+    memo and the (function, P_ij) memo of ``charts`` hash the same
+    functions many times.
     """
 
     __slots__ = ("_hash",)
@@ -36,10 +37,13 @@ class PhaseTerms(TermMap):
 
     def __eq__(self, other):
         # equal term maps are equal values (no zero is ever stored), so the
-        # bracket memo and antisymmetry compare functions without forming
-        # their difference
+        # memos and antisymmetry compare functions without forming their
+        # difference; a polynomial in other variables than x (the momenta
+        # P_ij) is another function
         if type(other) is type(self):
             return self.n == other.n and self.terms == other.terms
+        if isinstance(other, MultiPoly) and other.vars != x_vars(self.n):
+            return False
         return TermMap.__eq__(self, other)
 
     def __hash__(self):
@@ -131,26 +135,11 @@ class PhasePoly(PhaseTerms):
         return total
 
 
-_BRACKET_CACHE = {}
-
-
 def canonical_bracket(f: PhasePoly, g: PhasePoly) -> PhasePoly:
-    """{f, g} = sum_i df/dp_i dg/dx_i - df/dx_i dg/dp_i, formed once per
-    unordered pair: {g, f} is the negation of a memoized {f, g}.  The
-    result is shared with later calls; it must not be mutated."""
+    """{f, g} = sum_i df/dp_i dg/dx_i - df/dx_i dg/dp_i, on the memoized
+    partials; a product with a zero factor is skipped."""
     if f.n != g.n:
         raise ValueError("mixed dimensions")
-    result = _BRACKET_CACHE.get((f, g))
-    if result is None:
-        swapped = _BRACKET_CACHE.get((g, f))
-        result = _bracket(f, g) if swapped is None else -swapped
-        _BRACKET_CACHE[f, g] = result
-    return result
-
-
-def _bracket(f: PhasePoly, g: PhasePoly) -> PhasePoly:
-    """The canonical bracket itself, unmemoized, on the memoized partials;
-    a product with a zero factor is skipped."""
     n = f.n
     df, dg = partials(f), partials(g)
     acc = {}

@@ -246,17 +246,17 @@ def involution_report(a, b, labels_a=None, labels_b=None, anchor="", id_prefix="
     phase functions (PhasePoly or MomentumPullback); nonzero brackets are
     recorded verbatim as failure witnesses.
 
-    A pair that an identity makes zero (``_vanishes_by_structure``) is
-    recorded as zero without its canonical bracket.  Every other pair, a
-    nonzero bracket and a zero sum of nonzero chain-rule terms included, is
-    decided by the canonical bracket of the phase polynomials.
+    A pair that ``vanishes_by_structure`` is recorded as zero without its
+    canonical bracket.  Every other pair, a nonzero bracket and a zero sum
+    of nonzero chain-rule terms included, is decided by the canonical
+    bracket of the phase polynomials.
     """
     labels_a = labels_a or [f"A{i}" for i in range(len(a))]
     labels_b = labels_b or [f"B{j}" for j in range(len(b))]
     report = VerificationReport()
     for f, label_f in zip(a, labels_a):
         for g, label_g in zip(b, labels_b):
-            if _vanishes_by_structure(f, g):
+            if vanishes_by_structure(f, g):
                 value = PhasePoly.zero(f.n)
             else:
                 value = canonical_bracket(getattr(f, "phase", f), getattr(g, "phase", g))
@@ -264,30 +264,37 @@ def involution_report(a, b, labels_a=None, labels_b=None, anchor="", id_prefix="
     return report
 
 
-def _vanishes_by_structure(f, g) -> bool:
-    """True when {f, g} = 0 follows from one of three identities; False
-    decides nothing.
+def vanishes_by_structure(f, g) -> bool:
+    """True when {f, g} = 0 follows from one of two identities, for phase
+    polynomials and pullbacks F o P alike; False decides nothing.
 
-    - Antisymmetry: {f, f} = 0 for equal functions (by value, not hash).
-    - P is a Poisson map: {F o P, G o P} = {F, G}_LP o P, zero when the
-      images Lie-Poisson commute (decided once per pair).
-    - The chain rule, for a phase polynomial h and a pullback F o P in
-      either order: {h, F o P} = sum_ij (dF/dP_ij o P) {h, P_ij}, zero when
-      h commutes with every P_ij that F depends on, as a rotation-invariant
-      h does.  The P_ij are the shared ``momentum_table`` entries, so each
-      {h, P_ij} is formed once per process.
+    - Antisymmetry: {f, f} = 0 for equal functions (by value, not hash;
+      a pullback is its image F).
+    - The chain rule through the momentum map, in either order:
+      {f, G o P} = sum_ij (dG/dP_ij o P) {f, P_ij} is zero when f commutes
+      with every P_ij that G depends on, as a rotation-invariant f does.
+
+    The same rule decides the quantum items (``weyl.items_commute``).
     """
-    f_pulled, g_pulled = isinstance(f, MomentumPullback), isinstance(g, MomentumPullback)
-    if f_pulled and g_pulled:
-        return f.image == g.image or _lie_poisson_commute(f.image, g.image)
-    if not (f_pulled or g_pulled):
-        return f == g
-    h, pullback = (g, f) if f_pulled else (f, g)
-    table = momentum_table(pullback.n)
-    return all(not canonical_bracket(h, table[pair]) for pair, _ in pullback.partials)
+    if getattr(f, "image", f) == getattr(g, "image", g):
+        return True
+    return _commutes_with_support(f, g) or _commutes_with_support(g, f)
+
+
+def _commutes_with_support(f, g) -> bool:
+    """g = G o P and f commutes with every P_ij in the support of G."""
+    if not isinstance(g, MomentumPullback):
+        return False
+    return all(_commutes_with_momentum(f, pair) for pair, _ in g.partials)
 
 
 @lru_cache(maxsize=None)
-def _lie_poisson_commute(f: LiePoissonPoly, g: LiePoissonPoly) -> bool:
-    """{f, g}_LP = 0, decided once per pair: the sets of a sweep share items."""
-    return lie_poisson_bracket(f, g).is_zero()
+def _commutes_with_momentum(f, pair) -> bool:
+    """Whether {f, P_ij} = 0 is shown, once per (f, (i, j)): for a phase
+    polynomial f by its canonical bracket with the shared ``momentum_table``
+    entry; for a pullback F o P by {F, P_ij}_LP = 0 on so(n)*, which P, a
+    Poisson map, carries to {F o P, P_ij} = 0.  A pullback is its own key
+    (the items are built once each), so its image is never hashed."""
+    if isinstance(f, MomentumPullback):
+        return lie_poisson_bracket(f.image, LiePoissonPoly.gen(f.n, pair)).is_zero()
+    return canonical_bracket(f, momentum_table(f.n)[pair]).is_zero()

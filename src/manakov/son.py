@@ -136,15 +136,10 @@ class SkewMatrix:
         return ExactMatrix(out)
 
     @classmethod
-    def from_dense(cls, m: ExactMatrix, check=True):
+    def from_dense(cls, m: ExactMatrix):
+        """The skew matrix read off the upper triangle of ``m``, which the
+        caller guarantees is skew-symmetric (a conjugate of one)."""
         n = m.rows
-        if check:
-            for i in range(n):
-                if m.entries[i][i] != 0:
-                    raise ValueError("nonzero diagonal in skew matrix")
-                for j in range(i + 1, n):
-                    if m.entries[i][j] != -m.entries[j][i]:
-                        raise ValueError("matrix is not skew-symmetric")
         upper = {}
         for i in range(n):
             for j in range(i + 1, n):
@@ -265,7 +260,7 @@ def right_from_left(x: ExactMatrix, pl: SkewMatrix) -> SkewMatrix:
     """Conjugate a left-momentum value to the right one: X PL X~."""
     if x.transpose() @ x != ExactMatrix.identity(x.rows):
         raise ValueError("conjugating matrix is not orthogonal")
-    return SkewMatrix.from_dense(x @ pl.to_dense() @ x.transpose(), check=False)
+    return SkewMatrix.from_dense(x @ pl.to_dense() @ x.transpose())
 
 
 # -- moments of inertia -------------------------------------------------------

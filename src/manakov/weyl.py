@@ -13,15 +13,15 @@ over its orderings by McCoy's closed formula, one axis at a time.  Only
 P-hat^2, composed from the P-hat_ij, and the normal-ordered x.phat are
 built otherwise: the identities are stated in them.
 
-The splitting-tree items (P-hat_ij and sums of P-hat_ij^2) are commuted in
-U(so(n)) first (``items_commute``); only a pair that does not commute there
-is normal-ordered as differential operators.
+The splitting-tree items (P-hat_ij and sums of P-hat_ij^2) are commuted by
+the rule that decides the classical pairs, antisymmetry and the chain rule
+through the momentum map (``items_commute``); only a pair that the rule
+leaves open is normal-ordered as differential operators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import comb, factorial, prod
 
@@ -37,11 +37,10 @@ from .central_force import (
     recursive_set_structure,
     runge_lenz_vector,
 )
-from .charts import CotangentChart, generic_full_rank
+from .charts import CotangentChart, generic_full_rank, vanishes_by_structure
 from .radical import RadicalElement, x_vars
 from .ratfunc import MultiPoly, add_terms
 from .report import VerificationReport
-from .uea import symmetrize_momentum_poly, uea_commutator
 
 
 class WeylOperator(PhaseTerms):
@@ -239,34 +238,17 @@ def quantum_central_force_suite(n, alpha, rng=None, trees=None) -> VerificationR
     return report
 
 
-@lru_cache(maxsize=None)
-def _item_operator(n, item):
-    """The symmetrized item: P-hat_ij for a pair, and for a square a
-    constant away from the sum of the P-hat_ij^2, which commutes alike."""
-    return symmetrize(item_function(n, item).phase)
-
-
-@lru_cache(maxsize=None)
-def _item_element(n, item):
-    """The item in U(so(n)): its generator for a pair, the sum of its
-    squared generators for a square."""
-    return symmetrize_momentum_poly(item_function(n, item).image)
-
-
 def items_commute(n, a, b) -> bool:
     """Whether two structural set entries (("pair", (i, j)) or ("square",
-    subset)) commute as operators, decided once per unordered pair; trees
-    reuse the same entries heavily.
+    subset)) commute as operators, by the classical rule on their items
+    (``charts.vanishes_by_structure``); a pair the rule leaves open is
+    decided by the Weyl commutator of the symmetrized items.
 
+    The rule carries over: symmetrization beta is injective and so(n)-
+    equivariant, so [P-hat_ij, beta(F)] = beta({P_ij, F}) vanishes exactly
+    when {P_ij, F} does; ad beta(F) is a derivation of U(so(n)), and
     P-hat_ij -> x_i d_j - x_j d_i extends to an algebra map U(so(n)) ->
-    Diff(R^n), so a commutator that vanishes in U(so(n)) vanishes as an
-    operator.  For n >= 4 that map has a kernel, so a pair that does not
-    commute in U(so(n)) is decided by the Weyl commutator."""
-    return _items_commute(n, *sorted((a, b)))
-
-
-@lru_cache(maxsize=None)
-def _items_commute(n, a, b):
-    if uea_commutator(_item_element(n, a), _item_element(n, b)).is_zero():
-        return True
-    return commutator(_item_operator(n, a), _item_operator(n, b)).is_zero()
+    Diff(R^n) taking beta of an item to its operator, up to a constant for
+    a square."""
+    f, g = item_function(n, a), item_function(n, b)
+    return vanishes_by_structure(f, g) or commutator(symmetrize(f.phase), symmetrize(g.phase)).is_zero()

@@ -80,9 +80,11 @@ def test_worker_empties_the_memos(capsys):
     spec = MomentSpec.symbolic(4)
     spec.lambdas[0] / (spec.lambdas[1] + spec.lambdas[2])
     filled = {name for name, memo in _module_memos() if _size(memo)}
-    for module in ("ratfunc", "rigid_body", "uea", "weyl", "son", "radical", "charts", "central_force", "brackets"):
+    for module in ("ratfunc", "rigid_body", "uea", "son", "radical", "charts", "central_force", "brackets"):
         assert any(name.startswith(f"manakov.{module}.") for name in filled), module
-    # the central-force memos: partials, the shared P_ij and the items
-    assert {"manakov.brackets.partials", "manakov.charts.momentum_table", "manakov.central_force.item_function"} <= filled
+    # the central-force memos: partials, the shared P_ij, the items and
+    # whether a function commutes with a P_ij
+    central = ("brackets.partials", "charts.momentum_table", "central_force.item_function", "charts._commutes_with_momentum")
+    assert {f"manakov.{name}" for name in central} <= filled
     clear_caches()
     assert [name for name, memo in _module_memos() if _size(memo)] == []

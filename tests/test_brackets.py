@@ -375,13 +375,14 @@ def _seeded_cubic(rng, n):
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_structural_zeros_agree_with_the_kernel(n):
     # involution_report decides a pair without the canonical kernel when
-    # antisymmetry, the Poisson map P or the chain rule through P makes it
-    # zero.  Each such decision is checked against ``_bracket``, over phase
+    # antisymmetry or the chain rule through P makes it zero.  Each such
+    # decision is checked against ``canonical_bracket``, over phase
     # functions h that are rotation-invariant (every {h, F o P} is then
     # decided by the chain rule) or not (Runge-Lenz components: A_n
     # commutes with P_12 but not with the P_in after it; seeded radical
-    # coefficients), and pullbacks F o P of pairs, squares and seeded cubics
-    from manakov import brackets, charts
+    # coefficients), and pullbacks F o P of pairs, squares and seeded
+    # cubics, against h and against each other
+    from manakov import charts
 
     rng = random.Random(2300 + n)
     alpha = Fraction(rng.randint(1, 5), rng.randint(1, 3))
@@ -399,23 +400,40 @@ def test_structural_zeros_agree_with_the_kernel(n):
 
     for h in invariant + moving:
         for pullback in pullbacks:
-            commutes = all(brackets._bracket(h, table[pair]).is_zero() for pair, _ in pullback.partials)
+            commutes = all(canonical_bracket(h, table[pair]).is_zero() for pair, _ in pullback.partials)
             for f, g in ((h, pullback), (pullback, h)):
-                kernel = brackets._bracket(phase(f), phase(g))
-                decided = charts._vanishes_by_structure(f, g)
+                kernel = canonical_bracket(phase(f), phase(g))
+                decided = charts.vanishes_by_structure(f, g)
                 # the chain rule fires exactly when h commutes with the
                 # whole support of F, always for an invariant h; it is never
                 # wrong, and every undecided pair gets the kernel's value
                 assert decided == commutes and (decided or h not in invariant), (f, g)
                 assert not decided or kernel.is_zero(), (f, g)
                 assert involution_report([f], [g]).checks[0].witness == ("0" if kernel.is_zero() else str(kernel))
-                if not decided:
-                    assert canonical_bracket(phase(f), phase(g)) == kernel
+    # two pullbacks: equal images, or the chain rule in either order, the
+    # commutation of an image with a P_ij read on so(n)*
+    def commutes_with_support(f, g):
+        return all(lie_poisson_bracket(f.image, LiePoissonPoly.gen(n, pair)).is_zero() for pair, _ in g.partials)
+
+    nonzero = 0
+    for f in pullbacks:
+        for g in pullbacks:
+            kernel = canonical_bracket(f.phase, g.phase)
+            decided = charts.vanishes_by_structure(f, g)
+            assert decided == (f.image == g.image or commutes_with_support(f, g) or commutes_with_support(g, f))
+            assert not decided or kernel.is_zero(), (f, g)
+            assert involution_report([f], [g]).checks[0].witness == ("0" if kernel.is_zero() else str(kernel))
+            nonzero += not kernel.is_zero()
+    assert nonzero
     # a zero sum of nonzero chain-rule terms is left to the kernel: P^2 is
     # a Casimir, so {P_12, P^2} = 0 though {P_12, P_13} is not
     whole = item_function(n, ("square", tuple(range(1, n + 1))))
-    assert not charts._vanishes_by_structure(table[1, 2], whole)
+    assert not charts.vanishes_by_structure(table[1, 2], whole)
     assert involution_report([table[1, 2]], [whole]).ok
+    # as pullbacks, only the swapped order decides it: P^2 commutes with P_12
+    p12 = item_function(n, ("pair", (1, 2)))
+    assert not commutes_with_support(p12, whole) and commutes_with_support(whole, p12)
+    assert charts.vanishes_by_structure(p12, whole) and charts.vanishes_by_structure(whole, p12)
     # a whole report, diagonal and item pairs included, equals the one
     # built from the kernel alone
     batch = [invariant[0], moving[-1]] + pullbacks
@@ -424,10 +442,7 @@ def test_structural_zeros_agree_with_the_kernel(n):
     kernel = {}
     for i, f in enumerate(batch):
         for j, g in enumerate(batch):
-            if (j, i) in kernel:
-                kernel[i, j] = -kernel[j, i]
-            else:
-                kernel[i, j] = brackets._bracket(phase(f), phase(g))
+            kernel[i, j] = canonical_bracket(phase(f), phase(g))
             expected.add_zero(f"involution/{{{labels[i]},{labels[j]}}}", "", kernel[i, j])
     assert involution_report(batch, batch, labels, labels).to_json() == expected.to_json()
     assert any(not value.is_zero() for value in kernel.values())
@@ -436,63 +451,46 @@ def test_structural_zeros_agree_with_the_kernel(n):
 def test_equal_hashes_do_not_make_functions_equal(monkeypatch):
     # antisymmetry needs equal functions, not equal hashes: two different
     # phase polynomials, and two pullbacks with different images, whose
-    # hashes are forced equal are still bracketed
+    # hashes are all forced equal are still bracketed; the (function, P_ij)
+    # memo then holds colliding keys of both kinds
     from manakov import brackets, charts
 
     n = 3
     f, g = kinetic(n), r_squared(n)
     a, b = (MomentumPullback(LiePoissonPoly.gen(n, pair)) for pair in ((1, 2), (1, 3)))
     monkeypatch.setattr(PhasePoly, "__hash__", lambda self: 12345)
-    monkeypatch.setattr(LiePoissonPoly, "__hash__", lambda self: 54321)
+    monkeypatch.setattr(LiePoissonPoly, "__hash__", lambda self: 12345)
     try:
-        assert hash(f) == hash(g) and hash(a.image) == hash(b.image)
+        assert hash(f) == hash(g) == hash(a.image) == hash(b.image)
         assert not involution_report([f], [g]).ok
         assert not involution_report([a], [b]).ok
         assert involution_report([f, a], [f, a]).ok
     finally:
-        brackets._BRACKET_CACHE.clear()
         brackets.partials.cache_clear()
-        charts._lie_poisson_commute.cache_clear()
-
-
-def test_canonical_bracket_memo_negates_the_swapped_pair():
-    # {g, f} is read off a memoized {f, g}; both equal the unmemoized kernel
-    from manakov import brackets
-
-    n = 4
-    f, g = generic_hamiltonian(n), runge_lenz_vector(n, 3)[1]
-    brackets._BRACKET_CACHE.clear()
-    fg = canonical_bracket(f, g)
-    gf = canonical_bracket(g, f)
-    assert not fg.is_zero()
-    assert gf == -fg
-    assert fg == brackets._bracket(f, g) and gf == brackets._bracket(g, f)
-    assert canonical_bracket(f, g) is fg
-    # the memo is keyed on values: an equal function built anew finds it
-    assert canonical_bracket(f + PhasePoly.zero(n), g) is fg
+        charts._commutes_with_momentum.cache_clear()
 
 
 def test_canonical_bracket_kernel_runs_once_per_unordered_pair(monkeypatch):
-    # the n = 4 table rows ask for some brackets more than once (every row
-    # starts with the generic H); the kernel never forms a diagonal pair
-    # and forms each unordered pair of distinct functions at most once.
-    # {H, H} is zero by antisymmetry, item pairs are decided on so(n)*, and
-    # {H, item} by the chain rule through the six {H, P_ij}: those six are
-    # all the kernel forms
-    from manakov import brackets, charts
+    # the n = 4 table rows ask for some pairs more than once (every row
+    # starts with the generic H).  {H, H} is zero by antisymmetry, and every
+    # pair with an item by the chain rule, on the (function, P_ij) memo:
+    # the kernel forms exactly the six {H, P_ij}, each once, and the memo
+    # asks each (function, P_ij) once
+    from manakov import charts
 
-    asked, formed = [], []
-    real_memo, real_kernel = brackets.canonical_bracket, brackets._bracket
-    monkeypatch.setattr(charts, "canonical_bracket", lambda f, g: asked.append(frozenset((f, g))) or real_memo(f, g))
-    monkeypatch.setattr(brackets, "_bracket", lambda f, g: formed.append((f, g)) or real_kernel(f, g))
-    brackets._BRACKET_CACHE.clear()
+    formed, on_so = [], []
+    real_kernel, real_lie_poisson = charts.canonical_bracket, charts.lie_poisson_bracket
+    monkeypatch.setattr(charts, "canonical_bracket", lambda f, g: formed.append((f, g)) or real_kernel(f, g))
+    monkeypatch.setattr(charts, "lie_poisson_bracket", lambda f, g: on_so.append((f, g)) or real_lie_poisson(f, g))
+    charts._commutes_with_momentum.cache_clear()
     rows = emit_tables(4, random.Random(0), points=0)
     assert all(report.ok for _, report in rows)
-    assert all(f != g for f, g in formed)
-    unordered = [frozenset(pair) for pair in formed]
-    assert len(unordered) == len(set(unordered)) == len(set(asked)) < len(asked)
     h = generic_hamiltonian(4)
-    assert set(unordered) == {frozenset((h, p)) for p in momenta(4)}
+    assert len(formed) == len(set(formed)) == 6
+    assert set(formed) == {(h, p) for p in momenta(4)}
+    assert on_so and len(on_so) == len(set(on_so))
+    memo = charts._commutes_with_momentum.cache_info()
+    assert memo.misses == memo.currsize == len(formed) + len(on_so) and memo.hits > 0
 
 
 def test_sphere_chart_is_exact():

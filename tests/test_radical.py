@@ -183,13 +183,9 @@ def test_coordinate_coefficients_never_form_a_rational_function(monkeypatch):
         central_force.item_function,
         charts.momentum_table,
         brackets.partials,
-        charts._lie_poisson_commute,
-        weyl._items_commute,
-        weyl._item_operator,
-        weyl._item_element,
+        charts._commutes_with_momentum,
     ):
         memo.cache_clear()
-    brackets._BRACKET_CACHE.clear()
     # a quotient is made by the constructor or, in arithmetic, by ``_of``
     calls = []
     real_init, real_of = RationalFunction.__init__, RationalFunction._of

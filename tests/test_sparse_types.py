@@ -97,8 +97,9 @@ def _outcome(op, a, b):
 def test_mixed_types_give_one_result_in_either_order():
     # an element of one type with one of another: both orders give the same
     # class and side, or both raise; the value is the same too, but for a
-    # Weyl product, which is the composition in the order written.  A plain
-    # polynomial in x joins the six sparse types
+    # Weyl product, which is the composition in the order written.  They
+    # compare unequal in both orders, whether or not they mix in
+    # arithmetic.  A plain polynomial in x joins the six sparse types
     rng = random.Random(19)
     lam = MomentSpec.symbolic(3).lambdas
     elements = [x for x, _ in _elements(rng, (lam[0] + lam[1]) / lam[2])]
@@ -113,6 +114,7 @@ def test_mixed_types_give_one_result_in_either_order():
         for j, b in enumerate(elements):
             if i == j:
                 continue
+            assert _outcome(lambda a, b: a == b, a, b) is _outcome(lambda a, b: b == a, a, b) is False, (a, b)
             for name, forward, backward in ops:
                 one, other = _outcome(forward, a, b), _outcome(backward, a, b)
                 if isinstance(one, type):

@@ -23,13 +23,11 @@ from manakov.central_force import (
     recursive_set_structure,
     runge_lenz_vector,
 )
-from manakov.charts import MomentumPullback, involution_report
+from manakov.charts import MomentumPullback, involution_report, vanishes_by_structure
 from manakov.radical import RadicalElement
-from manakov.uea import uea_commutator
+from manakov.uea import symmetrize_momentum_poly, uea_commutator
 from manakov.weyl import (
     WeylOperator,
-    _item_element,
-    _item_operator,
     _sym_monomial,
     commutator,
     compose,
@@ -325,7 +323,7 @@ def test_quantum_recursive_sets_small():
     for n, tree in ((4, SplitTree.split(SplitTree.leaf([1, 2, 3]), [4])), (2, SplitTree.leaf([1, 2]))):
         z_items, l_items = recursive_set_structure(n, tree)
         for it in z_items + l_items:
-            assert _item_operator(n, it).principal_symbol() == item_function(n, it).phase
+            assert symmetrize(item_function(n, it).phase).principal_symbol() == item_function(n, it).phase
         for zi in z_items:
             assert all(items_commute(n, zi, it) for it in z_items + l_items)
     # degenerate n=2 case: a single momentum operator
@@ -341,13 +339,15 @@ def _random_item(rng, n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_item_shortcuts_agree_with_the_brackets_they_replace(monkeypatch, n):
-    # the item pairs are decided in U(so(n)) (quantum) and on so(n)*
-    # (classical); both maps only carry zeros over, so each shortcut is
-    # checked against the commutator or bracket it replaces, on seeded
-    # pairs plus pairs that do not commute: two squares on overlapping,
-    # non-nested subsets, and a pair sharing one index with a square.  The
-    # generic H joins both batches, so {H, item} and {item, H}, decided by
-    # the chain rule for the pullbacks, meet the kernel for the phases
+    # the item pairs are decided by one rule (antisymmetry and the chain
+    # rule through the momentum map), classically and as operators; the
+    # rule only finds zeros, so it is checked against the commutator in
+    # U(so(n)) of the symmetrized images, against the Weyl commutator and
+    # against the canonical bracket, on seeded pairs plus pairs that do not
+    # commute: two squares on overlapping, non-nested subsets, and a pair
+    # sharing one index with a square.  The generic H joins both batches,
+    # so {H, item} and {item, H}, decided by the chain rule for the
+    # pullbacks, meet the kernel for the phases
     rng = random.Random(2100 + n)
     h = generic_hamiltonian(n)
     pairs = {tuple(sorted((_random_item(rng, n), _random_item(rng, n)))) for _ in range(8)}
@@ -356,32 +356,78 @@ def test_item_shortcuts_agree_with_the_brackets_they_replace(monkeypatch, n):
     real_commutator = weyl.commutator
     weyl_calls = []
     monkeypatch.setattr(weyl, "commutator", lambda a, b: weyl_calls.append((a, b)) or real_commutator(a, b))
-    weyl._items_commute.cache_clear()
     nonzero_in_u = 0
     for a, b in sorted(pairs):
-        in_u = uea_commutator(_item_element(n, a), _item_element(n, b)).is_zero()
-        as_operators = real_commutator(_item_operator(n, a), _item_operator(n, b)).is_zero()
-        assert in_u == as_operators, (a, b)
         f, g = item_function(n, a), item_function(n, b)
+        in_u = uea_commutator(symmetrize_momentum_poly(f.image), symmetrize_momentum_poly(g.image)).is_zero()
+        as_operators = real_commutator(symmetrize(f.phase), symmetrize(g.phase)).is_zero()
+        assert in_u == as_operators, (a, b)
+        ruled = vanishes_by_structure(f, g)
+        assert ruled == vanishes_by_structure(g, f) == in_u, (a, b)
         on_so = lie_poisson_bracket(f.image, g.image).is_zero()
         assert on_so == canonical_bracket(f.phase, g.phase).is_zero(), (a, b)
         # the report reads the same for the pullbacks as for their phase polynomials
         shortcut = involution_report([f, h], [g, h])
         assert shortcut.to_json() == involution_report([f.phase, h], [g.phase, h]).to_json()
-        # a pair that does not commute in U(so(n)) reaches the Weyl commutator
+        # a pair the rule leaves open reaches the Weyl commutator once
         calls = len(weyl_calls)
         assert items_commute(n, a, b) == as_operators
-        assert len(weyl_calls) - calls == (0 if in_u else 1)
+        assert len(weyl_calls) - calls == (0 if ruled else 1)
         nonzero_in_u += not in_u
     assert nonzero_in_u >= (1 if n == 3 else 2)
 
 
 def test_items_commute_shares_one_cache_entry_between_orders():
-    weyl._items_commute.cache_clear()
+    # both orders agree, and read the same (item, P_ij) entries of the memo,
+    # each filled once
+    from manakov import charts
+
+    memo = charts._commutes_with_momentum
+    memo.cache_clear()
     a, b = ("square", (1, 2, 3)), ("pair", (1, 4))
-    assert items_commute(4, a, b) is items_commute(4, b, a) is False
-    assert items_commute(4, a, ("pair", (1, 2))) is True
-    assert weyl._items_commute.cache_info().currsize == 2
+    assert items_commute(4, a, b) is False
+    filled = memo.cache_info().currsize
+    assert items_commute(4, b, a) is False
+    assert memo.cache_info().currsize == memo.cache_info().misses == filled > 0
+    c = ("pair", (1, 2))
+    assert items_commute(4, a, c) is items_commute(4, c, a) is True
+    info = memo.cache_info()
+    assert info.currsize == info.misses > filled
+    assert items_commute(4, c, a) is items_commute(4, a, c) is True
+    assert memo.cache_info().currsize == info.currsize
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_central_scopes_decide_every_item_pair_by_the_rule(monkeypatch, capsys, n):
+    # the rule serves all the item traffic of the central scopes: verify
+    # quantum-central forms no Weyl commutator for a tree item pair, and
+    # verify classical-central no canonical bracket for a pair of pullbacks
+    from manakov import charts, cli
+
+    seed = str(2400 + n)
+    real_commutator, real_items_commute, real_rule = weyl.commutator, weyl.items_commute, charts.vanishes_by_structure
+    weyl_calls, per_item_pair, pullback_pairs = [], [], []
+
+    def counting_items_commute(n, a, b):
+        before = len(weyl_calls)
+        result = real_items_commute(n, a, b)
+        per_item_pair.append(len(weyl_calls) - before)
+        return result
+
+    def recording_rule(f, g):
+        decided = real_rule(f, g)
+        if isinstance(f, MomentumPullback) and isinstance(g, MomentumPullback):
+            pullback_pairs.append(decided)
+        return decided
+
+    monkeypatch.setattr(weyl, "commutator", lambda a, b: weyl_calls.append((a, b)) or real_commutator(a, b))
+    monkeypatch.setattr(weyl, "items_commute", counting_items_commute)
+    monkeypatch.setattr(charts, "vanishes_by_structure", recording_rule)
+    assert cli.main(["verify", "quantum-central", "--n", str(n), "--seed", seed]) == 0
+    assert cli.main(["verify", "classical-central", "--n", str(n), "--seed", seed]) == 0
+    capsys.readouterr()
+    assert per_item_pair and not any(per_item_pair)
+    assert pullback_pairs and all(pullback_pairs)
 
 
 def test_quantum_suite_n2_degenerates():
