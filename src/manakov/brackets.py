@@ -13,9 +13,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from operator import add
 
 from .radical import RadicalElement, check_axis, x_vars
-from .ratfunc import MultiPoly, TermMap, add_terms, integer_scaled, lowered_terms, product_terms
+from .ratfunc import MultiPoly, TermMap, add_terms, integer_scaled, join_packed, lowered_terms, product_terms
+from .ratfunc import moment_degree, moment_vars, split_by_denominator
 from .son import SkewMatrix, pair_list, signed_pair, structure_rows
 
 
@@ -254,30 +257,62 @@ class LiePoissonPoly(MultiPoly):
 def lie_poisson_bracket(f: LiePoissonPoly, g: LiePoissonPoly) -> LiePoissonPoly:
     """{f, g} = sum_u df/dP_u * X_u(g), with X_u(g) = {P_u, g} =
     sum_v dg/dP_v * {P_u, P_v} read monomial by monomial off
-    ``son.structure_rows``: one polynomial product per momentum component.
+    ``son.structure_rows``: one polynomial product per momentum component,
+    on integer coefficients.
 
     Inside the kernel a monomial is one int with a bit field per variable,
     (deg f + deg g).bit_length() bits wide.  No exponent of a partial, of
     X_u(g) or of a product exceeds deg f + deg g, so multiplying monomials
     is one integer addition that never carries into the next field.
     Rational operands are scaled to integer coefficients (``integer_scaled``)
-    and the result divided once by both scales; symbolic coefficients take
-    the same loop with their own arithmetic.
+    and the result divided once by both scales.  Over symbolic moments each
+    operand splits into denominator classes with integer numerators
+    (``ratfunc.split_by_denominator``), whose moment exponents are more bit
+    fields above the momenta, and the fields are wide enough for the moment
+    degree sum too; each pair of classes runs the same loop, and each of its
+    coefficients is joined into a quotient once (``ratfunc.join_packed``).
 
     Brackets between a left- and a right-side polynomial vanish identically;
     right-with-right uses the opposite-sign constants.
     """
     if f.n != g.n:
         raise ValueError("mixed dimensions")
-    n = f.n
+    n, count = f.n, len(f.vars)
     deg_f, deg_g = f.total_degree(), g.total_degree()
     if f.side != g.side or deg_f < 1 or deg_g < 1:
         return f._new({})
-    width = (deg_f + deg_g).bit_length()
-    f_poly, f_scale = integer_scaled(f)
-    g_poly, g_scale = integer_scaled(g)
-    df = _packed_partials(f_poly, width)
-    dg = _packed_partials(g_poly, width)
+    sign = 1 if f.side == "L" else -1
+    vars = moment_vars(chain(f.terms.values(), g.terms.values()))
+    if vars is None:
+        width = (deg_f + deg_g).bit_length()
+        f_poly, f_scale = integer_scaled(f)
+        g_poly, g_scale = integer_scaled(g)
+        df = _packed_partials(f_poly.terms.items(), width, count)
+        dg = _packed_partials(g_poly.terms.items(), width, count)
+        scale = Fraction(sign, f_scale * g_scale)
+        acc = _bracket_terms(n, df, dg, width)
+    else:
+        f_classes, g_classes = split_by_denominator(f.terms, vars), split_by_denominator(g.terms, vars)
+        width = max(deg_f + deg_g, moment_degree(f_classes) + moment_degree(g_classes)).bit_length()
+        # the moment exponents extend each momentum exponent tuple
+        f_parts, g_parts = (
+            [(e, lcm, _packed_partials(((m + x, a) for m, x, a in t), width, count)) for e, (lcm, t) in classes.items()]
+            for classes in (f_classes, g_classes)
+        )
+        parts = (
+            (tuple(map(add, e_f, e_g)), Fraction(sign, lcm_f * lcm_g), _bracket_terms(n, df, dg, width))
+            for e_f, lcm_f, df in f_parts
+            for e_g, lcm_g, dg in g_parts
+        )
+        acc, scale = join_packed(vars, parts, width * count, width), None
+    mask = (1 << width) - 1
+    shifts = range(0, width * count, width)
+    return f._new({tuple((m >> k) & mask for k in shifts): c if scale is None else c * scale for m, c in acc.items()})
+
+
+def _bracket_terms(n, df, dg, width):
+    """sum_u df/dP_u * X_u(g) over packed partials, as {packed monomial:
+    int}."""
     acc = {}
     for u, row in enumerate(structure_rows(n)):
         if u not in df:
@@ -291,22 +326,17 @@ def lie_poisson_bracket(f: LiePoissonPoly, g: LiePoissonPoly) -> LiePoissonPoly:
                 add_terms(xu, ((m + bit, -c) for m, c in dg.get(v, ())))
         for m1, c1 in df[u]:
             add_terms(acc, ((m1 + m2, c1 * c2) for m2, c2 in xu.items()))
-    scale = Fraction(1 if f.side == "L" else -1, f_scale * g_scale)
-    mask = (1 << width) - 1
-    shifts = range(0, width * len(f.vars), width)
-    terms = {}
-    for m, c in acc.items():
-        terms[tuple((m >> k) & mask for k in shifts)] = c * scale
-    return f._new(terms)
+    return acc
 
 
-def _packed_partials(poly: MultiPoly, width):
-    """{v: [(packed monomial, coefficient)] of d poly/dP_v} over the
-    variables v that occur, with ``width`` bits per exponent field."""
+def _packed_partials(terms, width, count):
+    """{v: [(packed monomial, coefficient)] of d/dP_v} over the first
+    ``count`` variables v that occur in the (exponents, coefficient) pairs
+    ``terms``, with ``width`` bits per exponent field."""
     partials = {}
-    for mono, c in poly.terms.items():
+    for mono, c in terms:
         packed = sum(e << (width * v) for v, e in enumerate(mono))
-        for v, e in enumerate(mono):
+        for v, e in zip(range(count), mono):
             if e:
                 partials.setdefault(v, []).append((packed - (1 << (width * v)), c if e == 1 else c * e))
     return partials

@@ -260,11 +260,20 @@ def build_parser():
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--output-dir", default="manakov-run")
     s.set_defaults(fn=cmd_simulate)
+    parser.value_options = {o for p in (t, v, s) for a in p._actions if a.nargs is None for o in a.option_strings}
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads a separate word that starts with '-' and is not a plain
+    # decimal number as an option, so --dt -1e-3, --t-end -inf and --lambda
+    # -1,2,3,4 are joined to their option to reach the command's own checks
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in parser.value_options and argv[i].startswith("-") and not argv[i].startswith("--"):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    args = parser.parse_args(argv)
     try:
         code = args.fn(args)
     except ValueError as exc:

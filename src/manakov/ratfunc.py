@@ -16,7 +16,9 @@ v_i + v_j and v_i over the moments, stored with ``int`` coefficients).
 Every denominator the package forms is a product of these, so cancelling is
 exact trial division by them (``divide_out``), not a gcd, and numerator
 arithmetic is integer arithmetic.  (Coefficients over the coordinates x
-never need a quotient: see ``radical``.)
+never need a quotient: see ``radical``.)  Over symbolic moments the
+bracket and commutator kernels run on integer numerators, one per
+denominator class (``split_by_denominator``, ``join_packed``).
 
 The monomial order used everywhere is graded lexicographic.
 """
@@ -24,7 +26,7 @@ The monomial order used everywhere is graded lexicographic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm as int_lcm
 from operator import add, sub
 
 
@@ -696,3 +698,57 @@ class RationalFunction(RingElement):
         return f"({self.num})/({self.den})"
 
     __repr__ = __str__
+
+
+def moment_vars(coeffs):
+    """The variables of the first RationalFunction among ``coeffs``, or None
+    when all are rational."""
+    return next((c.p.vars for c in coeffs if isinstance(c, RationalFunction)), None)
+
+
+def split_by_denominator(terms, vars):
+    """Split the {key: coefficient} ``terms`` (RationalFunction over ``vars``,
+    int or Fraction) into denominator classes {e: (L, [(key, moment
+    exponents m, int a)])}: a key's coefficient is the sum of its a * v^m
+    over L * prod p_k^e_k, and L, the lcm of the class's content
+    denominators, makes every numerator integral."""
+    classes = {}
+    for key, c in terms.items():
+        if not c:
+            continue
+        if not isinstance(c, RationalFunction):
+            c = RationalFunction.const(vars, c)
+        elif c.p.vars != vars:
+            raise ValueError(f"mixed variable sets {vars} vs {c.p.vars}")
+        classes.setdefault(c.e, []).append((key, c))
+    out = {}
+    for e, members in classes.items():
+        lcm = int_lcm(*(c.c.denominator for _, c in members))
+        scaled = ((key, c.c.numerator * (lcm // c.c.denominator), c.p.terms) for key, c in members)
+        out[e] = lcm, [(key, m, k * a) for key, k, p in scaled for m, a in p.items()]
+    return out
+
+
+def moment_degree(classes):
+    """The largest total degree of a moment monomial in split ``classes``."""
+    return max((sum(m) for _, triples in classes.values() for _, m, _ in triples), default=0)
+
+
+def join_packed(vars, parts, high, width):
+    """{key: coefficient} summed over integer parts (e, scale, {packed key:
+    int}) whose keys hold moment exponents in ``width``-bit fields from bit
+    ``high`` up: per part and key below bit ``high``, scale * numerator /
+    prod p_k^e_k is made canonical once, cancelling each p_k at most e_k
+    times; the parts are summed as RationalFunctions."""
+    mask, low = (1 << width) - 1, (1 << high) - 1
+    shifts = range(high, high + width * len(vars), width)
+    terms = {}
+    for e, scale, acc in parts:
+        numerators = {}
+        for key, a in acc.items():
+            numerators.setdefault(key & low, {})[tuple((key >> k) & mask for k in shifts)] = a
+        for key, num in numerators.items():
+            g, num = _primitive_terms(num)
+            p, e_key = _cancel(MultiPoly(vars, num), e, e)
+            add_terms(terms, ((key, RationalFunction._of(scale * g, p, e_key)),))
+    return terms

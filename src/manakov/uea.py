@@ -31,8 +31,9 @@ coinciding monomials collapse before any PBW work.
 
 The commutator battery builds each operator once (C-hat_{6,2} is the
 h = 6 degree-4 operator plus its correction) and forms each
-[(P-hat_ij)^2, x] once per right operand x: every quadratic left operand
-(c-hat_{l,l-2}, H-hat, the correction) is a weighting of those, so the only
+[(P-hat_ij)^2, x] once per right operand x (over symbolic moments, once
+per integer slice of x): every quadratic left operand (c-hat_{l,l-2},
+H-hat, the correction) is a weighting of those, so the only
 product is [c-hat_{5,1}, C-hat_{6,2}].  Each antisymmetrized obstruction
 coefficient is tabulated once per triple from memoized coefficients.
 """
@@ -40,12 +41,14 @@ coefficient is tabulated once per triple from memoized coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, product
 from math import factorial
+from operator import add
 
 from .brackets import LiePoissonPoly, momentum_vars
 from .charts import GroupChart, generic_full_rank
-from .ratfunc import MultiPoly, RationalFunction, TermMap, add_terms, integer_scaled
+from .ratfunc import MultiPoly, RationalFunction, TermMap, add_terms, integer_scaled, join_packed, moment_degree
+from .ratfunc import moment_vars, split_by_denominator
 from .report import VerificationReport
 from .rigid_body import (
     ManakovIndex,
@@ -236,9 +239,13 @@ def ad(u, x: PBWElement) -> PBWElement:
 def square_commutator(k, x: PBWElement) -> PBWElement:
     """[(e_k)^2, x] = e_k y + y e_k = 2 e_k y - [e_k, y] with y = [e_k, x]:
     no degree-(deg x + 2) product is formed."""
-    n = x.n
-    y = _extend(n, k, _packed(x, 1), {}, ad=True)
-    return x._new(_unpacked(_extend(n, k, y, _extend(n, k, y, {}, 2), -1, ad=True)))
+    return x._new(_unpacked(_square_packed(x.n, k, _packed(x, 1))))
+
+
+def _square_packed(n, k, terms):
+    """[(e_k)^2, t] for the packed {word: coef} map ``terms``, packed too."""
+    y = _extend(n, k, terms, {}, ad=True)
+    return _extend(n, k, y, _extend(n, k, y, {}, 2), -1, ad=True)
 
 
 def square_weights(x: PBWElement):
@@ -392,17 +399,60 @@ def sym3_expansion(n, coeff_fn) -> PBWElement:
 def weighted_square_commutators(n, weight_sets, x: PBWElement):
     """[sum_{i<j} w_ij (P-hat_ij)^2, x] for each weight list in
     ``weight_sets`` (weights in pair order), forming each [(P-hat_ij)^2, x]
-    once, on x scaled to integers.  The weights (over that scale) enter only
-    the accumulation, so symbolic commutators need no gcd work."""
-    x, d = integer_scaled(x)
+    once, on integers.  Rational x is scaled to integers, and the weights
+    (over that scale) enter only the accumulation.  Over symbolic moments x
+    and the weights split into denominator classes with integer numerators
+    (``ratfunc.split_by_denominator``), and x further into one slice of
+    packed words per moment monomial: each [(P-hat_ij)^2, slice] is formed
+    once, its integers times the weights' are summed keyed by word and
+    moment monomial per pair of classes, and each coefficient is joined into
+    a quotient once per pair (``ratfunc.join_packed``)."""
+    vars = moment_vars(chain(x.terms.values(), *weight_sets))
+    if vars is None:
+        x, d = integer_scaled(x)
+        accs = [{} for _ in weight_sets]
+        for k in range(len(pair_list(n))):
+            comm = square_commutator(k, x).terms
+            for acc, weights in zip(accs, weight_sets):
+                w = weights[k] if d == 1 else weights[k] * Fraction(1, d)
+                if w:
+                    add_terms(acc, ((word, c * w) for word, c in comm.items()))
+        return [PBWElement(n, acc) for acc in accs]
+    _check_degree(x.degree() + 1)
+    x_classes = split_by_denominator(x.terms, vars)
+    w_classes = [split_by_denominator(dict(enumerate(weights)), vars) for weights in weight_sets]
+    # the moment exponents are fields above the letter counts, wide enough
+    # for the degree of an x numerator times a weight numerator
+    high = len(pair_list(n)) << 3
+    width = max(1, moment_degree(x_classes) + max(map(moment_degree, w_classes), default=0)).bit_length()
+
+    def moment_key(m):
+        return sum(a << (high + width * i) for i, a in enumerate(m))
+
+    by_moment = {}
+    for e, (_, triples) in x_classes.items():
+        for w, m, a in triples:
+            by_moment.setdefault((e, m), {})[sum(1 << (g << 3) for g in w)] = a
+    # equal slices (under two moment monomials or classes) are commuted once
+    slices = {}
+    for (e, m), terms in by_moment.items():
+        slices.setdefault(frozenset(terms.items()), (terms, []))[1].append((e, moment_key(m)))
     accs = [{} for _ in weight_sets]
     for k in range(len(pair_list(n))):
-        comm = square_commutator(k, x).terms
-        for acc, weights in zip(accs, weight_sets):
-            w = weights[k] if d == 1 else weights[k] * Fraction(1, d)
-            if w:
-                add_terms(acc, ((word, c * w) for word, c in comm.items()))
-    return [PBWElement(n, acc) for acc in accs]
+        weights = [[(f, moment_key(m), a) for f, (_, t) in cl.items() for j, m, a in t if j == k] for cl in w_classes]
+        if not any(weights):
+            continue
+        for terms, targets in slices.values():
+            comm = _square_packed(n, k, terms)
+            for (e, shift), (acc, ws) in product(targets if comm else (), zip(accs, weights)):
+                for f, key, a in ws:
+                    key += shift
+                    add_terms(acc.setdefault((e, f), {}), ((w + key, c * a) for w, c in comm.items()))
+    out = []
+    for acc, classes in zip(accs, w_classes):
+        parts = ((tuple(map(add, e, f)), Fraction(1, x_classes[e][0] * classes[f][0]), a) for (e, f), a in acc.items())
+        out.append(PBWElement(n, _unpacked(join_packed(vars, parts, high, width))))
+    return out
 
 
 def hamiltonian_weights(spec: MomentSpec):

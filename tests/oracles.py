@@ -11,7 +11,10 @@ ordering, the PBW products, commutators and symmetrized words on tuple words
 that the packed-int kernels replaced, greedy rank completions that re-rank
 the whole chosen set for every candidate, the Lie-Poisson bracket summed
 over the structure table one pair of partial derivatives at a time, the
-group-chart momentum derivatives by dense matrix products, the moment
+Lie-Poisson bracket and the squared-generator weightings with one
+coefficient product and sum per pair of terms (the loops that the
+denominator-class split replaced), the group-chart momentum derivatives by
+dense matrix products, the moment
 quotients with ``Fraction`` numerators, the general multivariate gcd, the
 ring of quotients of polynomials it reduces, and the radical coefficients as
 a pair of such quotients, the quantum central-force operators composed by
@@ -35,7 +38,15 @@ from manakov.brackets import LiePoissonPoly, PhasePoly, momentum_vars
 from manakov.charts import GroupChart
 from manakov.linalg import ExactMatrix, invert
 from manakov.radical import RadicalElement, x_square_poly, x_vars
-from manakov.ratfunc import _DECLARED_FACTORS, MultiPoly, _cancel, _power_product, add_terms, factor_declared
+from manakov.ratfunc import (
+    _DECLARED_FACTORS,
+    MultiPoly,
+    _cancel,
+    _power_product,
+    add_terms,
+    factor_declared,
+    integer_scaled,
+)
 from manakov.rigid_body import (
     centrality_defect,
     closed_walks,
@@ -44,8 +55,16 @@ from manakov.rigid_body import (
     manakov_integral,
     z_lambda,
 )
-from manakov.son import MomentSpec, basis_element, dim_so, pair_list, signed_pair, structure_table
-from manakov.uea import PBWElement, correction_weights, pbw_mul, weighted_square_commutators
+from manakov.son import (
+    MomentSpec,
+    basis_element,
+    dim_so,
+    pair_list,
+    signed_pair,
+    structure_rows,
+    structure_table,
+)
+from manakov.uea import PBWElement, correction_weights, pbw_mul, square_commutator, weighted_square_commutators
 from manakov.weyl import WeylOperator, compose
 
 
@@ -630,6 +649,59 @@ def lie_poisson_bracket_by_table(f: LiePoissonPoly, g: LiePoissonPoly) -> LiePoi
         acc = acc + term * (MultiPoly.gen(vars, w) * s)
     return LiePoissonPoly(f.n, acc if f.side == "L" else -acc, f.side)
 
+
+
+def lie_poisson_bracket_per_term(f: LiePoissonPoly, g: LiePoissonPoly) -> LiePoissonPoly:
+    """The packed-monomial bracket kernel with one coefficient product and
+    one sum per pair of terms, in the coefficients' own arithmetic, so that
+    symbolic coefficients do one rational-function product and sum each:
+    the loop that splitting by denominator class replaced."""
+    n = f.n
+    deg_f, deg_g = f.total_degree(), g.total_degree()
+    if f.side != g.side or deg_f < 1 or deg_g < 1:
+        return f._new({})
+    width = (deg_f + deg_g).bit_length()
+    f_poly, f_scale = integer_scaled(f)
+    g_poly, g_scale = integer_scaled(g)
+
+    def packed_partials(poly):
+        out = {}
+        for mono, c in poly.terms.items():
+            packed = sum(e << (width * v) for v, e in enumerate(mono))
+            for v, e in enumerate(mono):
+                if e:
+                    out.setdefault(v, []).append((packed - (1 << (width * v)), c * e))
+        return out
+
+    df, dg = packed_partials(f_poly), packed_partials(g_poly)
+    acc = {}
+    for u, row in enumerate(structure_rows(n)):
+        if u not in df:
+            continue
+        xu = {}
+        for v, w, s in row:
+            add_terms(xu, ((m + (1 << (width * w)), c * s) for m, c in dg.get(v, ())))
+        for m1, c1 in df[u]:
+            add_terms(acc, ((m1 + m2, c1 * c2) for m2, c2 in xu.items()))
+    scale = Fraction(1 if f.side == "L" else -1, f_scale * g_scale)
+    mask = (1 << width) - 1
+    shifts = range(0, width * len(f.vars), width)
+    return f._new({tuple((m >> k) & mask for k in shifts): c * scale for m, c in acc.items()})
+
+
+def weighted_square_commutators_per_term(n, weight_sets, x: PBWElement):
+    """[sum_k w_k (P-hat_k)^2, x] for each weight list, adding c * w_k for
+    every term c of every [(P-hat_k)^2, x] in the coefficients' own
+    arithmetic: the loop that splitting by denominator class replaced."""
+    x, d = integer_scaled(x)
+    accs = [{} for _ in weight_sets]
+    for k in range(dim_so(n)):
+        comm = square_commutator(k, x).terms
+        for acc, weights in zip(accs, weight_sets):
+            w = weights[k] if d == 1 else weights[k] * Fraction(1, d)
+            if w:
+                add_terms(acc, ((word, c * w) for word, c in comm.items()))
+    return [PBWElement(n, acc) for acc in accs]
 
 # -- the general quotient ring -------------------------------------------------
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -29,7 +30,9 @@ from manakov.report import VerificationReport
 from manakov.son import bracket as matrix_bracket
 from manakov.ratfunc import MultiPoly, RationalFunction
 from manakov.son import basis_element, dim_so, lambda_vars, pair_list, structure_table
-from oracles import lie_poisson_bracket_by_table, x_dot_p
+from manakov.rigid_body import hamiltonian
+from manakov.son import MomentSpec
+from oracles import lie_poisson_bracket_by_table, lie_poisson_bracket_per_term, x_dot_p
 
 
 def test_bracket_sign_convention():
@@ -169,22 +172,64 @@ def test_symbolic_lie_poisson_bracket_factors_no_polynomial(monkeypatch):
     lam = lambda_vars(4)
     RationalFunction(MultiPoly.const(lam, 1), MultiPoly.gen(lam, 0))
     assert len(calls) == 1
+    monkeypatch.undo()
+
+    # the integer loop runs once per pair of denominator classes, and each
+    # coefficient is joined into a quotient once per pair: a zero bracket of
+    # one class against one class does no rational-function arithmetic, and
+    # one of many classes at most one sum per (monomial, class pair)
+    spec5 = MomentSpec.symbolic(5)
+    c31, c42 = manakov_integral(ManakovIndex(3, 1), 5, spec5), manakov_integral(ManakovIndex(4, 2), 5, spec5)
+    assert len(_denominator_parts(c31)) == len(_denominator_parts(c42)) == 1
+    arithmetic = _count_rational_function_arithmetic(monkeypatch)
+    assert lie_poisson_bracket(c31, c42).is_zero()
+    assert arithmetic == []
+    monkeypatch.undo()
+    h_parts, c_parts = _denominator_parts(h), _denominator_parts(c)
+    assert len(h_parts) == 6 and len(c_parts) == 1
+    # the monomials that some pair of classes reaches before they are summed
+    reached = set()
+    for a in h_parts:
+        for b in c_parts:
+            reached |= set(lie_poisson_bracket(a, b).terms)
+    arithmetic = _count_rational_function_arithmetic(monkeypatch)
+    assert lie_poisson_bracket(h, c).is_zero()
+    assert 0 < len(arithmetic) <= len(reached) * len(h_parts) * len(c_parts)
 
 
-def _random_momentum_poly(rng, n, kind, max_deg, side):
+def _count_rational_function_arithmetic(monkeypatch):
+    """Count every RationalFunction sum and product from here on."""
+    calls = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        real = getattr(RationalFunction, name)
+        monkeypatch.setattr(RationalFunction, name, lambda a, b, real=real: calls.append(1) or real(a, b))
+    return calls
+
+
+def _denominator_parts(f):
+    """f split into one polynomial per denominator class of its coefficients."""
+    parts = {}
+    for m, c in f.terms.items():
+        parts.setdefault(c.e, {})[m] = c
+    return [f._new(terms) for terms in parts.values()]
+
+
+def _random_momentum_poly(rng, n, kind, max_deg, side, moments=None):
     """A random polynomial in the momenta of so(n) with total degree at
-    most ``max_deg``; ``kind`` picks int, non-integer Fraction or
-    RationalFunction-over-lambda coefficients."""
-    lam = lambda_vars(n)
-    factors = [MultiPoly.gen(lam, i) + MultiPoly.gen(lam, j) for i in range(n) for j in range(i + 1, n)]
+    most ``max_deg``; ``kind`` picks int, non-integer Fraction,
+    RationalFunction coefficients over the variables ``moments`` (lambda by
+    default) or a mix of Fraction and RationalFunction."""
+    lam = moments or lambda_vars(n)
+    gens = [MultiPoly.gen(lam, i) for i in range(len(lam))]
+    factors = [a + b for a, b in itertools.combinations(gens, 2)]
 
     def coeff():
         if kind == "int":
             return rng.choice([-3, -2, -1, 1, 2, 5])
         c = Fraction(rng.randint(-9, 9) or 1, rng.randint(2, 7))
-        if kind == "fraction":
+        if kind == "fraction" or (kind == "mixed" and rng.random() < 0.5):
             return c
-        num = MultiPoly.const(lam, c) + MultiPoly.gen(lam, rng.randrange(n)) * rng.randint(-2, 2)
+        num = MultiPoly.const(lam, c) + rng.choice(gens) * rng.randint(-2, 2)
         return RationalFunction(num, rng.choice(factors)) if rng.random() < 0.5 else RationalFunction(num)
 
     terms = {}
@@ -196,7 +241,32 @@ def _random_momentum_poly(rng, n, kind, max_deg, side):
     return LiePoissonPoly(n, MultiPoly(momentum_vars(n), terms), side)
 
 
-def test_lie_poisson_kernel_matches_table_oracle():
+def _symbolic_operand(rng, spec, side):
+    """A momentum polynomial over the moments of ``spec``: zero, a constant,
+    H (one denominator class per pair), c * H for a random c, or a random
+    polynomial with RationalFunction or mixed coefficients."""
+    n, vars = spec.n, spec.coeff_one().vars
+    shape = rng.randrange(8)
+    if shape == 0:
+        return LiePoissonPoly.zero(n, side)
+    if shape == 1:
+        return LiePoissonPoly.const(n, spec.lambdas[0] / (spec.lambdas[0] + spec.lambdas[-1]), side)
+    if shape in (2, 3):
+        h = LiePoissonPoly(n, hamiltonian(spec), side)
+        return h if shape == 2 else h * _random_momentum_poly(rng, n, "symbolic", 1, side, vars)
+    return _random_momentum_poly(rng, n, ("symbolic", "mixed")[shape % 2], 2, side, vars)
+
+
+def _coefficient_triples(f, vars):
+    """{monomial: (c, p, e)} of f's coefficients read over ``vars``."""
+    out = {}
+    for m, c in f.terms.items():
+        c = c if isinstance(c, RationalFunction) else RationalFunction.const(vars, c)
+        out[m] = (c.c, c.p.terms, c.e)
+    return out
+
+
+def test_lie_poisson_kernel_matches_table_oracle(monkeypatch):
     # the N-product packed kernel against the structure-table formula, on
     # both sides, over int, Fraction and symbolic coefficients, with
     # operands of total degree 0 and 1 among them
@@ -218,6 +288,43 @@ def test_lie_poisson_kernel_matches_table_oracle():
         nonzero += not br.is_zero()
     assert nonzero > 50
 
+    # the denominator-class split against one rational-function product and
+    # sum per pair of terms, triple for triple: n = 3..6, moments over
+    # lambda and over the class symbols mu of a partition, operands with
+    # many classes (H, c * H), mixed Fraction and rational-function
+    # coefficients, zero and constant operands, rational operands against
+    # symbolic ones, and both sides; no call does more rational-function
+    # sums and products than the loop it replaces
+    partitions = {3: (1, 2), 4: (2, 2), 5: (2, 3), 6: (1, 2, 3)}
+    nonzero = 0
+    arithmetic = _count_rational_function_arithmetic(monkeypatch)
+    for case in range(100):
+        n = 3 + case % 4
+        spec = MomentSpec.from_partition(partitions[n]) if case % 3 == 2 else MomentSpec.symbolic(n)
+        vars = spec.coeff_one().vars
+        side = "LR"[case // 4 % 2]
+        f = _symbolic_operand(rng, spec, side)
+        g = _random_momentum_poly(rng, n, "fraction", 2, side) if case % 5 == 4 else _symbolic_operand(rng, spec, side)
+        f, g = (f, g) if case % 2 else (g, f)
+        arithmetic.clear()
+        br = lie_poisson_bracket(f, g)
+        ours = len(arithmetic)
+        expected = lie_poisson_bracket_per_term(f, g)
+        assert ours <= len(arithmetic) - ours
+        assert br.side == side
+        assert _coefficient_triples(br, vars) == _coefficient_triples(expected, vars)
+        nonzero += not br.is_zero()
+    assert nonzero > 30
+    # one pair of classes whose numerator holds a denominator factor: the
+    # join must cancel it, as no sum with another class does
+    lam = lambda_vars(3)
+    l1, l2, l3 = (MultiPoly.gen(lam, i) for i in range(3))
+    f = LiePoissonPoly.gen(3, (1, 2)).scale(RationalFunction(l1, l1 + l2))
+    g = LiePoissonPoly.gen(3, (1, 3)).scale(RationalFunction(l1 + l2, l3))
+    br = lie_poisson_bracket(f, g)
+    assert _coefficient_triples(br, lam) == _coefficient_triples(lie_poisson_bracket_per_term(f, g), lam)
+    assert [c.e for c in br.terms.values()] == [(0, 0, 0, 0, 0, 1)]
+
 
 def test_lie_poisson_kernel_high_exponents():
     # exponents past 255: the packed fields widen with the degrees
@@ -227,6 +334,18 @@ def test_lie_poisson_kernel_high_exponents():
     g = LiePoissonPoly(n, MultiPoly(vars, {(0, 255, 0, 1, 0, 0): Fraction(-5, 7), (1, 0, 0, 0, 1, 0): Fraction(2)}))
     br = lie_poisson_bracket(f, g)
     assert max(max(m) for m in br.terms) >= 256
+    assert br == lie_poisson_bracket_by_table(f, g)
+    # moment degrees whose sum passes 255 under small momentum degrees: the
+    # moment fields set the width
+    lam = lambda_vars(n)
+    l1, l2 = MultiPoly.gen(lam, 0), MultiPoly.gen(lam, 1)
+    a = RationalFunction(l1**200 * 3 + l2, l1 + l2)
+    b = RationalFunction(l1**100 * l2**7 - 2, l2)
+    f = LiePoissonPoly(n, MultiPoly(vars, {(1, 0, 0, 0, 0, 1): a, (0, 0, 1, 0, 0, 0): Fraction(1, 2)}))
+    g = LiePoissonPoly(n, MultiPoly(vars, {(0, 1, 0, 1, 0, 0): b, (0, 0, 0, 0, 1, 0): a}))
+    br = lie_poisson_bracket(f, g)
+    assert max(max(m) for c in br.terms.values() for m in c.p.terms) >= 300
+    assert _coefficient_triples(br, lam) == _coefficient_triples(lie_poisson_bracket_per_term(f, g), lam)
     assert br == lie_poisson_bracket_by_table(f, g)
 
 

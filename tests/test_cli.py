@@ -149,10 +149,14 @@ def test_simulate_rejects_bad_parameters(tmp_path):
         ("--tolerance", "nan"),
         ("--tolerance", "inf"),
         ("--t-end=-inf",),
+        ("--t-end", "-inf"),
+        ("--dt", "-nan"),
+        ("--tolerance", "-inf"),
     ],
 )
 def test_simulate_rejects_non_finite_parameters(tmp_path, capsys, extra):
-    # an infinite end time once overflowed the step count with a traceback
+    # an infinite end time once overflowed the step count with a traceback;
+    # a value that starts with '-' reaches the same check as a separate word
     from manakov.cli import main
 
     out = tmp_path / "run"
@@ -160,6 +164,35 @@ def test_simulate_rejects_non_finite_parameters(tmp_path, capsys, extra):
     err = capsys.readouterr().err
     assert "must be finite" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("joined", [False, True])
+def test_negative_values_reach_the_command_checks(tmp_path, capsys, joined):
+    # argparse takes a separate word such as -1e-3 or -1,2,3,4 for an
+    # option; both spellings must reach the command's own message
+    from manakov.cli import main
+
+    out = tmp_path / "run"
+    cases = [
+        (["simulate", "--n", "3", "--lambda", "1,2,3", "--output-dir", str(out), "--dt", "-1e-3"], "must be positive"),
+        (["simulate", "--n", "3", "--output-dir", str(out), "--lambda", "-1,2,3"], "moments of inertia must be positive"),
+        (["verify", "classical-rigid", "--n", "4", "--lambda", "-1,2,3,4"], "moments of inertia must be positive"),
+        (["verify", "quantum-rigid", "--n", "4", "--lambda", "-1/2,2,3,4"], "moments of inertia must be positive"),
+        (["verify", "classical-rigid", "--n", "-3"], "need n >= 3"),
+    ]
+    for argv, message in cases:
+        if joined:
+            argv = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert message in captured.err and "expected one argument" not in captured.err, argv
+        assert captured.out == ""
+    assert not out.exists()
+    # a flag keeps its meaning, and an option word is never taken as a value
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "classical-rigid", "--n", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 def test_verify_all_needs_exploratory_beyond_n6(monkeypatch, capsys):

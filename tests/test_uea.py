@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 
 from manakov.brackets import LiePoissonPoly, lie_poisson_bracket, momentum_vars
-from manakov.ratfunc import MultiPoly, add_terms
+from manakov.ratfunc import MultiPoly, RationalFunction, add_terms
 from manakov.charts import GroupChart
 from manakov.linalg import ExactMatrix, exact_rank, solve
 from manakov.rigid_body import ManakovIndex, centrality_defect, manakov_indices, manakov_integral, verify_z_lambda
@@ -25,6 +25,7 @@ from manakov.uea import (
     c62_correction,
     correction_weights,
     hamiltonian_commutator,
+    hamiltonian_weights,
     manakov_operator,
     obstruction_b,
     obstruction_b_closed_h6,
@@ -59,6 +60,7 @@ from oracles import (
     tuple_pbw_mul,
     tuple_square_commutator,
     tuple_sym_word,
+    weighted_square_commutators_per_term,
 )
 from oracles import sym_word as scaled_sym_word_by_products
 
@@ -211,16 +213,18 @@ def test_uea_commutator_matches_products():
     assert uea_commutator(a, b) == pbw_mul(a, b) - pbw_mul(b, a)
 
 
-def _random_operand(rng, n, kind):
+def _random_operand(rng, n, kind, spec=None):
     """A PBW element over words of degree at most 4 with ``kind``
-    coefficients (int, non-integer Fraction or rational functions of the
-    moments); one draw in eight is zero and one in eight a constant."""
-    lam = MomentSpec.symbolic(n).lambdas
+    coefficients (int, non-integer Fraction, rational functions of the
+    moments of ``spec``, symbolic by default, or a mix of Fraction and
+    rational functions); one draw in eight is zero and one in eight a
+    constant."""
+    lam = (spec or MomentSpec.symbolic(n)).lambdas
 
     def coef():
         if kind == "int":
             return rng.choice((-3, -2, -1, 1, 2, 5))
-        if kind == "fraction":
+        if kind == "fraction" or (kind == "mixed" and rng.random() < 0.5):
             return Fraction(rng.choice((-7, -1, 1, 5, 11)), rng.choice((2, 3, 6, 9)))
         i, j, k = rng.sample(range(n), 3)
         return lam[i] * rng.randint(1, 3) / (lam[j] + lam[k]) + rng.randint(-2, 2)
@@ -269,6 +273,77 @@ def test_derivation_kernels_match_products():
     assert _INSERT_CACHE and all(type(w) is int for table in _INSERT_CACHE.values() for w in table)
     for (n, g), table in _INSERT_CACHE.items():
         assert all(w & ((1 << 8 * g) - 1) for w in table), (n, g)
+
+
+def _coefficient_triples(x, vars):
+    """{word: (c, p, e)} of x's coefficients read over ``vars``."""
+    out = {}
+    for w, c in x.terms.items():
+        c = c if isinstance(c, RationalFunction) else RationalFunction.const(vars, c)
+        out[w] = (c.c, c.p.terms, c.e)
+    return out
+
+
+def test_symbolic_weightings_match_the_per_term_loop(monkeypatch):
+    # the denominator-class split of x and of the weights against one
+    # rational-function product and sum per term, triple for triple:
+    # n = 3..6, moments over lambda and over the class symbols mu of a
+    # partition, x and weights with many classes (H-hat, c * H-hat), mixed
+    # Fraction and rational-function coefficients, zero and constant
+    # operands, and rational operands against symbolic weights; no call
+    # does more rational-function sums and products than the loop it
+    # replaces
+    arithmetic = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        real = getattr(RationalFunction, name)
+        monkeypatch.setattr(RationalFunction, name, lambda a, b, real=real: arithmetic.append(1) or real(a, b))
+    rng = random.Random(59)
+    partitions = {3: (1, 2), 4: (2, 2), 5: (2, 3), 6: (1, 2, 3)}
+    nonzero = 0
+    for case in range(100):
+        n = 3 + case % 4
+        spec = MomentSpec.from_partition(partitions[n]) if case % 3 == 2 else MomentSpec.symbolic(n)
+        vars, lam = spec.coeff_one().vars, spec.lambdas
+        # H-hat and c * H-hat on a few pairs, one denominator class each,
+        # so that the per-term loop stays quick at n = 6
+        h = hamiltonian_weights(spec)
+        c = lam[0] ** 2 / (lam[0] + lam[-1]) + Fraction(1, 3)
+        few = [set(rng.sample(range(len(h)), 3)) for _ in range(3)]
+        shape = case // 4 % 4
+        if shape < 2:
+            x = PBWElement(n, {(k, k): h[k] * (c if shape else 1) for k in few[0]})
+        else:
+            x = _random_operand(rng, n, ("fraction", "ratfunc", "mixed")[case % 3], spec)
+        mixed = [rng.choice((0, Fraction(rng.randint(-5, 5), 3), lam[rng.randrange(n)] * 2)) for _ in h]
+        weight_sets = [
+            [w if k in few[1] else 0 for k, w in enumerate(h)],
+            [w * c if k in few[2] else 0 for k, w in enumerate(h)],
+            mixed,
+            correction_weights(spec),
+            [Fraction(k, 2) for k in range(len(h))],
+        ]
+        arithmetic.clear()
+        got = weighted_square_commutators(n, weight_sets, x)
+        ours = len(arithmetic)
+        expected = weighted_square_commutators_per_term(n, weight_sets, x)
+        assert ours <= len(arithmetic) - ours
+        for a, b in zip(got, expected, strict=True):
+            assert _coefficient_triples(a, vars) == _coefficient_triples(b, vars), (case, x)
+            nonzero += not a.is_zero()
+    assert nonzero > 200
+
+
+def test_symbolic_weightings_high_moment_exponents():
+    # moment degrees whose sum passes 255: the moment fields above the
+    # letter counts widen with them
+    n = 4
+    lam = MomentSpec.symbolic(n).lambdas
+    x = PBWElement(n, {(0, 1): lam[0] ** 200 * 3 / (lam[0] + lam[1]) + lam[1], (2,): Fraction(1, 3)})
+    weights = [lam[0] ** 100 * lam[1] ** 7 - 2, 0, lam[2] ** 60 / lam[3], 1, lam[0], Fraction(1, 2)]
+    got = weighted_square_commutators(n, [weights], x)[0]
+    assert max(max(m) for c in got.terms.values() for m in c.p.terms) >= 300
+    vars = lam[0].vars
+    assert _coefficient_triples(got, vars) == _coefficient_triples(weighted_square_commutators_per_term(n, [weights], x)[0], vars)
 
 
 def test_packed_kernels_match_the_tuple_kernels():
@@ -746,13 +821,16 @@ def test_battery_builds_and_commutes_each_once(monkeypatch, n, lambdas):
     # every integral is built once; each [(P-hat_k)^2, x] is formed once per
     # (k, right operand x) and every quadratic left operand is a weighting of
     # those; only [c-hat_{5,1}, C-hat_{6,2}] multiplies two degree-4
-    # operators, once, and only at n = 6
+    # operators, once, and only at n = 6.  Over symbolic moments x is formed
+    # as its slices, one per denominator class and moment monomial, each once
     import manakov.uea as uea
 
     spec = MomentSpec.from_lambdas(lambdas) if lambdas else MomentSpec.symbolic(n)
     built = []
     pairs = []
+    operands = []
     squares = []
+    real_weighted, real_square = uea.weighted_square_commutators, uea._square_packed
 
     def integral(idx, n_, spec_):
         built.append(idx)
@@ -762,13 +840,18 @@ def test_battery_builds_and_commutes_each_once(monkeypatch, n, lambdas):
         pairs.append(frozenset((_element_key(a), _element_key(b))))
         return uea_commutator(a, b)
 
-    def square(k, x):
-        squares.append((k, _element_key(x)))
-        return square_commutator(k, x)
+    def weighted(n_, weight_sets, x):
+        operands.append(_element_key(x))
+        return real_weighted(n_, weight_sets, x)
+
+    def square(n_, k, terms):
+        squares.append((k, operands[-1], frozenset(terms.items())))
+        return real_square(n_, k, terms)
 
     monkeypatch.setattr(uea, "manakov_integral", integral)
     monkeypatch.setattr(uea, "uea_commutator", commutator)
-    monkeypatch.setattr(uea, "square_commutator", square)
+    monkeypatch.setattr(uea, "weighted_square_commutators", weighted)
+    monkeypatch.setattr(uea, "_square_packed", square)
     report = verify_quantum_rigid(n, spec)
     assert report.ok, [c.id for c in report.failures]
     assert len(built) == len(set(built))
@@ -776,10 +859,15 @@ def test_battery_builds_and_commutes_each_once(monkeypatch, n, lambdas):
     assert len(pairs) == (1 if n == 6 else 0)
     assert len(squares) == len(set(squares))
     # right operands: the n - 1 quadratic integrals, c-hat_{5,1} and, at
-    # n = 6, c-hat_{6,2} and the correction of C-hat_{6,2}
-    operands = {x for _, x in squares}
-    assert len(operands) == {5: 5, 6: 8}[n]
-    assert len(squares) == dim_so(n) * len(operands)
+    # n = 6, c-hat_{6,2} and the correction of C-hat_{6,2}; each is
+    # weighted once and commuted with every squared generator
+    assert len(operands) == len(set(operands)) == {5: 5, 6: 8}[n]
+    assert {(k, x) for k, x, _ in squares} == {(k, x) for k in range(dim_so(n)) for x in operands}
+    if lambdas:
+        assert len(squares) == dim_so(n) * len(operands)
+    else:
+        assert len(squares) > dim_so(n) * len(operands)
+        assert all(type(c) is int for *_, terms in squares for _, c in terms)
 
 
 def _first_chart_has_zero_left_momenta(monkeypatch):
