@@ -91,6 +91,17 @@ def check_rigid_args(n, samples):
         raise ValueError(f"need at least one moment sample, got {samples}")
 
 
+def _rigid_mode(n, mode, lambdas):
+    """The moment mode of a rigid-body scope: symbolic by default for n <= 5,
+    sampled above, and sampled when moments are given, since given moments
+    are one point of the moment field and check no identity in it."""
+    if lambdas is not None and mode == "symbolic":
+        raise ValueError("--lambda gives one moment sample, not symbolic moments; use --mode sampled")
+    if mode is None:
+        mode = "symbolic" if n <= 5 and lambdas is None else "sampled"
+    return mode
+
+
 def _distinct_rationals(count, rng, bound=30):
     out = []
     while len(out) < count:
@@ -107,13 +118,13 @@ def suite_classical_rigid(
     formulas (closed form against sampled kernel dimensions), and a fully
     assembled integrable set.
 
-    ``mode`` defaults to symbolic moments for n <= 5 and sampled for n = 6.
+    ``mode`` defaults to symbolic moments for n <= 5 and sampled for n = 6
+    or when ``lambdas`` are given.
     """
     check_rigid_args(n, samples)
+    mode = _rigid_mode(n, mode, lambdas)
     rng = random.Random(seed)
     report = VerificationReport()
-    if mode is None:
-        mode = "symbolic" if n <= 5 else "sampled"
     report.config.update(
         {
             "scope": "classical-rigid",
@@ -130,7 +141,7 @@ def suite_classical_rigid(
     # always verified fully symbolically (cheap at every n <= 6)
     verify_euler_closed_form(MomentSpec.symbolic(n), report=report)
     if mode == "symbolic":
-        spec = _moment_spec_from_args(n, lambdas, partition)
+        spec = _moment_spec_from_args(n, None, partition)
         verify_involution_family(n, spec, report=report)
         specs_for_counts = [spec]
     else:
@@ -206,9 +217,8 @@ def suite_quantum_rigid(
     """Quantum rigid-body battery: commutator identities per moment sample,
     quantized central sets, and the zero-defect families."""
     check_rigid_args(n, samples)
+    mode = _rigid_mode(n, mode, lambdas)
     rng = random.Random(seed)
-    if mode is None:
-        mode = "symbolic" if n <= 5 else "sampled"
     report = VerificationReport()
     report.config.update(
         {
@@ -222,11 +232,7 @@ def suite_quantum_rigid(
         }
     )
     if mode == "symbolic":
-        spec = (
-            _moment_spec_from_args(n, lambdas, partition)
-            if (lambdas or partition)
-            else MomentSpec.symbolic(n)
-        )
+        spec = _moment_spec_from_args(n, None, partition) if partition else MomentSpec.symbolic(n)
         sub = verify_quantum_rigid(n, spec)
         _tag_and_extend(report, sub, "symbolic")
     else:

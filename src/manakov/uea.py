@@ -10,15 +10,18 @@ structural.
 Inside the kernels a sorted word is one int that holds the count of
 generator g in its byte g: the first letter is the lowest nonzero byte, and
 dropping it is one subtraction.  Elements keep tuple words; the kernels
-pack on entry and unpack on exit.  Products fold single-generator
-left-multiplications over a suffix trie of the left factor.  An insertion
-e_g w that keeps w sorted (no letter below g) is w plus one count of g,
-added inline; only the insertions that reorder are memoized, one dict per
-(n, g), and a word that could reach 256 letters raises.  Commutators with a
-generator apply the derivation ad_u = [e_u, .] word by word (``ad``), and
+pack on entry and unpack on exit.  An insertion e_g w that keeps w sorted
+(no letter below g) is w plus one count of g, added inline; only the
+insertions that reorder are memoized, one dict per (n, g), and a word that
+could reach 256 letters raises.  A sum sum_w w R_w over sorted words w is
+folded by Horner's rule over the prefix trie of the words: each node p
+forms X_p = R_p + sum_g e_g X_{pg}, so each letter is applied once, to the
+sum of everything below it.  The product ab puts R_w = a_w b at the words
+of a; the commutator [a, b] puts R_w = a_w b - b_w a at the words of both,
+so it is one fold, not two products.  Commutators with a generator apply
+the derivation ad_u = [e_u, .] word by word (``ad``), and
 [e_k^2, x] = 2 e_k [e_k, x] - [e_k, [e_k, x]] (``square_commutator``), so
-the top-degree terms that cancel in ab - ba are never formed;
-``uea_commutator`` (ab - ba) is left for higher degrees.
+the top-degree terms that cancel in ab - ba are never formed.
 
 Every quantum rigid-body operator is the symmetrization beta(f) of its
 classical function (``symmetrize_momentum_poly``, over the k!-scaled integer
@@ -40,6 +43,7 @@ coefficient is tabulated once per triple from memoized coefficients.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import chain, combinations, product
 from math import factorial
@@ -61,8 +65,10 @@ from .rigid_body import (
 )
 from .son import DegenerateSampleError, MomentSpec, bracket_matrix, pair_list, retry_generic, signed_pair
 
-_INSERT_CACHE = {}
-_AD_CACHE = {}
+# the reordering insertions e_g w and the commutators [e_g, w], one dict of
+# packed words w per (n, g)
+_INSERT_CACHE = defaultdict(dict)
+_AD_CACHE = defaultdict(dict)
 _SYM_CACHE = {}
 _WORD_CACHE = {}
 _MAX_DEGREE = 255  # a packed word holds each letter count in one byte
@@ -104,10 +110,7 @@ def _extend(n, g, terms, out, scale=1, ad=False):
     A product that stays sorted (no letter of t below g) adds one count of g
     inline; only the insertions that reorder, and the commutators, go
     through their memo, one dict per (n, g)."""
-    memo = _AD_CACHE if ad else _INSERT_CACHE
-    table = memo.get((n, g))
-    if table is None:
-        table = memo[n, g] = {}
+    table = (_AD_CACHE if ad else _INSERT_CACHE)[n, g]
     unit = 1 << (g << 3)
     below = unit - 1
     for w, c in terms.items():
@@ -142,7 +145,15 @@ def _expand(n, g, w, ad):
         return {}
     a = ((w & -w).bit_length() - 1) >> 3  # the lowest nonzero byte
     rest = w - (1 << (a << 3))
-    result = _extend(n, a, _extend(n, g, {rest: 1}, {}, ad=ad), {})
+    unit = 1 << (g << 3)
+    if ad or rest & (unit - 1):
+        table = (_AD_CACHE if ad else _INSERT_CACHE)[n, g]
+        inner = table.get(rest)
+        if inner is None:
+            inner = table[rest] = _expand(n, g, rest, ad)
+    else:
+        inner = {rest + unit: 1}
+    result = _extend(n, a, inner, {})
     br = bracket_matrix(n)[g][a]
     if br is not None:
         _extend(n, br[0], {rest: br[1]}, result)
@@ -192,42 +203,53 @@ class PBWElement(TermMap):
     __repr__ = __str__
 
 
+def _fold(n, words, left, right):
+    """sum_w w (a_w right - b_w left) over the {tuple word w: (a_w, b_w)}
+    map ``words``, with ``left`` and ``right`` packed {word: coef} maps, by
+    Horner's rule over the prefix trie of the words: X_p = R_p +
+    sum_g e_g X_{pg} with R_p the node's own term, packed."""
+    root = {}
+    for w, coefs in words.items():
+        node = root
+        for g in w:
+            node = node.setdefault(g, {})
+        node[None] = coefs
+
+    def horner(node):
+        a_w, b_w = node.pop(None, (0, 0))
+        x = {v: a_w * c for v, c in right.items()} if a_w else {}
+        if b_w:
+            add_terms(x, ((v, -b_w * c) for v, c in left.items()))
+        for g, sub in node.items():
+            _extend(n, g, horner(sub), x)
+        return x
+
+    return horner(root)
+
+
 def pbw_mul(a: PBWElement, b: PBWElement) -> PBWElement:
-    """Product in canonical form via a suffix trie over the left factor."""
+    """Product in canonical form: sum_w w (a_w b), one Horner fold over the
+    words of a."""
     if a.n != b.n:
         raise ValueError("mixed dimensions")
-    n = a.n
-    packed = _packed(b, a.degree())
-    root = {}
-    for w, c in a.terms.items():
-        node = root
-        for g in reversed(w):
-            node = node.setdefault(g, {})
-        node.setdefault(None, []).append(c)
-    result = {}
-
-    def dfs(node, terms):
-        for key, sub in node.items():
-            if key is None:
-                for c in sub:
-                    add_terms(result, ((w, c * v) for w, v in terms.items()))
-            else:
-                dfs(sub, _extend(n, key, terms, {}))
-
-    dfs(root, packed)
-    return a._new(_unpacked(result))
+    words = {w: (c, 0) for w, c in a.terms.items()}
+    return a._new(_unpacked(_fold(a.n, words, None, _packed(b, a.degree()))))
 
 
 def uea_commutator(a: PBWElement, b: PBWElement) -> PBWElement:
-    """[a, b] = ab - ba.
+    """[a, b] = ab - ba = sum_w w (a_w b - b_w a), one Horner fold over the
+    words of a and b, so no second product is formed.
 
     Operands with rational coefficients are multiplied by their least common
-    denominators first, so the products run on integers; the commutator is
+    denominators first, so the fold runs on integers; the commutator is
     bilinear, so one division by both multipliers at the end restores it.
     """
+    if a.n != b.n:
+        raise ValueError("mixed dimensions")
     a, da = integer_scaled(a)
     b, db = integer_scaled(b)
-    c = pbw_mul(a, b) - pbw_mul(b, a)
+    words = {w: (a.terms.get(w, 0), b.terms.get(w, 0)) for w in {**a.terms, **b.terms}}
+    c = a._new(_unpacked(_fold(a.n, words, _packed(a, b.degree()), _packed(b, a.degree()))))
     return c if da * db == 1 else c.scale(Fraction(1, da * db))
 
 

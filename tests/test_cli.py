@@ -298,6 +298,24 @@ def test_sampled_classical_rigid_draws_the_samples_after_given_moments(monkeypat
     assert seen == [(1, 2, 3, 5)]
 
 
+def test_symbolic_mode_with_given_moments_is_a_usage_error():
+    # given moments are one point of the moment field: a check there is not
+    # an identity in it, so it must not be reported as symbolic
+    for scope in ("classical-rigid", "quantum-rigid"):
+        r = run_cli("verify", scope, "--n", "5", "--mode", "symbolic", "--lambda", "1,2,3,4,5")
+        assert r.returncode == 2 and not r.stdout
+        assert "--mode sampled" in r.stderr and "Traceback" not in r.stderr
+    # without --mode, given moments are a sample
+    r = run_cli("verify", "quantum-rigid", "--n", "3", "--lambda", "1,2,3", "--samples", "1")
+    assert r.returncode == 0
+    report = json.loads(r.stdout)
+    assert report["config"]["mode"] == "sampled"
+    assert not any(c["id"].startswith("symbolic/") for c in report["checks"])
+    # a symbolic partition stays symbolic
+    r = run_cli("verify", "quantum-rigid", "--n", "3", "--mode", "symbolic", "--q", "1,2", "--seed", "1")
+    assert r.returncode == 0 and json.loads(r.stdout)["config"]["mode"] == "symbolic"
+
+
 def test_zero_denominator_is_a_usage_error():
     r = run_cli("verify", "classical-rigid", "--n", "4", "--lambda", "1/0,2,3,4")
     assert r.returncode == 2

@@ -185,32 +185,35 @@ def test_uea_jacobi_randomized():
         assert jac.is_zero()
 
 
-def _random_pbw(rng, n, denominators):
-    words = len(pair_list(n))
-    terms = {}
-    for _ in range(rng.randint(1, 4)):
-        word = tuple(sorted(rng.randrange(words) for _ in range(rng.randint(0, 3))))
-        terms[word] = Fraction(rng.randint(-6, 6), rng.choice(denominators))
-    return PBWElement(n, terms)
-
-
 def test_uea_commutator_matches_products():
-    # rational operands are commuted over the integers and scaled back once;
-    # the result must be the plain difference of the two products
+    # the one Horner fold of [a, b] = sum_w w (a_w b - b_w a) against the
+    # difference of two products by the tuple kernel, term for term, and
+    # pbw_mul against the tuple product: n = 3..6, int and Fraction
+    # coefficients (rational functions of the moments at n = 4), supports
+    # that overlap, coincide or are disjoint, the empty word in both, and
+    # zero operands
     rng = random.Random(23)
-    for n in (3, 4, 5):
-        for denominators in ((1,), (1, 2, 3, 5, 7, 12)):
-            for _ in range(15):
-                a, b = _random_pbw(rng, n, denominators), _random_pbw(rng, n, denominators)
-                expected = pbw_mul(a, b) - pbw_mul(b, a)
-                assert uea_commutator(a, b) == expected
-                zero = PBWElement.zero(n)
-                assert uea_commutator(a, zero).is_zero() and uea_commutator(zero, b).is_zero()
-    # symbolic coefficients take the rational-function path
-    spec = MomentSpec.symbolic(4)
-    a = manakov_operator(ManakovIndex(3, 1), 4, spec)
-    b = _random_pbw(rng, 4, (1, 4))
-    assert uea_commutator(a, b) == pbw_mul(a, b) - pbw_mul(b, a)
+    for case in range(100):
+        n = 3 + case % 4
+        kind = ("int", "fraction", "ratfunc")[case % 3] if n == 4 else ("int", "fraction")[case % 2]
+        a, b = _random_operand(rng, n, kind), _random_operand(rng, n, kind)
+        shape = (case // 4) % 5
+        if shape == 1:
+            b = PBWElement(n, {w: c for w, c in b.terms.items() if w not in a.terms})
+        elif shape == 2:
+            b = PBWElement(n, {w: c * c + 1 for w, c in a.terms.items()})
+        elif shape == 3:
+            a = PBWElement(n, {**a.terms, (): 3})
+            b = PBWElement(n, {**b.terms, (): Fraction(-2, 3)})
+        elif shape == 4:
+            a = PBWElement.zero(n)
+        for x, y in ((a, b), (b, a)):
+            assert pbw_mul(x, y).terms == tuple_pbw_mul(x, y).terms, (n, kind, x, y)
+            expected = tuple_pbw_mul(x, y) - tuple_pbw_mul(y, x)
+            assert uea_commutator(x, y).terms == expected.terms, (n, kind, x, y)
+        zero = PBWElement.zero(n)
+        assert uea_commutator(a, zero).is_zero() and uea_commutator(zero, b).is_zero()
+        assert uea_commutator(a, a).is_zero()
 
 
 def _random_operand(rng, n, kind, spec=None):
@@ -357,6 +360,7 @@ def test_packed_kernels_match_the_tuple_kernels():
         a, b = _random_operand(rng, n, kind), _random_operand(rng, n, kind)
         u = rng.randrange(dim_so(n))
         assert pbw_mul(a, b).terms == tuple_pbw_mul(a, b).terms, (n, kind, a, b)
+        assert uea_commutator(a, b).terms == (tuple_pbw_mul(a, b) - tuple_pbw_mul(b, a)).terms, (n, kind, a, b)
         assert ad(u, a).terms == tuple_ad(u, a).terms, (n, kind, a)
         assert square_commutator(u, b).terms == tuple_square_commutator(u, b).terms, (n, kind, b)
         letters = tuple(rng.randrange(dim_so(n)) for _ in range(rng.randint(0, 5)))
@@ -371,6 +375,15 @@ def test_packed_words_refuse_to_overflow_a_letter_count():
     assert top.terms == {(0,) * 255: 2}
     with pytest.raises(ValueError, match="overflow"):
         pbw_mul(PBWElement(n, {(0,) * 200: 1}), PBWElement(n, {(0,) * 56: 1}))
+    # a commutator's fold reaches deg a + deg b letters, in either order
+    long = PBWElement(n, {(0,) * 200: 1, (1,): 1})
+    short = PBWElement(n, {(0,) * 55: 2})
+    for x, y in ((long, short), (short, long)):
+        assert uea_commutator(x, y).terms == (tuple_pbw_mul(x, y) - tuple_pbw_mul(y, x)).terms
+    longer = PBWElement(n, {(0,) * 56: 1})
+    for x, y in ((long, longer), (longer, long)):
+        with pytest.raises(ValueError, match="overflow"):
+            uea_commutator(x, y)
     with pytest.raises(ValueError, match="overflow"):
         ad(1, PBWElement(n, {(0,) * 256: 1}))
     with pytest.raises(ValueError, match="overflow"):
@@ -820,8 +833,9 @@ def _element_key(x):
 def test_battery_builds_and_commutes_each_once(monkeypatch, n, lambdas):
     # every integral is built once; each [(P-hat_k)^2, x] is formed once per
     # (k, right operand x) and every quadratic left operand is a weighting of
-    # those; only [c-hat_{5,1}, C-hat_{6,2}] multiplies two degree-4
-    # operators, once, and only at n = 6.  Over symbolic moments x is formed
+    # those; only [c-hat_{5,1}, C-hat_{6,2}] commutes two degree-4
+    # operators, once, and only at n = 6, in one fold that forms neither
+    # product, so pbw_mul is never called.  Over symbolic moments x is formed
     # as its slices, one per denominator class and moment monomial, each once
     import manakov.uea as uea
 
@@ -848,10 +862,14 @@ def test_battery_builds_and_commutes_each_once(monkeypatch, n, lambdas):
         squares.append((k, operands[-1], frozenset(terms.items())))
         return real_square(n_, k, terms)
 
+    def product(a, b):
+        raise AssertionError("the battery formed a product")
+
     monkeypatch.setattr(uea, "manakov_integral", integral)
     monkeypatch.setattr(uea, "uea_commutator", commutator)
     monkeypatch.setattr(uea, "weighted_square_commutators", weighted)
     monkeypatch.setattr(uea, "_square_packed", square)
+    monkeypatch.setattr(uea, "pbw_mul", product)
     report = verify_quantum_rigid(n, spec)
     assert report.ok, [c.id for c in report.failures]
     assert len(built) == len(set(built))
