@@ -4,7 +4,7 @@ body, over arbitrary-precision rational arithmetic."""
 
 from .ratfunc import MultiPoly, RationalFunction, rational
 from .radical import RadicalElement
-from .linalg import ExactMatrix, char_poly, exact_rank
+from .linalg import ExactMatrix, exact_rank
 from .son import (
     MomentSpec,
     SkewMatrix,
@@ -30,7 +30,6 @@ __all__ = [
     "rational",
     "RadicalElement",
     "ExactMatrix",
-    "char_poly",
     "exact_rank",
     "MomentSpec",
     "SkewMatrix",

@@ -6,8 +6,6 @@ grown one row at a time so that a greedy search for independent functions adds
 each candidate row once.  Ranks (``rank_of``) read its size; kernels
 (``exact_rank``), inverses and solutions read the reduced form that back
 substitution gives from it.  Their entries must be ``int`` or ``Fraction``.
-Characteristic polynomials use the Faddeev-LeVerrier recursion, which only
-ever divides by the integers 1..n.
 """
 
 from __future__ import annotations
@@ -200,26 +198,6 @@ def exact_rank(m: ExactMatrix):
             vec[c] = -row[free]
         kernel.append(vec)
     return len(reduced), kernel
-
-
-def char_poly(m: ExactMatrix, one=Fraction(1)):
-    """Coefficients [1, c_{n-1}, ..., c_0] of det(t*E - m), highest first.
-
-    Faddeev-LeVerrier recursion: the only divisions are by the integers
-    1..n, which are units in every coefficient domain used here.
-    """
-    if m.rows != m.cols:
-        raise ValueError("characteristic polynomial of a non-square matrix")
-    n = m.rows
-    coeffs = [one]
-    mk = ExactMatrix.identity(n, one=one)
-    for k in range(1, n + 1):
-        am = m @ mk
-        ck = am.trace() * Fraction(-1, k)
-        coeffs.append(ck)
-        if k < n:
-            mk = am + ExactMatrix.identity(n, one=one).scale(ck)
-    return coeffs
 
 
 def invert(m: ExactMatrix) -> ExactMatrix:

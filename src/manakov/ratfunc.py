@@ -72,7 +72,7 @@ def integer_scaled(x):
         if not isinstance(c, (int, Fraction)):
             return x, 1
         denom = denom * c.denominator // int_gcd(denom, c.denominator)
-    return x.map_coeffs(lambda c: int(c * denom)), denom
+    return x.map_coeffs(lambda c: c.numerator * (denom // c.denominator)), denom
 
 
 def _exact_quotient(c, d):

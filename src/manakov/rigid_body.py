@@ -288,9 +288,11 @@ def table3(max_n=6, all_partitions=False):
 
 
 def casimir_polynomials(n, indices=None):
-    """Standard Casimirs of the momentum matrix on ``indices`` (son.casimir_set
-    of the skew matrix whose entries are the momentum generators), as a tuple
-    of momentum polynomials; memoized, so callers must not mutate it."""
+    """The Casimirs C_1, ..., C_[k/2] of the k x k block of momenta P_ab
+    with a, b in ``indices`` (default 1..n): ``son.casimir_set`` of that
+    skew matrix of generators, as momentum polynomials with integer
+    coefficients.  Memoized per (n, indices); the polynomials are shared,
+    so callers must not mutate them."""
     return _casimir_polynomials(n, tuple(indices) if indices is not None else tuple(range(1, n + 1)))
 
 
@@ -301,7 +303,7 @@ def _casimir_polynomials(n, indices):
     for a in range(len(indices)):
         for b in range(a + 1, len(indices)):
             k, sign = signed_pair(n, indices[a], indices[b])
-            upper[(a + 1, b + 1)] = MultiPoly.gen(vars, k) * sign
+            upper[(a + 1, b + 1)] = MultiPoly(vars, {tuple(int(i == k) for i in range(len(vars))): sign})
     m = SkewMatrix(len(indices), upper)
     return tuple(LiePoissonPoly(n, c) for c in casimir_set(m, one=MultiPoly.const(vars, 1)))
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 
-from .linalg import ExactMatrix, char_poly, invert, rank_of
+from .linalg import ExactMatrix, invert, rank_of
 from .ratfunc import MultiPoly, RationalFunction, add_terms, declare_factors
 
 
@@ -207,16 +207,19 @@ def ad_matrix(a: SkewMatrix, domain_pairs=None, image_pairs=None) -> ExactMatrix
     """Matrix of B -> [a, B] in the D^{ij} basis.
 
     Columns range over ``domain_pairs`` and rows over ``image_pairs``
-    (defaults: all of so(n) for both).
+    (defaults: all of so(n) for both).  Column v is sum_u a_u [e_u, e_v],
+    read off the structure table; one u at most reaches each row w.
     """
     n = a.n
-    domain_pairs = tuple(domain_pairs) if domain_pairs is not None else pair_list(n)
-    image_pairs = tuple(image_pairs) if image_pairs is not None else pair_list(n)
-    cols = []
-    for (h, k) in domain_pairs:
-        br = bracket(a, basis_element(n, h, k))
-        cols.append([br.upper.get(p, Fraction(0)) for p in image_pairs])
-    return ExactMatrix([[cols[c][r] for c in range(len(domain_pairs))] for r in range(len(image_pairs))])
+    pidx, dim = pair_index(n), dim_so(n)
+    full = [[Fraction(0)] * dim for _ in range(dim)]
+    for p, x in a.upper.items():
+        for v, hit in enumerate(bracket_matrix(n)[pidx[p]]):
+            if hit is not None:
+                full[hit[0]][v] = x * hit[1]
+    rows = range(dim) if image_pairs is None else [pidx[p] for p in image_pairs]
+    cols = range(dim) if domain_pairs is None else [pidx[p] for p in domain_pairs]
+    return ExactMatrix([[full[r][c] for c in cols] for r in rows])
 
 
 def ad_kernel_dim(a: SkewMatrix) -> int:
@@ -225,23 +228,27 @@ def ad_kernel_dim(a: SkewMatrix) -> int:
 
 
 def casimir_set(a: SkewMatrix, one=Fraction(1)):
-    """Coefficients (C_1, ..., C_s) of det(tE - a) at t^{n-2}, t^{n-4}, ...
+    """Coefficients (C_1, ..., C_s) of det(tE - a) at t^{n-2}, t^{n-4}, ...:
+    every principal minor of a skew matrix is a squared Pfaffian, so C_m is
+    the sum of Pf(a_S)^2 over the index sets S of size 2m, in the entries'
+    own ring (``one`` is its unit); integer entries give integers."""
+    n, upper, zero = a.n, a.upper, one * 0
+    pf = {}
 
-    The odd-shift coefficients of a skew matrix vanish identically; a nonzero
-    one means the input was not skew and raises ValueError.
-    """
-    n = a.n
-    zero = one * 0
-    coeffs = char_poly(a.to_dense(zero=zero), one=one)
-    out = []
-    for shift in range(1, n + 1):
-        c = coeffs[shift]
-        if shift % 2 == 1:
-            if c != 0:
-                raise ValueError("odd characteristic coefficient nonzero: input not skew")
-        else:
-            out.append(c)
-    return out
+    def pfaffian(s):
+        """Pf(a_s) for a sorted index tuple s, expanded along s[0]."""
+        if len(s) == 2:
+            return upper.get(s, zero)
+        if s not in pf:
+            total = zero
+            for j in range(1, len(s)):
+                if (s[0], s[j]) in upper:
+                    t = upper[s[0], s[j]] * pfaffian(s[1:j] + s[j + 1 :])
+                    total = total + t if j % 2 else total - t
+            pf[s] = total
+        return pf[s]
+
+    return [sum((pfaffian(s) ** 2 for s in combinations(range(1, n + 1), 2 * m)), zero) for m in range(1, n // 2 + 1)]
 
 
 def cayley_orthogonal(s: SkewMatrix) -> ExactMatrix:

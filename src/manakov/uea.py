@@ -20,7 +20,7 @@ sum of everything below it.  The product ab puts R_w = a_w b at the words
 of a; the commutator [a, b] puts R_w = a_w b - b_w a at the words of both,
 so it is one fold, not two products.  Commutators with a generator apply
 the derivation ad_u = [e_u, .] word by word (``ad``), and
-[e_k^2, x] = 2 e_k [e_k, x] - [e_k, [e_k, x]] (``square_commutator``), so
+[e_k^2, x] = 2 e_k [e_k, x] - [e_k, [e_k, x]] (``_square_packed``), so
 the top-degree terms that cancel in ab - ba are never formed.
 
 Every quantum rigid-body operator is the symmetrization beta(f) of its
@@ -46,7 +46,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from itertools import chain, combinations, product
-from math import factorial
+from math import factorial, lcm
 from operator import add
 
 from .brackets import LiePoissonPoly, momentum_vars
@@ -258,14 +258,10 @@ def ad(u, x: PBWElement) -> PBWElement:
     return x._new(_unpacked(_extend(x.n, u, _packed(x), {}, ad=True)))
 
 
-def square_commutator(k, x: PBWElement) -> PBWElement:
-    """[(e_k)^2, x] = e_k y + y e_k = 2 e_k y - [e_k, y] with y = [e_k, x]:
-    no degree-(deg x + 2) product is formed."""
-    return x._new(_unpacked(_square_packed(x.n, k, _packed(x, 1))))
-
-
 def _square_packed(n, k, terms):
-    """[(e_k)^2, t] for the packed {word: coef} map ``terms``, packed too."""
+    """[(e_k)^2, t] = e_k y + y e_k = 2 e_k y - [e_k, y] with y = [e_k, t],
+    for the packed {word: coef} map ``terms``, packed too: no
+    degree-(deg t + 2) product is formed."""
     y = _extend(n, k, terms, {}, ad=True)
     return _extend(n, k, y, _extend(n, k, y, {}, 2), -1, ad=True)
 
@@ -421,9 +417,11 @@ def sym3_expansion(n, coeff_fn) -> PBWElement:
 def weighted_square_commutators(n, weight_sets, x: PBWElement):
     """[sum_{i<j} w_ij (P-hat_ij)^2, x] for each weight list in
     ``weight_sets`` (weights in pair order), forming each [(P-hat_ij)^2, x]
-    once, on integers.  Rational x is scaled to integers, and the weights
-    (over that scale) enter only the accumulation.  Over symbolic moments x
-    and the weights split into denominator classes with integer numerators
+    once, on integers.  Rational x and each weight set are multiplied by
+    their least common denominators, the integer products are summed on
+    packed words, and each output coefficient is divided once by the two
+    multipliers.  Over symbolic moments x and the weights split into
+    denominator classes with integer numerators
     (``ratfunc.split_by_denominator``), and x further into one slice of
     packed words per moment monomial: each [(P-hat_ij)^2, slice] is formed
     once, its integers times the weights' are summed keyed by word and
@@ -432,14 +430,21 @@ def weighted_square_commutators(n, weight_sets, x: PBWElement):
     vars = moment_vars(chain(x.terms.values(), *weight_sets))
     if vars is None:
         x, d = integer_scaled(x)
+        terms = _packed(x, 1)
+        # each weight set times its own least common denominator m
+        scales = [lcm(*(w.denominator for w in weights)) for weights in weight_sets]
+        ints = [[w.numerator * (m // w.denominator) for w in ws] for ws, m in zip(weight_sets, scales)]
         accs = [{} for _ in weight_sets]
         for k in range(len(pair_list(n))):
-            comm = square_commutator(k, x).terms
-            for acc, weights in zip(accs, weight_sets):
-                w = weights[k] if d == 1 else weights[k] * Fraction(1, d)
-                if w:
-                    add_terms(acc, ((word, c * w) for word, c in comm.items()))
-        return [PBWElement(n, acc) for acc in accs]
+            hits = [(acc, ws[k]) for acc, ws in zip(accs, ints) if ws[k]]
+            comm = _square_packed(n, k, terms) if hits else {}
+            for acc, w in hits:
+                add_terms(acc, ((word, c * w) for word, c in comm.items()))
+        # one division per output coefficient
+        return [
+            PBWElement(n, _unpacked({w: c if m * d == 1 else Fraction(c, m * d) for w, c in acc.items()}))
+            for acc, m in zip(accs, scales)
+        ]
     _check_degree(x.degree() + 1)
     x_classes = split_by_denominator(x.terms, vars)
     w_classes = [split_by_denominator(dict(enumerate(weights)), vars) for weights in weight_sets]

@@ -2,7 +2,8 @@
 
 Each one computes a quantity the package also computes, by a different and
 slower route: Laplace expansion and fraction-free elimination for
-determinants and ranks, exhaustive exponent enumeration for the Manakov
+determinants and ranks, the Faddeev-LeVerrier characteristic polynomial for
+the Casimirs that the package sums as squared Pfaffians, exhaustive exponent enumeration for the Manakov
 coefficients, dense or direct forms of the rigid-body operators, the sum of
 a generator multiset over its orderings from single-generator products, the
 walk-by-walk symmetrization of the Manakov integrals, the Sym_3/Sym_5
@@ -26,7 +27,8 @@ Hamiltonian obstruction coefficient written out where the package reads it
 off the h = 6 closed form.  The remaining helpers (standard quantization,
 the top p-degree part of a phase polynomial, the classical x.p, the so(n)
 bracket of two basis elements, the splitting-tree items as phase
-polynomials) are small maps only tests use.
+polynomials, the squared-generator commutator of one generator) are small
+maps only tests use.
 """
 
 from fractions import Fraction
@@ -64,7 +66,7 @@ from manakov.son import (
     structure_rows,
     structure_table,
 )
-from manakov.uea import PBWElement, correction_weights, pbw_mul, square_commutator, weighted_square_commutators
+from manakov.uea import PBWElement, _packed, _square_packed, _unpacked, correction_weights, pbw_mul, weighted_square_commutators
 from manakov.weyl import WeylOperator, compose
 
 
@@ -164,6 +166,25 @@ def bareiss_rank(m: ExactMatrix):
         if r == rows:
             break
     return r
+
+
+def char_poly(m: ExactMatrix, one=Fraction(1)):
+    """Coefficients [1, c_{n-1}, ..., c_0] of det(t*E - m), highest first,
+    by the Faddeev-LeVerrier recursion: the only divisions are by the
+    integers 1..n, units in every coefficient domain used here.  The
+    package takes the Casimirs as sums of squared Pfaffians instead."""
+    if m.rows != m.cols:
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    n = m.rows
+    coeffs = [one]
+    mk = ExactMatrix.identity(n, one=one)
+    for k in range(1, n + 1):
+        am = m @ mk
+        ck = am.trace() * Fraction(-1, k)
+        coeffs.append(ck)
+        if k < n:
+            mk = am + ExactMatrix.identity(n, one=one).scale(ck)
+    return coeffs
 
 
 def is_special_orthogonal(x: ExactMatrix) -> bool:
@@ -687,6 +708,12 @@ def lie_poisson_bracket_per_term(f: LiePoissonPoly, g: LiePoissonPoly) -> LiePoi
     mask = (1 << width) - 1
     shifts = range(0, width * len(f.vars), width)
     return f._new({tuple((m >> k) & mask for k in shifts): c * scale for m, c in acc.items()})
+
+
+def square_commutator(k, x: PBWElement) -> PBWElement:
+    """[(P-hat_k)^2, x] on its own, by the packed kernel that the weighting
+    applies once per generator."""
+    return x._new(_unpacked(_square_packed(x.n, k, _packed(x, 1))))
 
 
 def weighted_square_commutators_per_term(n, weight_sets, x: PBWElement):

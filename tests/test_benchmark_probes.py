@@ -66,7 +66,7 @@ def test_worker_empties_the_memos(capsys):
     from manakov.rigid_body import ManakovIndex, manakov_coefficient
     from manakov.son import MomentSpec
     from manakov.brackets import LiePoissonPoly
-    from manakov.uea import PBWElement, square_commutator, symmetrize_momentum_poly
+    from manakov.uea import PBWElement, symmetrize_momentum_poly, weighted_square_commutators
 
     clear_caches = _load_benchmark_module("worker").clear_caches
     # a small central and rigid run, plus the kernels whose memos it may not reach
@@ -75,7 +75,7 @@ def test_worker_empties_the_memos(capsys):
         assert cli.main(["verify", scope, "--n", n]) == 0
     capsys.readouterr()
     manakov_coefficient(ManakovIndex(3, 1), (1, 2), MomentSpec.from_lambdas((Fraction(1), Fraction(2), Fraction(3))))
-    square_commutator(0, PBWElement(4, {(1, 2): 1}))
+    weighted_square_commutators(4, [[1] * 6], PBWElement(4, {(1, 2): 1}))
     symmetrize_momentum_poly(LiePoissonPoly.gen(4, (1, 2)) * LiePoissonPoly.gen(4, (2, 3)) ** 2)
     spec = MomentSpec.symbolic(4)
     spec.lambdas[0] / (spec.lambdas[1] + spec.lambdas[2])

@@ -7,14 +7,13 @@ import pytest
 from manakov.linalg import (
     ExactMatrix,
     IntegerEchelon,
-    char_poly,
     exact_rank,
     invert,
     rank_of,
     solve,
 )
 from manakov.ratfunc import MultiPoly
-from oracles import bareiss_det, bareiss_rank, minor_expansion_det, minor_expansion_rank
+from oracles import bareiss_det, bareiss_rank, char_poly, minor_expansion_det, minor_expansion_rank
 
 
 def F(v):

@@ -18,11 +18,14 @@ from manakov.son import (
     pair_index,
     pair_list,
     random_skew,
+    signed_pair,
     right_from_left,
     sigma_triple,
 )
-from manakov.rigid_body import partitions
-from oracles import is_special_orthogonal
+from manakov.brackets import momentum_vars
+from manakov.ratfunc import MultiPoly
+from manakov.rigid_body import casimir_polynomials, partitions
+from oracles import char_poly, is_special_orthogonal
 
 
 def test_basis_element_entries():
@@ -159,6 +162,42 @@ def test_casimir_c1_is_sum_of_squares():
     a = random_skew(5, rng, 30)
     c = casimir_set(a)
     assert c[0] == sum(v * v for v in a.upper.values())
+
+
+def test_casimir_set_matches_the_characteristic_polynomial():
+    # sums of squared Pfaffians against the Faddeev-LeVerrier coefficients
+    # of det(tE - a), 100 seeded cases: numeric skew matrices at n = 1..8
+    # (dense, sparse and zero), and the generator matrices of the symbolic
+    # Casimirs at n = 2..7 on full and block index tuples, whose Casimirs
+    # have int coefficients only
+    rng = random.Random(43)
+    symbolic = {}  # the oracle once per (n, indices)
+    for case in range(100):
+        if case % 3:
+            n = 1 + case % 8
+            a = (random_skew(n, rng, 20), _sparse_skew(n, rng), SkewMatrix(n))[case // 3 % 3]
+            one, got = Fraction(1), casimir_set(a)
+        else:
+            n = 2 + case // 3 % 6
+            size = n if case // 18 % 2 else rng.randint(2, n)
+            indices = tuple(sorted(rng.sample(range(1, n + 1), size)))
+            got = [c.terms for c in casimir_polynomials(n, indices)]
+            assert all(type(c) is int for terms in got for c in terms.values())
+            if (n, indices) in symbolic:
+                assert got == symbolic[n, indices]
+                continue
+            vars = momentum_vars(n)
+            upper = {}
+            for (i, j) in pair_list(size):
+                k, sign = signed_pair(n, indices[i - 1], indices[j - 1])
+                upper[(i, j)] = MultiPoly.gen(vars, k) * sign
+            a, one = SkewMatrix(size, upper), MultiPoly.const(vars, 1)
+        coeffs = char_poly(a.to_dense(zero=one * 0), one=one)
+        assert all(c == 0 for c in coeffs[1::2])
+        expected = coeffs[2::2]
+        if case % 3 == 0:
+            expected = symbolic[n, indices] = [c.terms for c in expected]
+        assert got == expected, (case, a)
 
 
 def test_casimir_gradient_independence():

@@ -32,7 +32,6 @@ from manakov.uea import (
     obstruction_b_raw,
     pbw_mul,
     quadratic_coefficient,
-    square_commutator,
     square_weights,
     sym3_expansion,
     sym35_expansion,
@@ -55,6 +54,7 @@ from oracles import (
     sym3_cycle,
     sym3_expansion_by_cycles,
     sym35_expansion_by_cycles,
+    square_commutator,
     sym_k,
     tuple_ad,
     tuple_pbw_mul,
@@ -349,6 +349,51 @@ def test_symbolic_weightings_high_moment_exponents():
     assert _coefficient_triples(got, vars) == _coefficient_triples(weighted_square_commutators_per_term(n, [weights], x)[0], vars)
 
 
+def test_rational_weightings_match_the_per_term_loop():
+    # the weighting on integer-scaled x and weight sets against one Fraction
+    # product and sum per term, term for term: n = 3..6, weight sets with
+    # different denominators, int weights, zero weights (in some sets only)
+    # and one all-zero set, x with int or Fraction coefficients and x = 0
+    rng = random.Random(67)
+    nonzero = 0
+    for case in range(100):
+        n = 3 + case % 4
+        dim = dim_so(n)
+        x = PBWElement.zero(n) if case % 10 == 0 else _random_operand(rng, n, ("int", "fraction")[case % 2])
+
+        def rational_weights():
+            den = rng.randint(1, 12)
+            return [Fraction(rng.randint(-9, 9), den) if rng.random() < 0.8 else 0 for _ in range(dim)]
+
+        weight_sets = [rational_weights(), rational_weights(), [rng.randint(-3, 3) for _ in range(dim)], [0] * dim]
+        rng.shuffle(weight_sets)
+        got = weighted_square_commutators(n, weight_sets, x)
+        expected = weighted_square_commutators_per_term(n, weight_sets, x)
+        for a, b in zip(got, expected, strict=True):
+            assert a.terms == b.terms, (case, x, weight_sets)
+            nonzero += not a.is_zero()
+    assert nonzero > 150
+
+
+def test_rational_weightings_divide_once_per_coefficient(monkeypatch):
+    # at sampled moments the battery's weightings of [(P-hat_ij)^2, c-hat_{6,2}]
+    # run on integers: no more Fraction products and sums than output
+    # coefficients
+    n = 6
+    spec = MomentSpec.from_lambdas([Fraction(k, 2) for k in (1, 3, 4, 7, 9, 11)])
+    x = manakov_operator(ManakovIndex(6, 2), n, spec)
+    weight_sets = [square_weights(manakov_operator(ManakovIndex(l, 1), n, spec)) for l in range(2, n + 1)]
+    weight_sets += [hamiltonian_weights(spec), correction_weights(spec)]
+    arithmetic = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        real = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, lambda a, b, real=real: arithmetic.append(1) or real(a, b))
+    got = weighted_square_commutators(n, weight_sets, x)
+    monkeypatch.undo()
+    coefficients = sum(len(c.terms) for c in got)
+    assert coefficients > 0 and len(arithmetic) <= coefficients
+
+
 def test_packed_kernels_match_the_tuple_kernels():
     # the kernels on packed words against the tuple-word kernels they
     # replaced, term for term: n = 3..7, int, Fraction and rational-function
@@ -387,7 +432,7 @@ def test_packed_words_refuse_to_overflow_a_letter_count():
     with pytest.raises(ValueError, match="overflow"):
         ad(1, PBWElement(n, {(0,) * 256: 1}))
     with pytest.raises(ValueError, match="overflow"):
-        square_commutator(1, PBWElement(n, {(0,) * 255: 1}))
+        weighted_square_commutators(n, [[1] * dim_so(n)], PBWElement(n, {(0,) * 255: 1}))
     with pytest.raises(ValueError, match="overflow"):
         sym_word(n, (2,) * 256)
     f = LiePoissonPoly(n, MultiPoly(momentum_vars(n), {(256, 0, 0): 1}))
